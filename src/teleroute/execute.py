@@ -5,13 +5,12 @@ ancilla slots (1..B).  Tokens are integers; token ``v`` starts in the
 data slot of vertex ``v`` and ancillas start empty.  Executing a
 schedule moves tokens around; the executor enforces physical
 realizability (edges exist, slots are touched at most once per
-timestep, transfer loads fit in the free ancilla slots) and reports
-the permutation a valid schedule achieves.
+timestep, transfer loads fit in the free ancilla slots), checks that
+every timestep conserves tokens, and reports the permutation a valid
+schedule achieves.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .graphs import ArchGraph, Permutation
 from .schedule import Schedule, SwapEdge, SwapLocal, TeleRound
@@ -82,7 +81,9 @@ class TokenState:
         return other
 
 
-def _check_op(g: ArchGraph, op, t: int):
+def _check_op(g: ArchGraph, op, t: int) -> dict[int, int] | None:
+    """Static checks of one primitive against the graph.  For a round,
+    returns its per-vertex load map (see :meth:`TeleRound.loads`)."""
     if isinstance(op, SwapEdge):
         if not (0 <= op.u < g.n and 0 <= op.v < g.n):
             _fail(t, op, "vertex out of range")
@@ -101,55 +102,92 @@ def _check_op(g: ArchGraph, op, t: int):
             for a, b in zip(tr.path, tr.path[1:]):
                 if not g.has_edge(a, b):
                     _fail(t, op, f"path step ({a},{b}) is not an edge")
-        for v in op.vertices():
-            load = op.load(v)
+        loads = op.loads()
+        for v, load in loads.items():
             if load > g.ancilla_budget:
                 _fail(t, op, f"vertex {v} holds {load} pair halves, "
                              f"budget is {g.ancilla_budget}")
+        return loads
     else:
         _fail(t, op, "unknown primitive")
+    return None
 
 
-def _claims(g: ArchGraph, op) -> list[tuple[int, int]]:
-    """(vertex, slot) pairs the primitive occupies during its timestep.
-    A transfer round occupies every slot of every vertex on its paths."""
+def _slots_written(op) -> list[tuple[int, int]]:
+    """(vertex, slot) pairs whose contents the primitive can change: a
+    round rewrites only the data slots of its transfer endpoints."""
     if isinstance(op, SwapEdge):
         return [(op.u, 0), (op.v, 0)]
     if isinstance(op, SwapLocal):
         return [(op.v, op.s1), (op.v, op.s2)]
-    all_slots = range(g.ancilla_budget + 1)
-    return [(v, s) for v in sorted(op.vertices()) for s in all_slots]
+    return list({(v, 0) for tr in op.transfers for v in (tr.source, tr.dest)})
 
 
 def apply_timestep(g: ArchGraph, state: TokenState, ops, t: int = 0):
-    """Apply one timestep's primitives simultaneously, in place."""
-    taken: dict[tuple[int, int], object] = {}
-    for op in ops:
-        _check_op(g, op, t)
-        for claim in _claims(g, op):
-            if claim in taken:
-                _fail(t, op, f"slot {claim} already used by "
-                             f"{type(taken[claim]).__name__} in this timestep")
-            taken[claim] = op
+    """Apply one timestep's primitives simultaneously, in place.
 
+    Raises :class:`ScheduleError` if a primitive is malformed or
+    unrealizable, if two primitives share a slot (a round occupies every
+    slot of every vertex on its paths), or if the step does not conserve
+    tokens.  Only the slots the primitives write can change, so the
+    conservation check compares the tokens in those slots before and
+    after the step; the cost is linear in the size of the timestep.
+    """
+    # a SwapEdge/SwapLocal claims the (v, s) slots it writes; a round
+    # claims (v, None), all of v, for each vertex on its paths.  ``users``
+    # maps a vertex to the first primitive claiming any of its slots.
+    taken: dict[tuple[int, int | None], object] = {}
+    users: dict[int, object] = {}
+    rounds: list[tuple[TeleRound, dict[int, int]]] = []
+    written: list[tuple[int, int]] = []
+    for op in ops:
+        loads = _check_op(g, op, t)
+        if loads is None:
+            claims = _slots_written(op)
+            for claim in claims:
+                other = taken.get(claim, taken.get((claim[0], None)))
+                if other is not None:
+                    _fail(t, op, f"slot {claim} already used by "
+                                 f"{type(other).__name__} in this timestep")
+                taken[claim] = op
+                users.setdefault(claim[0], op)
+            written += claims
+        else:
+            for v in loads:
+                other = users.get(v)
+                if other is not None:
+                    _fail(t, op, f"vertex {v} already used by "
+                                 f"{type(other).__name__} in this timestep")
+                taken[v, None] = users[v] = op
+            rounds.append((op, loads))
+            written += _slots_written(op)
+
+    slots = state.slots
+    before = sorted(tok for v, s in written
+                    if (tok := slots[v][s]) is not None)
     for op in ops:
         if isinstance(op, SwapEdge):
-            su, sv = state.slots[op.u], state.slots[op.v]
+            su, sv = slots[op.u], slots[op.v]
             su[0], sv[0] = sv[0], su[0]
         elif isinstance(op, SwapLocal):
-            row = state.slots[op.v]
+            row = slots[op.v]
             row[op.s1], row[op.s2] = row[op.s2], row[op.s1]
-        elif isinstance(op, TeleRound):
-            _apply_tele_round(state, op, t)
+    # claims are disjoint, so rounds may follow the swaps
+    for op, loads in rounds:
+        _apply_tele_round(state, op, t, loads)
+    after = sorted(tok for v, s in written
+                   if (tok := slots[v][s]) is not None)
+    if before != after:
+        raise ScheduleError(f"timestep {t}: tokens not conserved")
 
 
-def _apply_tele_round(state: TokenState, op: TeleRound, t: int):
+def _apply_tele_round(state: TokenState, op: TeleRound, t: int,
+                      loads: dict[int, int]):
     # pair halves live in ancilla slots, so slots holding parked tokens
     # are not available to the round
-    for v in sorted(op.vertices()):
-        need = op.load(v)
-        free = sum(1 for s in range(1, state.budget + 1)
-                   if state.slots[v][s] is None)
+    for v, need in loads.items():
+        row = state.slots[v]
+        free = row.count(None) - (row[0] is None)
         if free < need:
             _fail(t, op, f"vertex {v} needs {need} free ancilla slots "
                          f"for its pair halves but only {free} are empty")
@@ -203,7 +241,8 @@ def apply_schedule(g: ArchGraph, schedule: Schedule,
 
     ``on_step(t, state)`` is called after each timestep, if given.
     Raises :class:`ScheduleError` on any malformed or conflicting
-    primitive, naming the timestep and primitive.
+    primitive, naming the timestep and primitive, and on any timestep
+    that does not conserve tokens.
     """
     state = TokenState(g)
     for t, step in enumerate(schedule.timesteps):
@@ -234,13 +273,13 @@ def achieved_permutation(g: ArchGraph, state: TokenState) -> Permutation:
 
 def verify_schedule(g: ArchGraph, schedule: Schedule,
                     pi: Permutation) -> bool:
-    """True iff the schedule executes cleanly, conserves tokens at
-    every timestep, and achieves exactly ``pi``."""
-    expected = list(range(g.n))
+    """Whether a valid schedule achieves exactly ``pi``.
 
-    def check(t, state):
-        if state.tokens() != expected:
-            raise ScheduleError(f"timestep {t}: tokens not conserved")
-
-    final = apply_schedule(g, schedule, on_step=check)
+    Raises :class:`ScheduleError` if the schedule is malformed or
+    physically unrealizable, if some timestep does not conserve tokens,
+    or if it ends with a token stranded in an ancilla or a data slot
+    empty.  Returns False only when the schedule executes cleanly but
+    the permutation it achieves differs from ``pi``.
+    """
+    final = apply_schedule(g, schedule)
     return achieved_permutation(g, final).image == pi.image

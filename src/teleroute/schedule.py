@@ -88,17 +88,21 @@ class Transfer:
     def dest(self) -> int:
         return self.path[-1]
 
-    def load(self, v: int) -> int:
-        """Entangled-pair halves this transfer parks at vertex ``v``.
+    def halves(self) -> list[tuple[int, int]]:
+        """(vertex, entangled-pair halves parked there) along the path.
 
         A path of d edges consumes one pair per edge: interiors hold two
         halves, endpoints one.  A "swap" uses a channel in each
-        direction, doubling every load.
+        direction, doubling every load.  This is the one statement of
+        the load rule; every other load count derives from it.
         """
-        if v not in self.path:
-            return 0
-        base = 1 if v in (self.path[0], self.path[-1]) else 2
-        return base * (2 if self.kind == "swap" else 1)
+        w = 2 if self.kind == "swap" else 1
+        p = self.path
+        return [(p[0], w), *((v, 2 * w) for v in p[1:-1]), (p[-1], w)]
+
+    def load(self, v: int) -> int:
+        """Pair halves this transfer parks at vertex ``v``."""
+        return next((h for u, h in self.halves() if u == v), 0)
 
 
 @dataclass(frozen=True)
@@ -116,8 +120,18 @@ class TeleRound:
             out.update(t.path)
         return out
 
+    def loads(self) -> dict[int, int]:
+        """Pair halves the round parks at each vertex on its paths, in
+        one pass over the transfers (keys are :meth:`vertices`)."""
+        out: dict[int, int] = {}
+        get = out.get
+        for t in self.transfers:
+            for v, h in t.halves():
+                out[v] = get(v, 0) + h
+        return out
+
     def load(self, v: int) -> int:
-        return sum(t.load(v) for t in self.transfers)
+        return self.loads().get(v, 0)
 
     def incidence(self, v: int) -> int:
         return sum(1 for t in self.transfers if v in t.path)
@@ -154,6 +168,14 @@ class DepthModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DepthModel":
+        names = cls.__dataclass_fields__
+        if not isinstance(d, dict) or not set(d) <= set(names):
+            raise ValueError(f"depth_model must be an object with keys "
+                             f"among {sorted(names)}, got {d!r}")
+        for key, cost in d.items():
+            if type(cost) is not int:
+                raise ValueError(f"depth_model cost {key!r} must be an "
+                                 f"integer, got {cost!r}")
         return cls(**d)
 
 
@@ -169,20 +191,52 @@ def op_to_dict(op: Op) -> dict:
     raise TypeError(f"not a primitive: {op!r}")
 
 
+def _int_field(d: dict, key: str) -> int:
+    x = d.get(key)
+    if type(x) is not int:
+        raise ValueError(f"{d.get('type')} field {key!r} must be an "
+                         f"integer, got {x!r}")
+    return x
+
+
+def _transfer_from_dict(d) -> Transfer:
+    if not isinstance(d, dict):
+        raise ValueError(f"a transfer must be an object, got {d!r}")
+    path = d.get("path")
+    if not isinstance(path, list) or any(type(v) is not int for v in path):
+        raise ValueError(f"transfer path must be a list of integers, "
+                         f"got {path!r}")
+    return Transfer(tuple(path), d.get("kind", "move"))
+
+
 def op_from_dict(d: dict) -> Op:
+    """The primitive a JSON object describes.  Raises ValueError on an
+    unknown type or a missing or mistyped field."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a primitive must be an object, got {d!r}")
     kind = d.get("type")
     if kind == "swap_edge":
-        return SwapEdge(d["u"], d["v"])
+        return SwapEdge(_int_field(d, "u"), _int_field(d, "v"))
     if kind == "swap_local":
-        return SwapLocal(d["v"], d["s1"], d["s2"])
+        return SwapLocal(_int_field(d, "v"), _int_field(d, "s1"),
+                         _int_field(d, "s2"))
     if kind == "tele_round":
-        return TeleRound(tuple(Transfer(tuple(t["path"]), t.get("kind", "move"))
-                               for t in d["transfers"]))
+        transfers = d.get("transfers")
+        if not isinstance(transfers, list):
+            raise ValueError(f"tele_round field 'transfers' must be a "
+                             f"list, got {transfers!r}")
+        return TeleRound(tuple(_transfer_from_dict(t) for t in transfers))
     raise ValueError(f"unknown primitive type {kind!r}")
 
 
-def _op_sort_key(op: Op):
-    return json.dumps(op_to_dict(op), sort_keys=True)
+# one encoder for every op: json.dumps with options builds a new one per call
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _op_json(op: Op) -> str:
+    """Canonical JSON text of a primitive, which is also its sort key
+    within a timestep."""
+    return _encode(op_to_dict(op))
 
 
 @dataclass
@@ -212,31 +266,32 @@ class Schedule:
     def count(self, optype) -> int:
         return sum(1 for op in self.ops() if isinstance(op, optype))
 
-    def normalized(self) -> "Schedule":
-        """Drop empty timesteps and sort ops within each timestep."""
-        steps = [sorted(step, key=_op_sort_key)
-                 for step in self.timesteps if step]
-        return Schedule(steps, self.depth_model, self.graph_ref)
-
-    def extend(self, other: "Schedule") -> None:
-        self.timesteps.extend(other.timesteps)
-
     def to_json(self, graph: ArchGraph | None = None) -> str:
-        ref = self.graph_ref
-        if graph is not None:
-            ref = graph.ref_hash()
-        norm = self.normalized()
-        doc = {
-            "graph_ref": ref,
-            "timesteps": [[op_to_dict(op) for op in step]
-                          for step in norm.timesteps],
-            "depth_model": self.depth_model.to_dict(),
-        }
-        return json.dumps(doc, sort_keys=True)
+        """Canonical JSON: empty timesteps dropped and the ops of each
+        timestep sorted by their canonical JSON text.  The result is the
+        text of ``json.dumps(doc, sort_keys=True)``, assembled from each
+        op's canonical string so that every op is encoded once."""
+        ref = graph.ref_hash() if graph is not None else self.graph_ref
+        steps = ", ".join("[" + ", ".join(sorted(map(_op_json, step))) + "]"
+                          for step in self.timesteps if step)
+        return (f'{{"depth_model": {_encode(self.depth_model.to_dict())}, '
+                f'"graph_ref": {_encode(ref)}, "timesteps": [{steps}]}}')
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
+        """Parse :meth:`to_json` output.  Raises ValueError on JSON that
+        is not a schedule document."""
         doc = json.loads(text)
-        steps = [[op_from_dict(d) for d in step] for step in doc["timesteps"]]
+        if not isinstance(doc, dict):
+            raise ValueError(f"a schedule must be a JSON object, got "
+                             f"{type(doc).__name__}")
+        if "timesteps" not in doc:
+            raise ValueError("schedule JSON has no 'timesteps' key")
+        steps = doc["timesteps"]
+        if not isinstance(steps, list) or not all(
+                isinstance(step, list) for step in steps):
+            raise ValueError("schedule 'timesteps' must be a list of lists "
+                             "of primitives")
+        ops = [[op_from_dict(d) for d in step] for step in steps]
         model = DepthModel.from_dict(doc.get("depth_model", {}))
-        return cls(steps, model, doc.get("graph_ref"))
+        return cls(ops, model, doc.get("graph_ref"))

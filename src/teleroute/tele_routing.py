@@ -12,7 +12,7 @@ chains for cycles too congested to share a round even alone.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from math import isqrt
 
@@ -93,11 +93,12 @@ def ladder_schedule(g: ArchGraph, pi: Permutation) -> Schedule:
     if not transfers:
         return Schedule([])
     rnd = TeleRound(tuple(transfers))
-    for v in rnd.vertices():
-        if rnd.incidence(v) > 4:
+    incidence = Counter(v for tr in transfers for v in tr.path)
+    for v, load in rnd.loads().items():
+        if incidence[v] > 4:
             raise RuntimeError(
                 f"canonical paths exceed incidence 4 at vertex {v}")
-        if rnd.load(v) > 6:
+        if load > 6:
             raise RuntimeError(
                 f"canonical paths exceed load 6 at vertex {v}")
     return Schedule([[rnd]])

@@ -251,6 +251,23 @@ def test_verify_missing_file(triple, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("text, needle", [
+    ('{"timesteps": [[{"type": "swap_edge", "u": "a", "v": 1}]]}', "integer"),
+    ("[1, 2]", "object"),
+    ('{"graph_ref": null}', "timesteps"),
+])
+def test_verify_malformed_schedule_is_usage_error(triple, capsys, text,
+                                                  needle):
+    sf, gf, pf = triple
+    sf.write_text(text)
+    code, out, err = run(capsys, "verify", str(sf), str(gf), str(pf))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert needle in lines[0]
+
+
 def test_verify_graph_mismatch(triple, tmp_path, capsys):
     sf, _, pf = triple
     other = tmp_path / "other.json"

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from teleroute import execute
 from teleroute.execute import (
     ScheduleError,
     TokenState,
@@ -20,6 +21,7 @@ from teleroute.schedule import (
     SwapLocal,
     TeleRound,
     Transfer,
+    op_to_dict,
 )
 
 
@@ -82,6 +84,47 @@ def test_schedule_json_roundtrip_and_canonical():
     back = Schedule.from_json(text)
     assert back.to_json(g) == text
     assert back.timesteps[1][0] == TeleRound((Transfer((0, 1, 2), "swap"),))
+
+
+def test_schedule_json_matches_dumped_dict_form():
+    sched = Schedule([
+        [TeleRound((Transfer((4, 3), "move"), Transfer((0, 1, 2), "swap"))),
+         SwapLocal(5, 2, 0), SwapEdge(7, 6)],
+        [],
+        [SwapEdge(1, 0), SwapLocal(2, 1, 3)],
+    ], DepthModel.conservative())
+    doc = {
+        "graph_ref": None,
+        "depth_model": DepthModel.conservative().to_dict(),
+        "timesteps": [
+            sorted((op_to_dict(op) for op in step),
+                   key=lambda d: json.dumps(d, sort_keys=True))
+            for step in sched.timesteps if step],
+    }
+    assert sched.graph_ref is None
+    assert sched.to_json() == json.dumps(doc, sort_keys=True)
+    assert Schedule([]).to_json() == json.dumps(
+        {"graph_ref": None, "depth_model": DepthModel().to_dict(),
+         "timesteps": []}, sort_keys=True)
+
+
+def test_schedule_from_json_rejects_malformed_documents():
+    for text in ('[1, 2]', '"x"', '{"depth_model": {}}',
+                 '{"timesteps": {}}', '{"timesteps": [{}]}',
+                 '{"timesteps": [[7]]}',
+                 '{"timesteps": [[{"type": "swap_edge", "u": "a", "v": 1}]]}',
+                 '{"timesteps": [[{"type": "swap_edge", "u": true, "v": 1}]]}',
+                 '{"timesteps": [[{"type": "swap_local", "v": 0, "s1": 1}]]}',
+                 '{"timesteps": [[{"type": "tele_round", "transfers": 3}]]}',
+                 '{"timesteps": [[{"type": "tele_round", '
+                 '"transfers": [{"path": [0, 1.5]}]}]]}',
+                 '{"timesteps": [[{"type": "tele_round", '
+                 '"transfers": [{"path": 4}]}]]}',
+                 '{"timesteps": [], "depth_model": [1]}',
+                 '{"timesteps": [], "depth_model": {"swap_edge": "1"}}',
+                 '{"timesteps": [], "depth_model": {"hop": 1}}'):
+        with pytest.raises(ValueError):
+            Schedule.from_json(text)
 
 
 def test_schedule_json_sorts_ops():
@@ -216,3 +259,51 @@ def test_on_step_sees_every_timestep():
                    on_step=lambda t, st: seen.append((t, st.tokens())))
     assert [t for t, _ in seen] == [0, 1, 2]
     assert all(toks == [0, 1, 2, 3] for _, toks in seen)
+
+
+# ---------------------------------------------------------------------------
+# conservation and load boundaries
+# ---------------------------------------------------------------------------
+
+def _relay_schedule():
+    """Three timesteps of swap rounds on a 6-vertex path."""
+    rnd = TeleRound((Transfer((0, 1, 2), "swap"), Transfer((3, 4, 5), "swap")))
+    return Schedule([[rnd], [SwapEdge(2, 3)], [rnd]])
+
+
+@pytest.mark.parametrize("fault", ["drop", "duplicate"])
+@pytest.mark.parametrize("bad_t", [0, 2])
+def test_conservation_catches_faulty_round(monkeypatch, fault, bad_t):
+    g = generate_graph("path", n=6)
+    sched = _relay_schedule()
+    pi = Permutation((5, 1, 2, 3, 4, 0))
+    assert verify_schedule(g, sched, pi)
+    real = execute._apply_tele_round
+
+    def faulty(state, op, t, *rest):
+        real(state, op, t, *rest)
+        if t == bad_t:
+            tr = op.transfers[0]
+            if fault == "drop":
+                state.slots[tr.dest][0] = None
+            else:
+                state.slots[tr.dest][0] = state.slots[tr.source][0]
+
+    monkeypatch.setattr(execute, "_apply_tele_round", faulty)
+    with pytest.raises(ScheduleError,
+                       match=rf"^timestep {bad_t}: tokens not conserved$"):
+        verify_schedule(g, sched, pi)
+
+
+def test_round_load_at_budget_boundary():
+    rnd = TeleRound((Transfer((0, 1, 2), "swap"),))   # load 4 at vertex 1
+    pi = Permutation((2, 1, 0))
+    at_budget = generate_graph("path", n=3, ancilla_budget=4)
+    assert verify_schedule(at_budget, Schedule([[rnd]]), pi)
+    over = generate_graph("path", n=3, ancilla_budget=3)
+    with pytest.raises(ScheduleError, match="budget"):
+        verify_schedule(over, Schedule([[rnd]]), pi)
+    # a token parked in an ancilla of vertex 1 takes one of its four slots
+    parked = Schedule([[SwapLocal(1, 0, 3)], [rnd], [SwapLocal(1, 0, 3)]])
+    with pytest.raises(ScheduleError, match="free ancilla slots"):
+        verify_schedule(at_budget, parked, pi)
