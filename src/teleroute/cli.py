@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import EXACT_EXPANSION_MAX_N, bounds_report
@@ -42,9 +41,9 @@ from .graphs import (
 from .schedule import DepthModel, Schedule
 from .sparse_routing import sparse_route
 from .swap_routing import route_generic
-from .tele_routing import greedy_schedule, ladder_schedule
+from .tele_routing import greedy_schedule, ladder_schedule, teleport_schedule
 
-__all__ = ["main", "ExperimentConfig"]
+__all__ = ["main"]
 
 _SIZE_FLAG = {"hypercube": "d", "butterfly": "r"}
 _PERM_KINDS = ("identity", "diam", "rainbow", "wheel", "reflection",
@@ -55,17 +54,6 @@ _PERM_REQUIRES = {
     "cyclic_shift": ("s",),
     "random": ("seed",),
 }
-
-
-@dataclass
-class ExperimentConfig:
-    """Resolved experiment inputs: one graph, one permutation, a depth
-    model, and the router selection."""
-
-    graph: ArchGraph
-    perm: Permutation | None
-    model: DepthModel
-    router: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +179,18 @@ def perm_to_json(pi: Permutation) -> str:
 
 
 def perm_from_json(text: str) -> Permutation:
+    """Parse :func:`perm_to_json` output.  Raises ValueError on JSON
+    that is not a permutation document."""
     doc = json.loads(text)
-    image = tuple(doc["image"])
+    if not isinstance(doc, dict):
+        raise ValueError(f"a permutation must be a JSON object, got "
+                         f"{type(doc).__name__}")
+    image = doc.get("image")
+    if not isinstance(image, list) or any(type(v) is not int for v in image):
+        raise ValueError("permutation 'image' must be a list of integers")
     if doc.get("n", len(image)) != len(image):
         raise ValueError("permutation file: n disagrees with image length")
-    return Permutation(image)
+    return Permutation(tuple(image))
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +205,6 @@ def cmd_graph(ns) -> int:
     return 0
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
 def cmd_bounds(ns) -> int:
     g = _resolve_graph(ns)
     if g.n > EXACT_EXPANSION_MAX_N and not ns.no_exact:
@@ -224,15 +215,15 @@ def cmd_bounds(ns) -> int:
     rep = bounds_report(g)
     doc = {
         "n": rep.n,
-        "c_lower": _fraction_str(rep.c_lower),
-        "c_upper": _fraction_str(rep.c_upper),
+        "c_lower": str(rep.c_lower),
+        "c_upper": str(rep.c_upper),
         "exact": rep.exact,
         "witness_cut": list(rep.witness_cut) if rep.witness_cut else None,
         "diam": rep.diam,
         "iso_lb": rep.iso_lb,
         "diam_lb": rep.diam_lb,
         "lambda2": rep.lambda2,
-        "degree_ratio": _fraction_str(rep.degree_ratio),
+        "degree_ratio": str(rep.degree_ratio),
         "expander_figure": rep.expander_figure,
     }
     _emit(ns, json.dumps(doc, sort_keys=True))
@@ -247,12 +238,11 @@ def cmd_bounds(ns) -> int:
 
 
 def _teleport_schedule(g: ArchGraph, pi: Permutation) -> Schedule:
-    if g.family == "ladder":
-        try:
-            return ladder_schedule(g, pi)
-        except ValueError:
-            pass
-    return greedy_schedule(g, pi)
+    # the schedulers are resolved in this module at call time, so a
+    # tracer that patches the names cli calls (perfbench/spans.py) sees
+    # them
+    return teleport_schedule(g, pi, ladder=ladder_schedule,
+                             greedy=greedy_schedule)
 
 
 _ROUTERS = {

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 __all__ = [
     "ArchGraph",
@@ -563,18 +563,42 @@ def graph_to_json(g: ArchGraph) -> str:
 
 
 def graph_from_json(text: str) -> ArchGraph:
+    """Parse :func:`graph_to_json` output.  Raises ValueError on JSON
+    that is not a graph document."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a graph must be a JSON object, got "
+                         f"{type(doc).__name__}")
+    for key in ("n", "edges"):
+        if key not in doc:
+            raise ValueError(f"graph JSON has no {key!r} key")
+    budget = doc.get("ancilla_budget", DEFAULT_ANCILLA_BUDGET)
+    if type(doc["n"]) is not int or type(budget) is not int:
+        raise ValueError("graph 'n' and 'ancilla_budget' must be integers")
+    try:
+        edges = tuple((u, v) for u, v in doc["edges"])
+    except (TypeError, ValueError):
+        edges = None
+    if (not isinstance(doc["edges"], list) or edges is None
+            or not set(map(type, chain.from_iterable(edges))) <= {int}):
+        raise ValueError("graph 'edges' must be a list of [u, v] integer "
+                         "pairs")
     labels = doc.get("labels")
     if labels is not None:
+        if not isinstance(labels, list):
+            raise ValueError("graph 'labels' must be a list")
         labels = tuple(tuple(l) if isinstance(l, list) else l for l in labels)
-    params = tuple(sorted(doc.get("params", {}).items()))
+    params = doc.get("params", {})
+    if not isinstance(params, dict) or any(
+            type(v) is not int for v in params.values()):
+        raise ValueError("graph 'params' must map names to integers")
     return ArchGraph(
         n=doc["n"],
-        edges=tuple((u, v) for u, v in doc["edges"]),
-        ancilla_budget=doc.get("ancilla_budget", DEFAULT_ANCILLA_BUDGET),
+        edges=edges,
+        ancilla_budget=budget,
         labels=labels,
         family=doc.get("family"),
-        params=params,
+        params=tuple(sorted(params.items())),
     )
 
 

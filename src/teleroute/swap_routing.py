@@ -35,6 +35,17 @@ __all__ = [
 ]
 
 
+def _merge_timelines(timelines: list[list[list]]) -> list[list]:
+    """Run schedules on disjoint vertex sets side by side: timestep t
+    holds every timeline's step t, in timeline order."""
+    merged: list[list] = [
+        [] for _ in range(max((len(steps) for steps in timelines), default=0))]
+    for steps in timelines:
+        for layer, step in zip(merged, steps):
+            layer.extend(step)
+    return merged
+
+
 # ---------------------------------------------------------------------------
 # odd-even transposition
 # ---------------------------------------------------------------------------
@@ -340,13 +351,7 @@ def _route_tree_rec(vertices: list[int], adj: dict[int, list[int]],
             if node_of(target[token_at[v]]) != cid:
                 raise AssertionError("token stranded outside its component")
         child_steps.append(_route_tree_rec(verts, sub_adj, token_at, target))
-    depth = max((len(cs) for cs in child_steps), default=0)
-    for t in range(depth):
-        layer = []
-        for cs in child_steps:
-            if t < len(cs):
-                layer.extend(cs[t])
-        steps.append(layer)
+    steps.extend(_merge_timelines(child_steps))
     return steps
 
 
@@ -414,10 +419,13 @@ def route_product(g1: ArchGraph, g2: ArchGraph, pi: Permutation,
     # decompose the n1-regular column-to-column multigraph into n1
     # perfect matchings
     mult = {(x, xd): len(toks) for (x, xd), toks in bucket.items()}
+    keys = sorted(mult)
     matchings: list[dict[int, int]] = []
     for _ in range(n1):
-        left_adj = {x: sorted(xd for (xx, xd), k in mult.items()
-                              if xx == x and k > 0) for x in range(n2)}
+        left_adj: dict[int, list[int]] = {x: [] for x in range(n2)}
+        for x, xd in keys:
+            if mult[(x, xd)] > 0:
+                left_adj[x].append(xd)
         match = _perfect_matching(left_adj)
         matchings.append(match)
         for x, xd in match.items():
@@ -425,15 +433,14 @@ def route_product(g1: ArchGraph, g2: ArchGraph, pi: Permutation,
 
     # pair matchings with intermediate rows, preferring rows where the
     # matched tokens already sit (keeps easy instances shallow)
+    rows_in = {key: {split(tok)[0] for tok in toks}
+               for key, toks in bucket.items()}
     rows_left = set(range(n1))
     row_of_matching: dict[int, int] = {}
     for j, match in enumerate(matchings):
         best_r, best_score = None, -1
         for r in sorted(rows_left):
-            score = 0
-            for x, xd in match.items():
-                if any(split(tok)[0] == r for tok in bucket[(x, xd)]):
-                    score += 1
+            score = sum(r in rows_in[key] for key in match.items())
             if score > best_score:
                 best_r, best_score = r, score
         row_of_matching[j] = best_r
@@ -453,45 +460,25 @@ def route_product(g1: ArchGraph, g2: ArchGraph, pi: Permutation,
     # three phases, tracking pos[token] = (row, col) throughout
     pos = {v: split(v) for v in range(n1 * n2)}
 
-    def columns_phase(dest_row) -> list[list[SwapEdge]]:
-        col_schedules = []
-        for x in range(n2):
-            toks = sorted((r, t) for t, (r, c) in pos.items() if c == x)
-            image = [None] * n1
-            for r, t in toks:
-                image[r] = dest_row(t)
-            sub = factor_router(g1, Permutation(tuple(image)))
-            col_schedules.append(sub.timesteps)
-        depth = max((len(s) for s in col_schedules), default=0)
-        merged = []
-        for t in range(depth):
-            layer = []
-            for x, stepss in enumerate(col_schedules):
-                if t < len(stepss):
-                    for op in stepss[t]:
-                        layer.append(SwapEdge(op.u * n2 + x, op.v * n2 + x))
-            merged.append(layer)
-        return merged
-
-    def rows_phase(dest_col) -> list[list[SwapEdge]]:
-        row_schedules = []
-        for a in range(n1):
-            toks = sorted((c, t) for t, (r, c) in pos.items() if r == a)
-            image = [None] * n2
-            for cidx, t in toks:
-                image[cidx] = dest_col(t)
-            sub = factor_router(g2, Permutation(tuple(image)))
-            row_schedules.append(sub.timesteps)
-        depth = max((len(s) for s in row_schedules), default=0)
-        merged = []
-        for t in range(depth):
-            layer = []
-            for a, stepss in enumerate(row_schedules):
-                if t < len(stepss):
-                    for op in stepss[t]:
-                        layer.append(SwapEdge(a * n2 + op.u, a * n2 + op.v))
-            merged.append(layer)
-        return merged
+    def phase(axis: int, dest) -> list[list[SwapEdge]]:
+        """Route every copy of one factor in parallel: the g1-copies
+        (columns, tokens change row) for axis 0, the g2-copies (rows,
+        tokens change column) for axis 1.  ``dest(token)`` is the
+        token's row or column at the end of the phase."""
+        # copy c's i-th vertex is c * offset + i * stride
+        factor, copies, offset, stride = ((g1, n2, 1, n2) if axis == 0
+                                          else (g2, n1, n2, 1))
+        images: list[list] = [[None] * factor.n for _ in range(copies)]
+        for t, rc in pos.items():
+            images[rc[1 - axis]][rc[axis]] = dest(t)
+        timelines = []
+        for c, image in enumerate(images):
+            base = c * offset
+            sub = factor_router(factor, Permutation(tuple(image)))
+            timelines.append([[SwapEdge(base + op.u * stride,
+                                        base + op.v * stride)
+                               for op in step] for step in sub.timesteps])
+        return _merge_timelines(timelines)
 
     def apply_steps(stepss: list[list[SwapEdge]]):
         inv = {rc: t for t, rc in pos.items()}
@@ -506,15 +493,12 @@ def route_product(g1: ArchGraph, g2: ArchGraph, pi: Permutation,
                 inv[pu], inv[pv] = tv, tu
 
     steps: list[list[SwapEdge]] = []
-    p1 = columns_phase(lambda t: inter_row[t])
-    apply_steps(p1)
-    steps.extend(p1)
-    p2 = rows_phase(lambda t: split(pi(t))[1])
-    apply_steps(p2)
-    steps.extend(p2)
-    p3 = columns_phase(lambda t: split(pi(t))[0])
-    apply_steps(p3)
-    steps.extend(p3)
+    for axis, dest in ((0, lambda t: inter_row[t]),
+                       (1, lambda t: split(pi(t))[1]),
+                       (0, lambda t: split(pi(t))[0])):
+        p = phase(axis, dest)
+        apply_steps(p)
+        steps.extend(p)
     for t, rc in pos.items():
         if rc != split(pi(t)):
             raise AssertionError("product routing failed to place a token")
@@ -605,15 +589,7 @@ def route_wheel(g: ArchGraph, l: int) -> WheelRoute:
         token_at = {v: v for v in order}
         segment_steps.append(
             _oet_timesteps(order, lambda tok: pos[pi(tok)], token_at))
-    depth = max((len(s) for s in segment_steps), default=0)
-    rim_steps = []
-    for t in range(depth):
-        layer = []
-        for s in segment_steps:
-            if t < len(s):
-                layer.extend(s[t])
-        rim_steps.append(layer)
-    rim_sched = Schedule(rim_steps)
+    rim_sched = Schedule(_merge_timelines(segment_steps))
 
     hub_depth, rim_depth = hub_sched.depth(), rim_sched.depth()
     if rim_depth <= hub_depth:

@@ -12,12 +12,12 @@ chains for cycles too congested to share a round even alone.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
 from .execute import TokenState, apply_timestep
-from .graphs import ArchGraph, Permutation, shortest_path
+from .graphs import ArchGraph, Permutation
 from .schedule import Schedule, SwapEdge, SwapLocal, TeleRound, Transfer
 from .sparse_routing import sparse_route
 from .swap_routing import route_generic
@@ -27,6 +27,7 @@ __all__ = [
     "canonical_path",
     "ladder_schedule",
     "greedy_schedule",
+    "teleport_schedule",
     "simulate_round_with_swaps",
     "advantage",
 ]
@@ -108,55 +109,66 @@ def ladder_schedule(g: ArchGraph, pi: Permutation) -> Schedule:
 # general graphs: greedy cycle packing
 # ---------------------------------------------------------------------------
 
-def _load_aware_path(g: ArchGraph, s: int, t: int, load: dict[int, int],
+def _load_aware_path(g: ArchGraph, s: int, t: int, load: list[int],
                      budget: int) -> tuple[int, ...] | None:
     """Shortest s-t path through vertices with room left: interiors
     must absorb two more pair halves, endpoints one.  None if no such
-    path exists."""
-    if load.get(s, 0) + 1 > budget or load.get(t, 0) + 1 > budget:
+    path exists.
+
+    The BFS runs level by level and each vertex scans its neighbours in
+    sorted order, so every vertex's parent is the first one that
+    reaches it, as in a FIFO queue; it stops as soon as t is reached.
+    """
+    if load[s] >= budget or load[t] >= budget:
         return None
-    parent: dict[int, int | None] = {s: None}
-    queue = deque([s])
-    while queue and t not in parent:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w in parent:
-                continue
-            if w == t or load.get(w, 0) + 2 <= budget:
-                parent[w] = v
-                queue.append(w)
-    if t not in parent:
-        return None
-    path = [t]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return tuple(path)
+    adj = g._adj
+    cap = budget - 2
+    parent = [-1] * g.n
+    parent[s] = s
+    frontier = [s]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if parent[w] >= 0:
+                    continue
+                if w == t:
+                    path = [t, v]
+                    while v != s:
+                        v = parent[v]
+                        path.append(v)
+                    path.reverse()
+                    return tuple(path)
+                if load[w] <= cap:
+                    parent[w] = v
+                    nxt.append(w)
+        frontier = nxt
+    return None
 
 
-def _add_load(load: dict[int, int], path: tuple[int, ...]) -> None:
-    load[path[0]] = load.get(path[0], 0) + 1
-    load[path[-1]] = load.get(path[-1], 0) + 1
+def _add_load(load: list[int], path: tuple[int, ...], sign: int) -> None:
+    load[path[0]] += sign
+    load[path[-1]] += sign
     for v in path[1:-1]:
-        load[v] = load.get(v, 0) + 2
+        load[v] += 2 * sign
 
 
-def _fit_cycle(g: ArchGraph, cyc: tuple[int, ...], load: dict[int, int],
+def _fit_cycle(g: ArchGraph, cyc: tuple[int, ...], load: list[int],
                budget: int) -> list[tuple[int, ...]] | None:
     """Try to place every hop of a cycle into a round with current
     ``load``.  All hops fit (rerouting around saturated vertices where
-    possible) or none do; ``load`` is updated only on success."""
-    trial = dict(load)
+    possible) or none do; on failure the hops placed so far are taken
+    back out, leaving ``load`` as it was."""
     paths = []
-    for i in range(len(cyc)):
-        p = _load_aware_path(g, cyc[i], cyc[(i + 1) % len(cyc)], trial,
-                             budget)
+    m = len(cyc)
+    for i in range(m):
+        p = _load_aware_path(g, cyc[i], cyc[(i + 1) % m], load, budget)
         if p is None:
+            for q in paths:
+                _add_load(load, q, -1)
             return None
-        _add_load(trial, p)
+        _add_load(load, p, 1)
         paths.append(p)
-    load.clear()
-    load.update(trial)
     return paths
 
 
@@ -172,18 +184,18 @@ def _chain_timesteps(g: ArchGraph, cyc: tuple[int, ...],
     (rotate until the parking vertex separates no other two elements).
     """
     m = len(cyc)
+    parked = [0] * g.n
     for r in range(m):
         rot = cyc[r:] + cyc[:r]
-        parked = {rot[0]: 1}
+        parked[rot[0]] = 1
         paths = []
         for i in range(m - 1, 0, -1):
-            p = _load_aware_path(g, rot[i], rot[(i + 1) % m], dict(parked),
-                                 budget)
+            p = _load_aware_path(g, rot[i], rot[(i + 1) % m], parked, budget)
             if p is None:
                 break
             paths.append(p)
         else:
-            final = _load_aware_path(g, rot[0], rot[1], dict(parked), budget)
+            final = _load_aware_path(g, rot[0], rot[1], parked, budget)
             if final is not None:
                 park = SwapLocal(rot[0], 0, 1)
                 steps: list[list] = [[park]]
@@ -192,16 +204,21 @@ def _chain_timesteps(g: ArchGraph, cyc: tuple[int, ...],
                 steps.append([TeleRound((Transfer(final),))])
                 steps.append([park])
                 return steps
+        parked[rot[0]] = 0
     raise RuntimeError(f"no rotation of cycle {cyc} can be chained "
                        f"within ancilla budget {budget}")
 
 
 def greedy_schedule(g: ArchGraph, pi: Permutation,
                     budget: int | None = None) -> Schedule:
-    """Pack permutation cycles into teleportation rounds greedily,
-    longest hop first: a cycle joins the first round where all its
-    transfers fit under the per-vertex load budget; cycles too
-    congested even for an empty round are realized as buffered chains.
+    """Pack permutation cycles into teleportation rounds greedily.
+
+    Cycles are taken longest hop first: by decreasing maximum BFS
+    distance between consecutive elements, ties by smallest element.
+    Each joins the first round, in the order rounds were opened, where
+    all its transfers fit under the per-vertex load budget, else opens
+    a new round; cycles too congested even for an empty round are
+    realized as buffered chains after all rounds.
     """
     if pi.n != g.n:
         raise ValueError("permutation size does not match the graph")
@@ -214,12 +231,21 @@ def greedy_schedule(g: ArchGraph, pi: Permutation,
         raise ValueError(f"budget {budget} exceeds the graph's ancilla "
                          f"budget {g.ancilla_budget}")
 
+    # with no load every vertex is admitted, so these are BFS distances;
+    # both hops of a 2-cycle have the same length on an undirected graph
+    free = [0] * g.n
+
+    def hop(u: int, v: int) -> int:
+        return len(_load_aware_path(g, u, v, free, budget)) - 1
+
     def max_hop(cyc: tuple[int, ...]) -> int:
-        return max(len(shortest_path(g, cyc[i], cyc[(i + 1) % len(cyc)])) - 1
+        if len(cyc) == 2:
+            return hop(*cyc)
+        return max(hop(cyc[i], cyc[(i + 1) % len(cyc)])
                    for i in range(len(cyc)))
 
     cycles = sorted(pi.cycles(), key=lambda c: (-max_hop(c), c[0]))
-    rounds: list[tuple[list[Transfer], dict[int, int]]] = []
+    rounds: list[tuple[list[Transfer], list[int]]] = []
     chained: list[tuple[int, ...]] = []
     for cyc in cycles:
         for transfers, load in rounds:
@@ -228,7 +254,7 @@ def greedy_schedule(g: ArchGraph, pi: Permutation,
                 transfers.extend(Transfer(p) for p in paths)
                 break
         else:
-            load = {}
+            load = [0] * g.n
             paths = _fit_cycle(g, cyc, load, budget)
             if paths is not None:
                 rounds.append(([Transfer(p) for p in paths], load))
@@ -240,6 +266,21 @@ def greedy_schedule(g: ArchGraph, pi: Permutation,
     for cyc in chained:
         timesteps.extend(_chain_timesteps(g, cyc, budget))
     return Schedule(timesteps)
+
+
+def teleport_schedule(g: ArchGraph, pi: Permutation, *,
+                      ladder=ladder_schedule,
+                      greedy=greedy_schedule) -> Schedule:
+    """The teleportation schedule for ``pi`` on ``g``: a single ladder
+    round on ladder graphs whose budget allows it, the greedy packer
+    everywhere else.  ``ladder`` and ``greedy`` replace the two
+    schedulers, for callers that resolve them in their own namespace."""
+    if g.family == "ladder":
+        try:
+            return ladder(g, pi)
+        except ValueError:
+            pass
+    return greedy(g, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -377,17 +418,9 @@ def simulate_round_with_swaps(g: ArchGraph, rnd: TeleRound) -> Schedule:
 
 def advantage(g: ArchGraph, pi: Permutation) -> Fraction:
     """Depth of the generic swap-only schedule divided by the depth of
-    the teleportation schedule, as an exact rational; 1 for the
-    identity.  Ladders use the single-round scheduler when their
-    budget allows it."""
-    tele = None
-    if g.family == "ladder":
-        try:
-            tele = ladder_schedule(g, pi)
-        except ValueError:
-            tele = None
-    if tele is None:
-        tele = greedy_schedule(g, pi)
+    the teleportation schedule (:func:`teleport_schedule`), as an
+    exact rational; 1 for the identity."""
+    tele = teleport_schedule(g, pi)
     swap = route_generic(g, pi)
     dt = tele.depth()
     if dt == 0:

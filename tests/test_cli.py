@@ -268,6 +268,45 @@ def test_verify_malformed_schedule_is_usage_error(triple, capsys, text,
     assert needle in lines[0]
 
 
+@pytest.mark.parametrize("text, needle", [
+    ("[1, 2]", "object"),
+    ('{"n": 8}', "edges"),
+    ('{"edges": []}', "'n'"),
+    ('{"n": "x", "edges": []}', "integer"),
+    ('{"n": 3, "edges": [[0, 1, 2]]}', "pairs"),
+    ('{"n": 3, "edges": [[0, "a"], [1, 2]]}', "pairs"),
+    ('{"n": 3, "edges": {"0": 1}}', "pairs"),
+    ('{"n": 2, "edges": [[0, 1]], "params": {"n": "x"}}', "params"),
+])
+def test_verify_malformed_graph_is_usage_error(triple, capsys, text, needle):
+    sf, gf, pf = triple
+    gf.write_text(text)
+    code, out, err = run(capsys, "verify", str(sf), str(gf), str(pf))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert needle in lines[0]
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("[1, 2]", "object"),
+    ('{"n": 2}', "image"),
+    ('{"image": [0, "1"]}', "image"),
+    ('{"image": 3}', "image"),
+])
+def test_verify_malformed_permutation_is_usage_error(triple, capsys, text,
+                                                     needle):
+    sf, gf, pf = triple
+    pf.write_text(text)
+    code, out, err = run(capsys, "verify", str(sf), str(gf), str(pf))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert needle in lines[0]
+
+
 def test_verify_graph_mismatch(triple, tmp_path, capsys):
     sf, _, pf = triple
     other = tmp_path / "other.json"

@@ -23,6 +23,7 @@ from teleroute.tele_routing import (
     ladder_schedule,
     relay_address,
     simulate_round_with_swaps,
+    teleport_schedule,
 )
 
 
@@ -351,3 +352,19 @@ def test_advantage_ladder_small_budget_falls_back():
     g = generate_graph("ladder", n=3, ancilla_budget=4)
     pi = generate_permutation("reflection", g)
     assert advantage(g, pi) >= 1
+
+
+# ---------------------------------------------------------------------------
+# teleport_schedule: the ladder-or-greedy dispatch
+# ---------------------------------------------------------------------------
+
+def test_teleport_schedule_dispatch():
+    ladder = generate_graph("ladder", n=3)
+    small = generate_graph("ladder", n=3, ancilla_budget=4)
+    grid = generate_graph("grid", n=4, d=2)
+    for g, expected in ((ladder, ladder_schedule), (small, greedy_schedule),
+                        (grid, greedy_schedule)):
+        pi = generate_permutation("reflection", g)
+        assert teleport_schedule(g, pi).to_json() == expected(g, pi).to_json()
+    with pytest.raises(ValueError, match="does not match"):
+        teleport_schedule(ladder, Permutation.identity(3))
