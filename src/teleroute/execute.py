@@ -82,14 +82,11 @@ class TokenState:
 
 
 def _check_op(g: ArchGraph, op, t: int) -> dict[int, int] | None:
-    """Static checks of one primitive against the graph.  For a round,
-    returns its per-vertex load map (see :meth:`TeleRound.loads`)."""
-    if isinstance(op, SwapEdge):
-        if not (0 <= op.u < g.n and 0 <= op.v < g.n):
-            _fail(t, op, "vertex out of range")
-        if not g.has_edge(op.u, op.v):
-            _fail(t, op, "no such edge")
-    elif isinstance(op, SwapLocal):
+    """Static checks of a primitive other than a :class:`SwapEdge`
+    (which :func:`apply_timestep` checks inline) against the graph.
+    For a round, returns its per-vertex load map (see
+    :meth:`TeleRound.loads`)."""
+    if isinstance(op, SwapLocal):
         if not 0 <= op.v < g.n:
             _fail(t, op, "vertex out of range")
         if not (0 <= op.s1 <= g.ancilla_budget and 0 <= op.s2 <= g.ancilla_budget):
@@ -114,10 +111,9 @@ def _check_op(g: ArchGraph, op, t: int) -> dict[int, int] | None:
 
 
 def _slots_written(op) -> list[tuple[int, int]]:
-    """(vertex, slot) pairs whose contents the primitive can change: a
-    round rewrites only the data slots of its transfer endpoints."""
-    if isinstance(op, SwapEdge):
-        return [(op.u, 0), (op.v, 0)]
+    """(vertex, slot) pairs whose contents a :class:`SwapLocal` or a
+    round can change: a round rewrites only the data slots of its
+    transfer endpoints."""
     if isinstance(op, SwapLocal):
         return [(op.v, op.s1), (op.v, op.s2)]
     return list({(v, 0) for tr in op.transfers for v in (tr.source, tr.dest)})
@@ -136,37 +132,47 @@ def apply_timestep(g: ArchGraph, state: TokenState, ops, t: int = 0):
     # a SwapEdge/SwapLocal claims the (v, s) slots it writes; a round
     # claims (v, None), all of v, for each vertex on its paths.  ``users``
     # maps a vertex to the first primitive claiming any of its slots.
+    # Edge swaps, nearly every op of a swap schedule, are checked here.
+    n, adj = g.n, g._adj
     taken: dict[tuple[int, int | None], object] = {}
     users: dict[int, object] = {}
     rounds: list[tuple[TeleRound, dict[int, int]]] = []
     written: list[tuple[int, int]] = []
     for op in ops:
-        loads = _check_op(g, op, t)
-        if loads is None:
-            claims = _slots_written(op)
-            for claim in claims:
-                other = taken.get(claim, taken.get((claim[0], None)))
-                if other is not None:
-                    _fail(t, op, f"slot {claim} already used by "
-                                 f"{type(other).__name__} in this timestep")
-                taken[claim] = op
-                users.setdefault(claim[0], op)
-            written += claims
+        if type(op) is SwapEdge:
+            u, v = op.u, op.v    # u < v
+            if u < 0 or v >= n:
+                _fail(t, op, "vertex out of range")
+            if v not in adj[u]:
+                _fail(t, op, "no such edge")
+            claims = ((u, 0), (v, 0))
         else:
-            for v in loads:
-                other = users.get(v)
-                if other is not None:
-                    _fail(t, op, f"vertex {v} already used by "
-                                 f"{type(other).__name__} in this timestep")
-                taken[v, None] = users[v] = op
-            rounds.append((op, loads))
-            written += _slots_written(op)
+            loads = _check_op(g, op, t)
+            if loads is not None:
+                for v in loads:
+                    other = users.get(v)
+                    if other is not None:
+                        _fail(t, op, f"vertex {v} already used by "
+                                     f"{type(other).__name__} in this timestep")
+                    taken[v, None] = users[v] = op
+                rounds.append((op, loads))
+                written += _slots_written(op)
+                continue
+            claims = _slots_written(op)
+        for claim in claims:
+            other = taken.get(claim, taken.get((claim[0], None)))
+            if other is not None:
+                _fail(t, op, f"slot {claim} already used by "
+                             f"{type(other).__name__} in this timestep")
+            taken[claim] = op
+            users.setdefault(claim[0], op)
+        written += claims
 
     slots = state.slots
     before = sorted(tok for v, s in written
                     if (tok := slots[v][s]) is not None)
     for op in ops:
-        if isinstance(op, SwapEdge):
+        if type(op) is SwapEdge:
             su, sv = slots[op.u], slots[op.v]
             su[0], sv[0] = sv[0], su[0]
         elif isinstance(op, SwapLocal):

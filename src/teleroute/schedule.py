@@ -33,31 +33,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SwapEdge:
+    """Endpoints are stored in increasing order, ``u < v``."""
+
     u: int
     v: int
 
     def __post_init__(self):
-        if self.u == self.v:
-            raise ValueError("swap_edge endpoints must differ")
-        lo, hi = sorted((self.u, self.v))
-        object.__setattr__(self, "u", lo)
-        object.__setattr__(self, "v", hi)
+        u, v = self.u, self.v
+        if u >= v:
+            if u == v:
+                raise ValueError("swap_edge endpoints must differ")
+            object.__setattr__(self, "u", v)
+            object.__setattr__(self, "v", u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SwapLocal:
+    """Slots are stored in increasing order, ``s1 < s2``."""
+
     v: int
     s1: int
     s2: int
 
     def __post_init__(self):
-        if self.s1 == self.s2:
-            raise ValueError("swap_local slots must differ")
-        lo, hi = sorted((self.s1, self.s2))
-        object.__setattr__(self, "s1", lo)
-        object.__setattr__(self, "s2", hi)
+        s1, s2 = self.s1, self.s2
+        if s1 >= s2:
+            if s1 == s2:
+                raise ValueError("swap_local slots must differ")
+            object.__setattr__(self, "s1", s2)
+            object.__setattr__(self, "s2", s1)
 
 
 @dataclass(frozen=True)
@@ -229,14 +235,27 @@ def op_from_dict(d: dict) -> Op:
     raise ValueError(f"unknown primitive type {kind!r}")
 
 
-# one encoder for every op: json.dumps with options builds a new one per call
+# for depth_model and graph_ref: json.dumps with options builds a new
+# encoder per call
 _encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def _op_json(op: Op) -> str:
     """Canonical JSON text of a primitive, which is also its sort key
-    within a timestep."""
-    return _encode(op_to_dict(op))
+    within a timestep.  The text is exactly what
+    ``JSONEncoder(sort_keys=True)`` gives for :func:`op_to_dict` of the
+    op; it is formatted directly, since the fields are integers and a
+    transfer kind is "move" or "swap", none of which needs escaping."""
+    if type(op) is SwapEdge:
+        return '{"type": "swap_edge", "u": %d, "v": %d}' % (op.u, op.v)
+    if type(op) is SwapLocal:
+        return ('{"s1": %d, "s2": %d, "type": "swap_local", "v": %d}'
+                % (op.s1, op.s2, op.v))
+    if type(op) is TeleRound:
+        return ('{"transfers": [%s], "type": "tele_round"}' % ", ".join(
+            '{"kind": "%s", "path": [%s]}' % (t.kind, ", ".join(map(str, t.path)))
+            for t in op.transfers))
+    raise TypeError(f"not a primitive: {op!r}")
 
 
 @dataclass
@@ -268,9 +287,11 @@ class Schedule:
 
     def to_json(self, graph: ArchGraph | None = None) -> str:
         """Canonical JSON: empty timesteps dropped and the ops of each
-        timestep sorted by their canonical JSON text.  The result is the
-        text of ``json.dumps(doc, sort_keys=True)``, assembled from each
-        op's canonical string so that every op is encoded once."""
+        timestep sorted by their canonical JSON text.  The result is
+        byte for byte what ``JSONEncoder(sort_keys=True)`` (and so
+        ``json.dumps(doc, sort_keys=True)``) gives for the dict form,
+        assembled from each op's canonical string (:func:`_op_json`) so
+        that every op is formatted once."""
         ref = graph.ref_hash() if graph is not None else self.graph_ref
         steps = ", ".join("[" + ", ".join(sorted(map(_op_json, step))) + "]"
                           for step in self.timesteps if step)

@@ -56,20 +56,24 @@ def _oet_timesteps(order: list[int], rank_of_token, token_at: dict) -> list[list
     token must reach.  Mutates ``token_at``; returns swap timesteps."""
     m = len(order)
     arr = [rank_of_token(token_at[v]) for v in order]
+    # positions whose token has not reached its rank; each swap updates it
+    misplaced = sum(r != i for i, r in enumerate(arr))
     steps: list[list[SwapEdge]] = []
     for phase in range(m + 1):
-        if all(arr[i] == i for i in range(m)):
+        if not misplaced:
             break
-        swaps = []
+        # the pairs of one phase are disjoint, so each swaps in place
+        step = []
         for i in range(phase % 2, m - 1, 2):
-            if arr[i] > arr[i + 1]:
-                swaps.append((i, i + 1))
-        if swaps:
-            steps.append([SwapEdge(order[i], order[j]) for i, j in swaps])
-            for i, j in swaps:
-                arr[i], arr[j] = arr[j], arr[i]
-                u, v = order[i], order[j]
+            a, b = arr[i], arr[i + 1]
+            if a > b:
+                misplaced += (a == i) + (b == i + 1) - (b == i) - (a == i + 1)
+                arr[i], arr[i + 1] = b, a
+                u, v = order[i], order[i + 1]
                 token_at[u], token_at[v] = token_at[v], token_at[u]
+                step.append(SwapEdge(u, v))
+        if step:
+            steps.append(step)
     else:
         raise AssertionError("transposition sort failed to converge")
     return steps

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teleroute import execute
 from teleroute.execute import (
@@ -21,6 +23,7 @@ from teleroute.schedule import (
     SwapLocal,
     TeleRound,
     Transfer,
+    _op_json,
     op_to_dict,
 )
 
@@ -106,6 +109,46 @@ def test_schedule_json_matches_dumped_dict_form():
     assert Schedule([]).to_json() == json.dumps(
         {"graph_ref": None, "depth_model": DepthModel().to_dict(),
          "timesteps": []}, sort_keys=True)
+
+
+ints = st.integers(-3, 2**40)
+swap_edges = st.lists(ints, min_size=2, max_size=2, unique=True).map(
+    lambda a: SwapEdge(*a))
+swap_locals = st.tuples(ints, st.lists(ints, min_size=2, max_size=2,
+                                       unique=True)).map(
+    lambda a: SwapLocal(a[0], *a[1]))
+transfers = st.builds(Transfer, st.lists(ints, min_size=2, max_size=6,
+                                         unique=True).map(tuple),
+                      st.sampled_from(["move", "swap"]))
+tele_rounds = st.lists(transfers, min_size=1, max_size=4).map(
+    lambda ts: TeleRound(tuple(ts)))
+ops = st.one_of(swap_edges, swap_locals, tele_rounds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops)
+def test_op_json_is_the_dumped_dict_form(op):
+    assert _op_json(op) == json.dumps(op_to_dict(op), sort_keys=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(ops, max_size=4), max_size=4),
+       st.builds(DepthModel, st.integers(0, 3), st.integers(0, 3),
+                 st.integers(0, 3)),
+       st.one_of(st.none(), st.text(max_size=12)))
+def test_random_schedule_json_matches_dumped_dict_form(steps, model, ref):
+    sched = Schedule(steps, model, ref)
+    doc = {
+        "graph_ref": ref,
+        "depth_model": model.to_dict(),
+        "timesteps": [
+            sorted((op_to_dict(op) for op in step),
+                   key=lambda d: json.dumps(d, sort_keys=True))
+            for step in steps if step],
+    }
+    text = sched.to_json()
+    assert text == json.dumps(doc, sort_keys=True)
+    assert Schedule.from_json(text).to_json() == text
 
 
 def test_schedule_from_json_rejects_malformed_documents():
@@ -236,6 +279,26 @@ def test_bad_ops_name_timestep_and_primitive():
         apply_schedule(g, Schedule([[SwapLocal(0, 0, 7)]]))
     with pytest.raises(ScheduleError, match="out of range"):
         apply_schedule(g, Schedule([[SwapEdge(2, 5)]]))
+
+
+def test_swap_edge_error_messages():
+    g = generate_graph("path", n=3)
+    cases = [
+        ([SwapEdge(2, 0)], "SwapEdge SwapEdge(u=0, v=2): no such edge"),
+        ([SwapEdge(1, 3)], "SwapEdge SwapEdge(u=1, v=3): vertex out of range"),
+        ([SwapEdge(-1, 0)],
+         "SwapEdge SwapEdge(u=-1, v=0): vertex out of range"),
+        ([SwapLocal(1, 0, 1), SwapEdge(0, 1)],
+         "SwapEdge SwapEdge(u=0, v=1): slot (1, 0) already used by "
+         "SwapLocal in this timestep"),
+        ([SwapEdge(1, 2), SwapLocal(1, 1, 0)],
+         "SwapLocal SwapLocal(v=1, s1=0, s2=1): slot (1, 0) already used by "
+         "SwapEdge in this timestep"),
+    ]
+    for step, msg in cases:
+        with pytest.raises(ScheduleError) as err:
+            apply_schedule(g, Schedule([[SwapEdge(0, 1)], step]))
+        assert str(err.value) == f"timestep 1, {msg}"
 
 
 def test_achieved_permutation_rejects_stranded_tokens():
