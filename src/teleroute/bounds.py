@@ -267,10 +267,6 @@ class AdvantageBounds:
     sqrt_log: float      # sqrt(N) + log2(N) / c
     minimum: float
 
-    def as_dict(self) -> dict:
-        return {"linear": self.linear, "sqrt_log": self.sqrt_log,
-                "minimum": self.minimum}
-
 
 def advantage_upper_bounds(g: ArchGraph, c=None) -> AdvantageBounds:
     """Two ceilings on the achievable routing advantage and their min.
@@ -308,25 +304,21 @@ class BoundsReport:
     expander_figure: float
 
     def to_dict(self) -> dict:
-        def rat(x: Fraction) -> dict:
-            return {"num": x.numerator, "den": x.denominator}
-
-        doc = {
+        """The document ``teleroute bounds`` prints: fractions as
+        strings such as ``"3/4"``, ``witness_cut`` a list or null."""
+        return {
             "n": self.n,
+            "c_lower": str(self.c_lower),
+            "c_upper": str(self.c_upper),
             "exact": self.exact,
             "witness_cut": list(self.witness_cut) if self.witness_cut else None,
             "diam": self.diam,
             "iso_lb": self.iso_lb,
             "diam_lb": self.diam_lb,
             "lambda2": self.lambda2,
-            "degree_ratio": rat(self.degree_ratio),
+            "degree_ratio": str(self.degree_ratio),
             "expander_figure": self.expander_figure,
         }
-        if self.exact:
-            doc["c"] = rat(self.c_lower)
-        else:
-            doc["c"] = {"lower": rat(self.c_lower), "upper": rat(self.c_upper)}
-        return doc
 
 
 def bounds_report(g: ArchGraph) -> BoundsReport:

@@ -213,20 +213,7 @@ def cmd_bounds(ns) -> int:
             f"{EXACT_EXPANSION_MAX_N} vertices and this graph has {g.n}; "
             f"pass --no-exact for interval bounds")
     rep = bounds_report(g)
-    doc = {
-        "n": rep.n,
-        "c_lower": str(rep.c_lower),
-        "c_upper": str(rep.c_upper),
-        "exact": rep.exact,
-        "witness_cut": list(rep.witness_cut) if rep.witness_cut else None,
-        "diam": rep.diam,
-        "iso_lb": rep.iso_lb,
-        "diam_lb": rep.diam_lb,
-        "lambda2": rep.lambda2,
-        "degree_ratio": str(rep.degree_ratio),
-        "expander_figure": rep.expander_figure,
-    }
-    _emit(ns, json.dumps(doc, sort_keys=True))
+    _emit(ns, json.dumps(rep.to_dict(), sort_keys=True))
     label = "c =" if rep.exact else "c <="
     _say(f"vertices          {rep.n}")
     _say(f"expansion         {label} {rep.c_upper}"
@@ -410,10 +397,7 @@ def main(argv=None) -> int:
     try:
         _merge_config(ns)
         return ns.func(ns)
-    except (ValueError, KeyError) as e:
-        _say(f"error: {e}")
-        return 2
-    except OSError as e:
+    except (ValueError, KeyError, OSError) as e:
         _say(f"error: {e}")
         return 2
 

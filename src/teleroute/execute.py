@@ -73,13 +73,6 @@ class TokenState:
                 return s
         return None
 
-    def copy(self) -> "TokenState":
-        other = object.__new__(TokenState)
-        other.n = self.n
-        other.budget = self.budget
-        other.slots = [row[:] for row in self.slots]
-        return other
-
 
 def _check_op(g: ArchGraph, op, t: int) -> dict[int, int] | None:
     """Static checks of a primitive other than a :class:`SwapEdge`

@@ -27,6 +27,7 @@ __all__ = [
     "diameter",
     "eccentricity",
     "graph_center",
+    "next_hop",
     "shortest_path",
     "vertex_boundary",
     "spanning_tree",
@@ -490,20 +491,31 @@ def graph_center(g: ArchGraph) -> int:
     return best
 
 
+def next_hop(g: ArchGraph, dist: list[int], v: int) -> int:
+    """The smallest neighbor ``w`` of ``v`` with ``dist[w] == dist[v] - 1``.
+
+    With ``dist`` the BFS distances to a target t, repeated next hops
+    from v trace the lexicographically smallest shortest path to t.
+    """
+    d = dist[v] - 1
+    for w in g._adj[v]:  # sorted, so the first match is the smallest
+        if dist[w] == d:
+            return w
+    raise ValueError(f"vertex {v} has no neighbor one step closer")
+
+
 def shortest_path(g: ArchGraph, u: int, v: int) -> list[int]:
     """Lexicographically smallest shortest path from u to v.
 
-    Walks greedily from u, always taking the smallest-index neighbor
-    that still lies on some shortest path to v.
+    Walks from u by :func:`next_hop` over the BFS distances to v: each
+    step takes the smallest-index neighbor one step closer to v.
     """
     dist = bfs_distances(g, v)
     if dist[u] < 0:
         raise ValueError("vertices are disconnected")
     path = [u]
-    cur = u
-    while cur != v:
-        cur = min(w for w in g.neighbors(cur) if dist[w] == dist[cur] - 1)
-        path.append(cur)
+    while path[-1] != v:
+        path.append(next_hop(g, dist, path[-1]))
     return path
 
 

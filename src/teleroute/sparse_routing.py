@@ -17,14 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .execute import TokenState, apply_timestep
+from .execute import TokenState, achieved_permutation, apply_timestep
 from .graphs import (
     ArchGraph,
     Permutation,
     bfs_distances,
-    eccentricity,
     graph_center,
-    shortest_path,
+    next_hop,
     spanning_tree,
 )
 from .schedule import Schedule, SwapEdge, SwapLocal
@@ -102,14 +101,16 @@ def _advance_plan(g: ArchGraph, state: TokenState, train: Train,
 def advance_train(g: ArchGraph, state: TokenState,
                   train: Train) -> tuple[list[list], Train]:
     """Advance ``train`` one vertex toward its target, mutating
-    ``state``.  Always returns exactly five timesteps (some possibly
-    empty) plus the shifted train.  Raises without touching the state
-    if the vertex ahead is occupied or a needed ancilla slot is
-    missing."""
+    ``state``.  The head moves to its :func:`next_hop`, the
+    smallest-index neighbor one step closer to the target, so a train
+    follows the lexicographically smallest shortest path.  Always
+    returns exactly five timesteps (some possibly empty) plus the
+    shifted train.  Raises without touching the state if the vertex
+    ahead is occupied or a needed ancilla slot is missing."""
     head = train.head
     if head == train.target:
         raise ValueError("advance_train: train is already at its target")
-    nxt = shortest_path(g, head, train.target)[1]
+    nxt = next_hop(g, bfs_distances(g, train.target), head)
     steps = _advance_plan(g, state, train, nxt)
     for ops in steps:
         apply_timestep(g, state, ops)
@@ -168,7 +169,9 @@ def step_clusters(g: ArchGraph, state: TokenState,
     """One gathering round: in every cluster the train with head
     closest to r advances one vertex (all clusters share the same five
     timesteps); clusters that become adjacent merge and head-to-tail
-    trains concatenate.  Lower-index clusters win vertex conflicts."""
+    trains concatenate.  Lower-index clusters win vertex conflicts.
+    A head moves to its :func:`next_hop` over the distances to r, so
+    trains follow lexicographically smallest shortest paths to r."""
     dist = bfs_distances(g, r)
     batch: list[list] = [[], [], [], [], []]
     claimed: set[int] = set()
@@ -179,7 +182,7 @@ def step_clusters(g: ArchGraph, state: TokenState,
                             key=lambda t: (dist[t.head], t.head)):
             if dist[train.head] == 0:
                 continue
-            nxt = shortest_path(g, train.head, r)[1]
+            nxt = next_hop(g, dist, train.head)
             if state.data(nxt) is not None:
                 continue
             footprint = set(train.vertices) | {nxt}
@@ -231,7 +234,7 @@ def sparse_route(g: ArchGraph, pi: Permutation) -> Schedule:
     dist = bfs_distances(g, r)
     trains = [Train((v,), r) for v in sorted(support)]
     clusters = _regroup(g, trains, r, dist)
-    cap = 5 * (eccentricity(g, r) + k) + 10
+    cap = 5 * (max(dist) + k) + 10
     rounds = 0
     while len(clusters) > 1:
         rounds += 1
@@ -241,7 +244,8 @@ def sparse_route(g: ArchGraph, pi: Permutation) -> Schedule:
         forward.extend(batch)
 
     # phase 2: tree-route the gathered tokens among themselves
-    gathered = sorted(state.locate(tok)[0] for tok in support)
+    vertex_of = {row[0]: v for v, row in enumerate(state.slots)}
+    gathered = sorted(vertex_of[tok] for tok in support)
     index_of = {v: i for i, v in enumerate(gathered)}
     sub_edges = tuple(sorted(
         (index_of[u], index_of[v])
@@ -252,8 +256,7 @@ def sparse_route(g: ArchGraph, pi: Permutation) -> Schedule:
                      ancilla_budget=g.ancilla_budget)
     image = [None] * k
     for tok in support:
-        image[index_of[state.locate(tok)[0]]] = \
-            index_of[state.locate(pi(tok))[0]]
+        image[index_of[vertex_of[tok]]] = index_of[vertex_of[pi(tok)]]
     sub_pi = Permutation(tuple(image))
     middle: list[list] = []
     for step in route_tree(tree, sub_pi).timesteps:
@@ -268,7 +271,6 @@ def sparse_route(g: ArchGraph, pi: Permutation) -> Schedule:
         apply_timestep(g, state, ops)
         backward.append(ops)
 
-    for tok in range(g.n):
-        if state.locate(tok) != (pi(tok), 0):
-            raise AssertionError("sparse routing misplaced a token")
+    if achieved_permutation(g, state).image != pi.image:
+        raise AssertionError("sparse routing misplaced a token")
     return Schedule(forward + middle + backward)

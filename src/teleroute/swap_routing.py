@@ -198,21 +198,23 @@ def _route_tree_rec(vertices: list[int], adj: dict[int, list[int]],
 
     c = _subtree_centroid(vertices, adj)
 
+    # one BFS per component of the tree minus c, from its gate (the
+    # neighbor of c): component id, parent toward c, distance to gate
+    gates = list(adj[c])
+    comps: list[list[int]] = []
     comp_of: dict[int, int] = {}
-    gates: list[int] = []
-    for gate in adj[c]:
-        if gate in comp_of:
-            continue
-        cid = len(gates)
-        gates.append(gate)
-        queue = deque([gate])
-        comp_of[gate] = cid
-        while queue:
-            v = queue.popleft()
+    parent: dict[int, int] = {}
+    dist_to_gate: dict[int, int] = {}
+    for cid, gate in enumerate(gates):
+        comp = [gate]
+        comp_of[gate], parent[gate], dist_to_gate[gate] = cid, c, 0
+        for v in comp:  # grows as it is read: a FIFO queue
             for w in adj[v]:
                 if w != c and w not in comp_of:
-                    comp_of[w] = cid
-                    queue.append(w)
+                    comp_of[w], parent[w] = cid, v
+                    dist_to_gate[w] = dist_to_gate[v] + 1
+                    comp.append(w)
+        comps.append(comp)
 
     CENTER = -1
 
@@ -222,16 +224,6 @@ def _route_tree_rec(vertices: list[int], adj: dict[int, list[int]],
     # demand edges, one per token that must change component
     out_edges: dict[int, list[tuple]] = {}
     demand_nodes: set[int] = set()
-    dist_to_gate: dict[int, int] = {}
-    for gate in gates:
-        dq = deque([gate])
-        dist_to_gate[gate] = 0
-        while dq:
-            v = dq.popleft()
-            for w in adj[v]:
-                if w != c and w not in dist_to_gate:
-                    dist_to_gate[w] = dist_to_gate[v] + 1
-                    dq.append(w)
     for v in vertices:
         tok = token_at[v]
         a, b = node_of(v), node_of(target[tok])
@@ -247,6 +239,11 @@ def _route_tree_rec(vertices: list[int], adj: dict[int, list[int]],
             edges.sort(key=lambda e: (e[3], e[2]))
 
         # group demand nodes into weakly-connected circuits
+        undirected: dict[int, set[int]] = {}
+        for a, edges in out_edges.items():
+            for _, b, _, _ in edges:
+                undirected.setdefault(a, set()).add(b)
+                undirected.setdefault(b, set()).add(a)
         node_comp: dict[int, int] = {}
         for seed in sorted(demand_nodes):
             if seed in node_comp:
@@ -254,11 +251,6 @@ def _route_tree_rec(vertices: list[int], adj: dict[int, list[int]],
             label = seed
             dq = deque([seed])
             node_comp[seed] = label
-            undirected: dict[int, set[int]] = {}
-            for a, edges in out_edges.items():
-                for _, b, _, _ in edges:
-                    undirected.setdefault(a, set()).add(b)
-                    undirected.setdefault(b, set()).add(a)
             while dq:
                 x = dq.popleft()
                 for y in undirected.get(x, ()):
@@ -293,16 +285,6 @@ def _route_tree_rec(vertices: list[int], adj: dict[int, list[int]],
                 actions.append((gates[trail[-1][1]], theta_c))
 
         # conveyor bookkeeping
-        parent: dict[int, int] = {}
-        for gate in gates:
-            parent[gate] = c
-            dq = deque([gate])
-            while dq:
-                v = dq.popleft()
-                for w in adj[v]:
-                    if w != c and w not in parent:
-                        parent[w] = v
-                        dq.append(w)
         queue_of: dict[int, list[int]] = {}
         for gate_v, tok in actions:
             queue_of.setdefault(gate_v, []).append(tok)
@@ -347,10 +329,8 @@ def _route_tree_rec(vertices: list[int], adj: dict[int, list[int]],
 
     # recurse into components, running their timelines in parallel
     child_steps: list[list[list[SwapEdge]]] = []
-    for cid, gate in enumerate(gates):
-        verts = [v for v in vertices if v != c and comp_of[v] == cid]
-        sub_adj = {v: [w for w in adj[v] if w != c and comp_of.get(w) == cid]
-                   for v in verts}
+    for cid, verts in enumerate(comps):
+        sub_adj = {v: [w for w in adj[v] if w != c] for v in verts}
         for v in verts:
             if node_of(target[token_at[v]]) != cid:
                 raise AssertionError("token stranded outside its component")
@@ -399,13 +379,11 @@ def _perfect_matching(left_adj: dict[int, list[int]]) -> dict[int, int]:
     return match_l
 
 
-def route_product(g1: ArchGraph, g2: ArchGraph, pi: Permutation,
-                  factor_router=None) -> Schedule:
+def route_product(g1: ArchGraph, g2: ArchGraph, pi: Permutation) -> Schedule:
     """Route on the Cartesian product of g1 and g2 (vertex (a, x) at
     index a*|g2| + x) in three phases: within g1-copies, within
-    g2-copies, within g1-copies; depth <= 2*D1 + D2."""
-    if factor_router is None:
-        factor_router = route_generic
+    g2-copies, within g1-copies, each copy by :func:`route_generic`;
+    depth <= 2*D1 + D2."""
     n1, n2 = g1.n, g2.n
     if pi.n != n1 * n2:
         raise ValueError("permutation size does not match the product")
@@ -478,7 +456,7 @@ def route_product(g1: ArchGraph, g2: ArchGraph, pi: Permutation,
         timelines = []
         for c, image in enumerate(images):
             base = c * offset
-            sub = factor_router(factor, Permutation(tuple(image)))
+            sub = route_generic(factor, Permutation(tuple(image)))
             timelines.append([[SwapEdge(base + op.u * stride,
                                         base + op.v * stride)
                                for op in step] for step in sub.timesteps])

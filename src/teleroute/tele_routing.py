@@ -407,7 +407,7 @@ def simulate_round_with_swaps(g: ArchGraph, rnd: TeleRound) -> Schedule:
                   if state.get(v, s) is not None])
 
     for src, (dst, _) in moves.items():
-        if state.locate(src) != (dst, 0):
+        if state.slots[dst][0] != src:
             raise AssertionError("swap replay misplaced a token")
     return Schedule(steps)
 

@@ -293,8 +293,8 @@ def test_bounds_report_exact():
     assert rep.diam == rep.diam_lb == 3
     assert rep.iso_lb == iso_lower_bound(Fraction(3, 4)) == 2
     doc = rep.to_dict()
-    assert doc["c"] == {"num": 3, "den": 4}
-    assert doc["degree_ratio"] == {"num": 1, "den": 1}
+    assert doc["c_lower"] == doc["c_upper"] == "3/4"
+    assert doc["degree_ratio"] == "1"
     assert doc["witness_cut"] == [0, 1, 2, 4]
 
 
@@ -304,6 +304,6 @@ def test_bounds_report_interval():
     assert not rep.exact
     assert rep.c_lower < rep.c_upper
     doc = rep.to_dict()
-    assert set(doc["c"]) == {"lower", "upper"}
-    assert doc["c"]["upper"] == {"num": 1, "den": 2}
+    assert Fraction(doc["c_lower"]) == rep.c_lower
+    assert doc["c_upper"] == "1/2"
     assert rep.iso_lb == iso_lower_bound(rep.c_upper)

@@ -19,6 +19,7 @@ from teleroute.graphs import (
     graph_from_json,
     graph_to_dot,
     graph_to_json,
+    next_hop,
     shortest_path,
     spanning_tree,
     vertex_boundary,
@@ -197,6 +198,15 @@ def test_shortest_path_is_lex_smallest():
         best = min(p for p in nx.all_shortest_paths(h, u, v))
         assert got == best
         assert len(got) - 1 == nx.shortest_path_length(h, u, v)
+
+
+def test_next_hop_smallest_closer_neighbor():
+    g = generate_graph("hypercube", d=3)
+    dist = bfs_distances(g, 7)
+    assert next_hop(g, dist, 0) == 1  # 1, 2 and 4 are all one step closer
+    assert next_hop(g, dist, 6) == 7
+    with pytest.raises(ValueError):
+        next_hop(g, dist, 7)  # the target has no closer neighbor
 
 
 def test_shortest_path_random_graphs():

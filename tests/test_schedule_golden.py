@@ -1,0 +1,179 @@
+"""Pinned schedule bytes: sha256 of ``Schedule.to_json`` for the sparse
+router and the generic swap router on fixed instances.
+
+The routers are deterministic, so a change that means to keep every
+schedule (a faster traversal, a shared helper) must leave these digests
+alone.  A digest that moves means the emitted schedule changed; if that
+is intended, recompute the digests and say why in the change log.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from teleroute.graphs import (
+    ArchGraph,
+    Permutation,
+    generate_graph,
+    generate_permutation,
+)
+from teleroute.sparse_routing import sparse_route
+from teleroute.swap_routing import route_generic
+
+SPARSE_GRAPHS = {
+    "path-128": ("path", {"n": 128}),
+    "grid-16x16": ("grid", {"n": 16, "d": 2}),
+    "hypercube-8": ("hypercube", {"d": 8}),
+    "butterfly-5": ("butterfly", {"r": 5}),
+    "wheel-63": ("wheel", {"n": 63}),
+    "ladder-6": ("ladder", {"n": 6}),
+}
+
+SPARSE_PERMS = ("k2", "k8", "k32", "diam")
+
+GENERIC_GRAPHS = {
+    "butterfly-3": ("butterfly", {"r": 3}),
+    "butterfly-4": ("butterfly", {"r": 4}),
+    "wheel-63": ("wheel", {"n": 63}),
+    "ladder-6": ("ladder", {"n": 6}),
+}
+
+GENERIC_PERMS = ("random", "reflection")
+
+GOLDEN = {
+    "sparse/butterfly-5/k2":
+        "dfa5cddc39c7b8fb4605acec5626d8c3cb052cd7466cc6df9bc0c44bcdfa2b1d",
+    "sparse/butterfly-5/k8":
+        "f82ce422716db99dc3b724f40d0b5a7aaa41e1ba1edba8161fd9a5c16582be75",
+    "sparse/butterfly-5/k32":
+        "30c99f46eb594db455c1c0fa14a18a8440d3ade65d51dea308037ee034ffea4f",
+    "sparse/butterfly-5/diam":
+        "7c3f05eb95d3704c859940fdb5b293fe4e798f3b7c06baa9b4d482315c806a77",
+    "sparse/grid-16x16/k2":
+        "03a0296323c9383f0da377d6edca7245406532341f68bc72712c6879ad5bc0c4",
+    "sparse/grid-16x16/k8":
+        "72798d0cc454c66c75bf4a9c4637552d096b3fa7e84a1a1153678a4fec9141ac",
+    "sparse/grid-16x16/k32":
+        "af25b749e3165344329cd5ab41f7ac634148371da3e82ef97d9147d56aec3a14",
+    "sparse/grid-16x16/diam":
+        "eaaaceb70c87bd6b30f9ec2739e9e8f4b62ec86e13e1c7897e8a6a6f217b8ca8",
+    "sparse/hypercube-8/k2":
+        "04fe2d8b580b7d07c6e87db26a5b6e2160e5e6e36cd989f3f675c6e9c302e88d",
+    "sparse/hypercube-8/k8":
+        "f2dcdb68f04c4a487d44330fc66db58a04a94804767f9569a9f5624a019164fe",
+    "sparse/hypercube-8/k32":
+        "7875bcf2efa7749c0a96b879d45b2e73547a6de6c28645699936f5c1b4bd1b88",
+    "sparse/hypercube-8/diam":
+        "6086b68a270cac24abcf7188ab052c0f3af8c25095d6ae5b30813e9c2212af55",
+    "sparse/ladder-6/k2":
+        "151b3cd7b982f0a638ee3f4603613bb8db88f17c3e145478ac31854aa67391cd",
+    "sparse/ladder-6/k8":
+        "276e5e42302b1a69663e5dffbdf0ec432255488ee2093e620ae5bae8e8d359fd",
+    "sparse/ladder-6/k32":
+        "f975babc6309153a7cc65635a62880c4dae561e7b6cc5b2a07c3c26261430f7f",
+    "sparse/ladder-6/diam":
+        "272a8a2b489693f8369fe52ca548155d1a3b5e38b0127b0a92bc2e981a4eccda",
+    "sparse/path-128/k2":
+        "6378ce9bcab6c141cf37dd584a3752adf46a228cfd5bfd08857dfb697e2f15c4",
+    "sparse/path-128/k8":
+        "1113cbb601e37fc7db17eeb989937a5f25a67e6677655ea0a5acab72cb556c83",
+    "sparse/path-128/k32":
+        "5d72143dfb4ced41e1fafb9135e6caf60d7e7836cf6f4b8c5f83164d72cbb119",
+    "sparse/path-128/diam":
+        "b0ed171969d6e93a702f0b0491f6a192d9f4a32a465f0add479415f9d663aed4",
+    "sparse/wheel-63/k2":
+        "c93610cba5c845e7076538e37a83b26d40bb321f735495fea828f3a230e41998",
+    "sparse/wheel-63/k8":
+        "94e92e4e552ab097e6eb0d1f95f65572b3e1a335b2b2376574e570418d87df03",
+    "sparse/wheel-63/k32":
+        "af06b35a4acd727fa96489790348283c05fb3d9d38c23cc63ab4beffec1d42c1",
+    "sparse/wheel-63/diam":
+        "c686b1ebf64be0335f0d5f41328b0b1fcb8f853d5401837cbd32a4a4dd078fff",
+    "generic/butterfly-3/random":
+        "1ab39f22b9826c6d95100bf5406466316b494be5bb9e4f389c85283ba276931d",
+    "generic/butterfly-3/reflection":
+        "5cf244fb5abc42bd5c9db463838158712336e1dc5aa97861ef76ff8061396a79",
+    "generic/butterfly-4/random":
+        "0ad6036d8e1729e438233845124689e1813c7b122d6c5b73e4b9907b77989ad4",
+    "generic/butterfly-4/reflection":
+        "0b48d20948642acc60ed4fd1c02a3e9c520fe224ac0423e7cb5725ffc1f73ebb",
+    "generic/ladder-6/random":
+        "23427cc24e3e1b9ad17b1b983b1141ffb4ce396d68e71c7e8f3a0b868ee19018",
+    "generic/ladder-6/reflection":
+        "87dfc42f8177243e6086d593861e7d2ca241d4c9229976ad371e78fbbdad82be",
+    "generic/wheel-63/random":
+        "791ef98d49a8eae072d74b8a67037d7f3da908fca3b4bda5ae06a7d6bed7b7f0",
+    "generic/wheel-63/reflection":
+        "ea6cb37748cd93aa44b166cd14c205b4dde496a28e9dcbcfd1625387020c7faf",
+}
+
+# one digest over the 50 tree schedules, one to_json per line
+TREES_GOLDEN = "515d68fe623b439d7d31eb35ed8de746c829d6b5b2980cc38aed62041b4b1689"
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def sparse_perm(g: ArchGraph, kind: str) -> Permutation:
+    if kind == "diam":
+        return generate_permutation("diam", g)
+    k = int(kind[1:])
+    return generate_permutation("random", g, seed=k, k=k)
+
+
+def generic_perm(g: ArchGraph, kind: str) -> Permutation:
+    if kind == "reflection":
+        return generate_permutation("reflection", g)
+    return generate_permutation("random", g, seed=1)
+
+
+def random_tree(seed: int) -> tuple[ArchGraph, Permutation]:
+    """A random recursive tree on 5..80 vertices with scrambled labels,
+    and a uniform permutation."""
+    rng = random.Random(seed)
+    n = rng.randrange(5, 81)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [tuple(sorted((label[rng.randrange(v)], label[v])))
+             for v in range(1, n)]
+    image = list(range(n))
+    rng.shuffle(image)
+    return ArchGraph(n, tuple(sorted(edges))), Permutation(tuple(image))
+
+
+def sparse_digest(name: str, kind: str) -> str:
+    family, params = SPARSE_GRAPHS[name]
+    g = generate_graph(family, **params)
+    return sha(sparse_route(g, sparse_perm(g, kind)).to_json())
+
+
+def generic_digest(name: str, kind: str) -> str:
+    family, params = GENERIC_GRAPHS[name]
+    g = generate_graph(family, **params)
+    return sha(route_generic(g, generic_perm(g, kind)).to_json())
+
+
+def trees_digest() -> str:
+    lines = []
+    for seed in range(50):
+        g, pi = random_tree(seed)
+        lines.append(route_generic(g, pi).to_json())
+    return sha("\n".join(lines))
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_GRAPHS))
+@pytest.mark.parametrize("kind", SPARSE_PERMS)
+def test_sparse_route_bytes(name, kind):
+    assert sparse_digest(name, kind) == GOLDEN[f"sparse/{name}/{kind}"]
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_GRAPHS))
+@pytest.mark.parametrize("kind", GENERIC_PERMS)
+def test_route_generic_bytes(name, kind):
+    assert generic_digest(name, kind) == GOLDEN[f"generic/{name}/{kind}"]
+
+
+def test_route_generic_random_trees_bytes():
+    assert trees_digest() == TREES_GOLDEN
