@@ -271,19 +271,22 @@ class AdvantageBounds:
 def advantage_upper_bounds(g: ArchGraph, c=None) -> AdvantageBounds:
     """Two ceilings on the achievable routing advantage and their min.
 
-    Uses exact expansion when feasible, otherwise the upper end of
-    vertex_expansion_bounds (a larger c weakens neither figure's
-    validity as an up-to-constant ceiling).
+    Uses ``c`` when given, else exact expansion when feasible.  Beyond
+    that c(G) is only known to lie in vertex_expansion_bounds' interval,
+    and each figure takes the end that makes it largest, so it stays a
+    valid up-to-constant ceiling: ``linear`` = N·c grows with c and
+    takes the upper end; ``sqrt_log`` = √N + log2 N / c shrinks as c
+    grows and takes the lower end.
     """
     n = g.n
-    if c is None:
-        if n <= EXACT_EXPANSION_MAX_N:
-            c, _ = vertex_expansion_exact(g)
-        else:
-            c = vertex_expansion_bounds(g)[1]
-    c = float(c)
-    linear = n * c
-    sqrt_log = math.sqrt(n) + (math.log2(n) / c if n > 1 else 0.0)
+    if c is not None:
+        lo = hi = c
+    elif n <= EXACT_EXPANSION_MAX_N:
+        lo = hi = vertex_expansion_exact(g)[0]
+    else:
+        lo, hi = vertex_expansion_bounds(g)
+    linear = n * float(hi)
+    sqrt_log = math.sqrt(n) + (math.log2(n) / float(lo) if n > 1 else 0.0)
     return AdvantageBounds(linear, sqrt_log, min(linear, sqrt_log))
 
 

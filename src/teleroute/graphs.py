@@ -15,7 +15,9 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
+
+import numpy as np
 
 __all__ = [
     "ArchGraph",
@@ -25,7 +27,7 @@ __all__ = [
     "cartesian_product",
     "bfs_distances",
     "diameter",
-    "eccentricity",
+    "eccentricities",
     "graph_center",
     "next_hop",
     "shortest_path",
@@ -363,18 +365,18 @@ def generate_graph(kind: str, ancilla_budget: int = DEFAULT_ANCILLA_BUDGET,
 # ---------------------------------------------------------------------------
 
 def _perm_diam(g: ArchGraph) -> Permutation:
-    """Exchange a diametral pair (lexicographically smallest one)."""
-    best = None
-    dmax = -1
-    for u in range(g.n):
-        dist = bfs_distances(g, u)
-        for v in range(u + 1, g.n):
-            if dist[v] > dmax:
-                dmax = dist[v]
-                best = (u, v)
-    if best is None:  # single vertex
+    """Exchange a diametral pair (lexicographically smallest one).
+
+    u is the first vertex of eccentricity D, v the first vertex at
+    distance D from u; every vertex below u has eccentricity < D, so
+    v > u and no pair (u', v') with u' < u is diametral.
+    """
+    ecc = eccentricities(g)
+    dmax = max(ecc)
+    if dmax == 0:  # single vertex
         return Permutation.identity(g.n)
-    return Permutation.from_pairs(g.n, [best])
+    u = ecc.index(dmax)
+    return Permutation.from_pairs(g.n, [(u, bfs_distances(g, u).index(dmax))])
 
 
 def _perm_rainbow(g: ArchGraph, alpha: float) -> Permutation:
@@ -472,23 +474,72 @@ def bfs_distances(g: ArchGraph, source: int) -> list[int]:
     return dist
 
 
-def eccentricity(g: ArchGraph, v: int) -> int:
-    return max(bfs_distances(g, v))
+def eccentricities(g: ArchGraph) -> list[int]:
+    """BFS eccentricity of every vertex, from one all-sources sweep.
+
+    A level-synchronous BFS from all n sources at once (Then et al.,
+    "The More the Merrier", VLDB 2014): each vertex holds a bitset of
+    the sources that have reached it, in words of 64 bits.  One level
+    ORs the frontier bitsets of each vertex's neighbours and keeps the
+    bits the vertex has not seen; a source's eccentricity is the last
+    level at which it reached a new vertex.  Rows are the vertices by
+    decreasing degree, so slot j (every vertex's j-th neighbour) is one
+    gather into a prefix of the rows, and no gather is larger than the
+    frontier itself.
+
+    A level costs O(m·n/64) word operations and there are D + 1 of
+    them, so the sweep costs O(D·m·n/64) against O(n·m) for one BFS
+    per source.  That is a large win at small diameter, but on a path
+    it grows like n³: path 1024 still takes about half the time of one
+    BFS per source, and somewhere between 2048 and 3072 vertices the
+    per-source loop becomes the faster.  A level also makes one gather
+    per slot, as many as the largest degree, so a hub of degree ~n on a
+    long path is the worst shape: on a 1024-vertex broom (512 leaves on
+    one end of a 512-vertex path) the sweep takes about 3x as long as
+    one BFS per source.
+    """
+    n, adj = g.n, g._adj
+    order = sorted(range(n), key=lambda v: -len(adj[v]))
+    row = [0] * n
+    for i, v in enumerate(order):
+        row[v] = i
+    slots = []  # (k, nb): rows 0..k-1 have a j-th neighbour, in rows nb
+    k = n
+    for j in count():
+        while k and len(adj[order[k - 1]]) <= j:
+            k -= 1
+        if not k:
+            break
+        slots.append((k, np.array([row[adj[v][j]] for v in order[:k]],
+                                  dtype=np.intp)))
+    src = np.array(order, dtype="<u8")
+    frontier = np.zeros((n, (n + 63) // 64), dtype="<u8")
+    frontier[np.arange(n), src >> 6] = np.uint64(1) << (src & 63)
+    seen, nxt = frontier.copy(), np.empty_like(frontier)
+    ecc = np.zeros(n, dtype=np.int64)
+    for level in count(1):
+        nxt.fill(0)
+        for top, nb in slots:
+            nxt[:top] |= frontier[nb]
+        nxt &= ~seen
+        reached = np.bitwise_or.reduce(nxt, axis=0)
+        if not reached.any():
+            return ecc.tolist()
+        ecc[np.unpackbits(reached.view(np.uint8), count=n,
+                          bitorder="little").view(bool)] = level
+        seen |= nxt
+        frontier, nxt = nxt, frontier
 
 
 def diameter(g: ArchGraph) -> int:
     """Largest BFS eccentricity over all sources."""
-    return max(eccentricity(g, v) for v in range(g.n))
+    return max(eccentricities(g))
 
 
 def graph_center(g: ArchGraph) -> int:
     """Lowest-index vertex of minimum eccentricity."""
-    best, best_e = 0, eccentricity(g, 0)
-    for v in range(1, g.n):
-        e = eccentricity(g, v)
-        if e < best_e:
-            best, best_e = v, e
-    return best
+    ecc = eccentricities(g)
+    return ecc.index(min(ecc))
 
 
 def next_hop(g: ArchGraph, dist: list[int], v: int) -> int:

@@ -118,7 +118,7 @@ def advance_train(g: ArchGraph, state: TokenState,
 
 
 def _regroup(g: ArchGraph, trains: list[Train], r: int,
-             dist: dict[int, int]) -> list[TokenCluster]:
+             dist: list[int]) -> list[TokenCluster]:
     """Concatenate head-to-tail trains, then group trains into clusters
     by token adjacency."""
     trains = list(trains)
@@ -164,15 +164,17 @@ def _regroup(g: ArchGraph, trains: list[Train], r: int,
 
 
 def step_clusters(g: ArchGraph, state: TokenState,
-                  clusters: list[TokenCluster], r: int
+                  clusters: list[TokenCluster], dist: list[int]
                   ) -> tuple[TokenState, list[list], list[TokenCluster]]:
-    """One gathering round: in every cluster the train with head
-    closest to r advances one vertex (all clusters share the same five
-    timesteps); clusters that become adjacent merge and head-to-tail
-    trains concatenate.  Lower-index clusters win vertex conflicts.
-    A head moves to its :func:`next_hop` over the distances to r, so
-    trains follow lexicographically smallest shortest paths to r."""
-    dist = bfs_distances(g, r)
+    """One gathering round toward the centre r, given ``dist``, the BFS
+    distances to r (``bfs_distances(g, r)``; r is where it is 0).  In
+    every cluster the train with head closest to r advances one vertex
+    (all clusters share the same five timesteps); clusters that become
+    adjacent merge and head-to-tail trains concatenate.  Lower-index
+    clusters win vertex conflicts.  A head moves to its
+    :func:`next_hop` over ``dist``, so trains follow lexicographically
+    smallest shortest paths to r."""
+    r = dist.index(0)
     batch: list[list] = [[], [], [], [], []]
     claimed: set[int] = set()
     new_trains: list[Train] = []
@@ -240,7 +242,7 @@ def sparse_route(g: ArchGraph, pi: Permutation) -> Schedule:
         rounds += 1
         if rounds > cap:
             raise AssertionError("gathering failed to converge")
-        state, batch, clusters = step_clusters(g, state, clusters, r)
+        state, batch, clusters = step_clusters(g, state, clusters, dist)
         forward.extend(batch)
 
     # phase 2: tree-route the gathered tokens among themselves

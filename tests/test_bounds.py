@@ -286,6 +286,29 @@ def test_advantage_accepts_explicit_c():
     assert b.linear == pytest.approx(2.0)
 
 
+def test_advantage_bounds_interval_ladder8():
+    # n = 255 > 24: c is only known to lie in [2/255, 1]
+    g = generate_graph("ladder", n=8)
+    b = advantage_upper_bounds(g)
+    assert b.linear == pytest.approx(255.0)  # N * c_upper
+    assert b.sqrt_log == pytest.approx(
+        math.sqrt(255) + math.log2(255) / Fraction(2, 255))
+    assert b.sqrt_log == pytest.approx(1035.25, abs=0.01)
+    assert b.minimum == pytest.approx(255.0)
+
+
+@pytest.mark.parametrize("kind,params", [("path", {"n": 1024}),
+                                         ("hypercube", {"d": 10})])
+def test_advantage_bounds_interval_dominate_either_end(kind, params):
+    g = generate_graph(kind, **params)
+    lo, hi = vertex_expansion_bounds(g)
+    b = advantage_upper_bounds(g)
+    for c in (lo, hi):
+        at_c = advantage_upper_bounds(g, c=c)
+        assert b.linear >= at_c.linear
+        assert b.sqrt_log >= at_c.sqrt_log
+
+
 def test_bounds_report_exact():
     g = generate_graph("hypercube", d=3)
     rep = bounds_report(g)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -13,6 +14,7 @@ from teleroute.graphs import (
     bfs_distances,
     cartesian_product,
     diameter,
+    eccentricities,
     generate_graph,
     generate_permutation,
     graph_center,
@@ -256,6 +258,20 @@ def test_graph_center():
     assert graph_center(generate_graph("path", n=7)) == 3
     assert graph_center(generate_graph("wheel", n=8)) == 8
     assert graph_center(generate_graph("complete", n=5)) == 0  # tie -> lowest
+
+
+def test_eccentricities_memory_stays_small():
+    # 600*599 neighbour rows of 10 words would be a 27 MiB gather in one
+    # piece; a gather of one neighbour slot is at most 600 rows
+    g = generate_graph("complete", n=600)
+    tracemalloc.start()
+    try:
+        ecc = eccentricities(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ecc == [1] * 600
+    assert peak < 16 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

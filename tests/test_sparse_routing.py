@@ -7,6 +7,7 @@ import pytest
 from teleroute.execute import TokenState, apply_timestep, verify_schedule
 from teleroute.graphs import (
     Permutation,
+    bfs_distances,
     diameter,
     generate_graph,
     generate_permutation,
@@ -104,9 +105,10 @@ def test_two_trains_gather_and_concatenate():
     hide(g, state, (1, 2, 3, 4, 5))
     clusters = [TokenCluster((Train((0,), 3),)),
                 TokenCluster((Train((6,), 3),))]
+    dist = bfs_distances(g, 3)
     rounds = 0
     while len(clusters) > 1:
-        state, batch, clusters = step_clusters(g, state, clusters, 3)
+        state, batch, clusters = step_clusters(g, state, clusters, dist)
         assert len(batch) == 5
         rounds += 1
         assert rounds < 10
@@ -123,7 +125,8 @@ def test_lower_index_cluster_wins_vertex_conflicts():
     hide(g, state, (0, 2, 4))
     clusters = [TokenCluster((Train((1,), 2),)),
                 TokenCluster((Train((3,), 2),))]
-    state, batch, clusters = step_clusters(g, state, clusters, 2)
+    state, batch, clusters = step_clusters(g, state, clusters,
+                                            bfs_distances(g, 2))
     # both trains want vertex 2; the first cluster advanced, the other waited
     assert state.locate(1) == (2, 0)
     assert state.locate(3) == (3, 0)
