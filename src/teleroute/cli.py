@@ -86,11 +86,14 @@ def _add_perm_args(p: argparse.ArgumentParser):
 
 def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--cost-swap", type=int,
-                   help="depth charged per swap layer (default 1)")
+                   help="depth charged per swap layer (default "
+                        f"{DepthModel.swap_edge})")
     p.add_argument("--cost-local", type=int,
-                   help="depth charged per local-slot swap (default 0)")
+                   help="depth charged per local-slot swap (default "
+                        f"{DepthModel.swap_local})")
     p.add_argument("--cost-round", type=int,
-                   help="depth charged per teleportation round (default 1)")
+                   help="depth charged per teleportation round (default "
+                        f"{DepthModel.tele_round})")
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -99,6 +102,35 @@ def _add_common(p: argparse.ArgumentParser):
                         "explicit flags win")
     p.add_argument("-o", "--output", metavar="FILE",
                    help="write machine output here instead of stdout")
+    # called last, so this sees every flag of the subcommand
+    p.set_defaults(config_flags={a.dest: a for a in p._actions
+                                 if a.option_strings and a.dest != "help"})
+
+
+# flag type -> (one value, several values, JSON types accepted)
+_CONFIG_TYPES = {
+    int: ("an integer", "integers", (int,)),
+    float: ("a number", "numbers", (int, float)),
+    None: ("a string", "strings", (str,)),
+}
+
+
+def _config_mismatch(action: argparse.Action, value) -> str | None:
+    """None if a config ``value`` suits the flag of ``action``, else
+    what the value must be."""
+    if action.choices is not None:
+        if isinstance(value, str) and value in action.choices:
+            return None
+        return "one of " + ", ".join(action.choices)
+    if action.nargs == 0:  # store_true
+        return None if type(value) is bool else "true or false"
+    one, many, types = _CONFIG_TYPES[action.type]
+    if action.nargs == "+":
+        if (isinstance(value, list) and value
+                and all(type(v) in types for v in value)):
+            return None
+        return f"a non-empty list of {many}"
+    return None if type(value) in types else one
 
 
 def _merge_config(ns: argparse.Namespace):
@@ -109,17 +141,33 @@ def _merge_config(ns: argparse.Namespace):
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
     for key, value in doc.items():
-        attr = key.replace("-", "_")
-        if not hasattr(ns, attr):
+        action = ns.config_flags.get(key.replace("-", "_"))
+        if action is None:
             raise ValueError(f"config key {key!r} matches no flag")
-        if getattr(ns, attr) is None:
-            setattr(ns, attr, value)
+        what = _config_mismatch(action, value)
+        if what is not None:
+            raise ValueError(f"config key {key!r} must be {what}, "
+                             f"got {json.dumps(value)}")
+        if getattr(ns, action.dest) == action.default:
+            setattr(ns, action.dest, value)
 
 
 def _resolve_graph(ns) -> ArchGraph:
     if getattr(ns, "graph_file", None):
         with open(ns.graph_file, "r", encoding="utf-8") as f:
-            return graph_from_json(f.read())
+            g = graph_from_json(f.read())
+        if g.family is not None:
+            # routers and bounds trust a family's structure, so its name
+            # and params must describe exactly these edges and labels
+            if not isinstance(g.family, str):
+                raise ValueError("graph 'family' must be a string")
+            ref = generate_graph(g.family, ancilla_budget=g.ancilla_budget,
+                                 **g.param_dict)
+            if (ref.n, ref.edges, ref.labels) != (g.n, g.edges, g.labels):
+                raise ValueError(
+                    f"graph file's vertices, edges or labels are not those "
+                    f"of family {g.family!r} with params {g.param_dict}")
+        return g
     if not ns.family:
         raise ValueError("either --family or --graph-file is required")
     params = {k: getattr(ns, k) for k in ("n", "d", "r")
@@ -151,12 +199,14 @@ def _resolve_perm(ns, g: ArchGraph) -> Permutation:
     return generate_permutation(ns.perm, g, **_perm_params(ns, ns.perm))
 
 
+_COST_FLAGS = {"cost_swap": "swap_edge", "cost_local": "swap_local",
+               "cost_round": "tele_round"}
+
+
 def _resolve_model(ns) -> DepthModel:
-    return DepthModel(
-        swap_edge=ns.cost_swap if ns.cost_swap is not None else 1,
-        swap_local=ns.cost_local if ns.cost_local is not None else 0,
-        tele_round=ns.cost_round if ns.cost_round is not None else 1,
-    )
+    return DepthModel(**{field: getattr(ns, flag)
+                         for flag, field in _COST_FLAGS.items()
+                         if getattr(ns, flag) is not None})
 
 
 def _emit(ns, text: str):

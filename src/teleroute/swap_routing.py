@@ -82,8 +82,7 @@ def _oet_timesteps(order: list[int], rank_of_token, token_at: dict) -> list[list
 def route_path_oet(g: ArchGraph, pi: Permutation) -> Schedule:
     """Route on a path (vertices in line order 0..n-1) by alternating
     odd/even adjacent-transposition layers; depth <= n."""
-    want = tuple((i, i + 1) for i in range(g.n - 1))
-    if g.edges != want:
+    if not _is_line_path(g):
         raise ValueError("graph is not a path with vertices in line order")
     token_at = {v: v for v in range(g.n)}
     steps = _oet_timesteps(list(range(g.n)), lambda tok: pi(tok), token_at)
@@ -223,72 +222,42 @@ def _route_tree_rec(vertices: list[int], adj: dict[int, list[int]],
 
     # demand edges, one per token that must change component
     out_edges: dict[int, list[tuple]] = {}
-    demand_nodes: set[int] = set()
     for v in vertices:
         tok = token_at[v]
         a, b = node_of(v), node_of(target[tok])
         if a != b:
             rank = dist_to_gate.get(v, 0)
             out_edges.setdefault(a, []).append((a, b, tok, rank))
-            demand_nodes.add(a)
-            demand_nodes.add(b)
 
     steps: list[list[SwapEdge]] = []
-    if demand_nodes:
+    if out_edges:
         for edges in out_edges.values():
             edges.sort(key=lambda e: (e[3], e[2]))
 
-        # group demand nodes into weakly-connected circuits
-        undirected: dict[int, set[int]] = {}
-        for a, edges in out_edges.items():
-            for _, b, _, _ in edges:
-                undirected.setdefault(a, set()).add(b)
-                undirected.setdefault(b, set()).add(a)
-        node_comp: dict[int, int] = {}
-        for seed in sorted(demand_nodes):
-            if seed in node_comp:
-                continue
-            label = seed
-            dq = deque([seed])
-            node_comp[seed] = label
-            while dq:
-                x = dq.popleft()
-                for y in undirected.get(x, ()):
-                    if y not in node_comp:
-                        node_comp[y] = label
-                        dq.append(y)
-
-        groups: dict[int, list[int]] = {}
-        for node, label in node_comp.items():
-            groups.setdefault(label, []).append(node)
-        ordered_groups = sorted(
-            groups.values(),
-            key=lambda ns: (-1 if CENTER in ns else 0, min(ns)))
-
-        # relay plan: (gate vertex, token expected there)
-        theta_c = next(t for t in target if target[t] == c)
+        # relay plan: (gate vertex, token expected there).  As many
+        # tokens enter each node as leave it, so one Euler circuit from
+        # a node covers its whole weakly-connected demand component;
+        # circuits run the centroid's component first, then by
+        # smallest node.
+        theta_c = next(token_at[v] for v in vertices
+                       if target[token_at[v]] == c)
         actions: list[tuple[int, int]] = []
-        for nodes in ordered_groups:
-            if CENTER in nodes:
-                trail = _euler_circuit(CENTER, out_edges)
-                for k in range(len(trail) - 1):
-                    _, dst, _, _ = trail[k]
-                    nxt_tok = trail[k + 1][2]
-                    actions.append((gates[dst], nxt_tok))
-            else:
-                entry = min(nodes)
-                trail = _euler_circuit(entry, out_edges)
+        for entry in sorted(out_edges):
+            if not out_edges[entry]:
+                continue  # covered by an earlier circuit
+            trail = _euler_circuit(entry, out_edges)
+            if entry != CENTER:
                 actions.append((gates[entry], trail[0][2]))
-                for k in range(len(trail) - 1):
-                    _, dst, _, _ = trail[k]
-                    actions.append((gates[dst], trail[k + 1][2]))
+            for k in range(len(trail) - 1):
+                actions.append((gates[trail[k][1]], trail[k + 1][2]))
+            if entry != CENTER:
                 actions.append((gates[trail[-1][1]], theta_c))
 
         # conveyor bookkeeping
         queue_of: dict[int, list[int]] = {}
         for gate_v, tok in actions:
             queue_of.setdefault(gate_v, []).append(tok)
-        pos_of = {tok: v for v, tok in token_at.items()}
+        pos_of = {token_at[v]: v for v in vertices}
 
         pending = deque(actions)
         guard = 0
@@ -306,8 +275,8 @@ def _route_tree_rec(vertices: list[int], adj: dict[int, list[int]],
                 queue_of[gate_v].pop(0)
             for gate in gates:
                 for tok in queue_of.get(gate, ()):
-                    x = pos_of.get(tok)
-                    if x is None or x == gate or node_of(x) != comp_of[gate]:
+                    x = pos_of[tok]
+                    if x == gate or node_of(x) != comp_of[gate]:
                         continue
                     y = parent[x]
                     if x in claimed or y in claimed:
@@ -388,15 +357,10 @@ def route_product(g1: ArchGraph, g2: ArchGraph, pi: Permutation) -> Schedule:
     if pi.n != n1 * n2:
         raise ValueError("permutation size does not match the product")
 
-    def split(v: int) -> tuple[int, int]:
-        return divmod(v, n2)
-
     # tokens per (current column, destination column)
     bucket: dict[tuple[int, int], list[int]] = {}
     for v in range(n1 * n2):
-        _, x = split(v)
-        _, xd = split(pi(v))
-        bucket.setdefault((x, xd), []).append(v)
+        bucket.setdefault((v % n2, pi(v) % n2), []).append(v)
 
     # decompose the n1-regular column-to-column multigraph into n1
     # perfect matchings
@@ -415,7 +379,7 @@ def route_product(g1: ArchGraph, g2: ArchGraph, pi: Permutation) -> Schedule:
 
     # pair matchings with intermediate rows, preferring rows where the
     # matched tokens already sit (keeps easy instances shallow)
-    rows_in = {key: {split(tok)[0] for tok in toks}
+    rows_in = {key: {tok // n2 for tok in toks}
                for key, toks in bucket.items()}
     rows_left = set(range(n1))
     row_of_matching: dict[int, int] = {}
@@ -435,55 +399,40 @@ def route_product(g1: ArchGraph, g2: ArchGraph, pi: Permutation) -> Schedule:
         r = row_of_matching[j]
         for x, xd in match.items():
             toks = remaining[(x, xd)]
-            pick = next((t for t in toks if split(t)[0] == r), toks[0])
+            pick = next((t for t in toks if t // n2 == r), toks[0])
             toks.remove(pick)
             inter_row[pick] = r
 
-    # three phases, tracking pos[token] = (row, col) throughout
-    pos = {v: split(v) for v in range(n1 * n2)}
-
-    def phase(axis: int, dest) -> list[list[SwapEdge]]:
-        """Route every copy of one factor in parallel: the g1-copies
-        (columns, tokens change row) for axis 0, the g2-copies (rows,
-        tokens change column) for axis 1.  ``dest(token)`` is the
-        token's row or column at the end of the phase."""
-        # copy c's i-th vertex is c * offset + i * stride
-        factor, copies, offset, stride = ((g1, n2, 1, n2) if axis == 0
-                                          else (g2, n1, n2, 1))
-        images: list[list] = [[None] * factor.n for _ in range(copies)]
-        for t, rc in pos.items():
-            images[rc[1 - axis]][rc[axis]] = dest(t)
-        timelines = []
-        for c, image in enumerate(images):
-            base = c * offset
-            sub = route_generic(factor, Permutation(tuple(image)))
-            timelines.append([[SwapEdge(base + op.u * stride,
-                                        base + op.v * stride)
-                               for op in step] for step in sub.timesteps])
-        return _merge_timelines(timelines)
-
-    def apply_steps(stepss: list[list[SwapEdge]]):
-        inv = {rc: t for t, rc in pos.items()}
-        for layer in stepss:
-            for op in layer:
-                pu, pv = split(op.u), split(op.v)
-                tu, tv = inv.get(pu), inv.get(pv)
-                if tu is not None:
-                    pos[tu] = pv
-                if tv is not None:
-                    pos[tv] = pu
-                inv[pu], inv[pv] = tv, tu
-
+    # three phases: route every g1-copy (a column; tokens change row),
+    # then every g2-copy (a row; tokens change column), then every
+    # g1-copy again.  Copy c's i-th vertex is c * offset + i * stride,
+    # and ``dest(token)`` is the token's index in its copy after the
+    # phase; at[v] is the token at vertex v.
+    at = list(range(n1 * n2))
     steps: list[list[SwapEdge]] = []
-    for axis, dest in ((0, lambda t: inter_row[t]),
-                       (1, lambda t: split(pi(t))[1]),
-                       (0, lambda t: split(pi(t))[0])):
-        p = phase(axis, dest)
-        apply_steps(p)
-        steps.extend(p)
-    for t, rc in pos.items():
-        if rc != split(pi(t)):
-            raise AssertionError("product routing failed to place a token")
+    for factor, copies, offset, stride, dest in (
+            (g1, n2, 1, n2, inter_row.__getitem__),
+            (g2, n1, n2, 1, lambda t: pi(t) % n2),
+            (g1, n2, 1, n2, lambda t: pi(t) // n2)):
+        timelines = []
+        for c in range(copies):
+            cells = range(c * offset, c * offset + factor.n * stride, stride)
+            toks = [at[v] for v in cells]
+            image = [dest(t) for t in toks]
+            sub = route_generic(factor, Permutation(tuple(image)))
+            timelines.append([[SwapEdge(cells[op.u], cells[op.v])
+                               for op in step] for step in sub.timesteps])
+            for t, i in zip(toks, image):
+                at[cells[i]] = t
+        steps.extend(_merge_timelines(timelines))
+
+    # replay the emitted swaps: every token must land on its image
+    at = list(range(n1 * n2))
+    for step in steps:
+        for op in step:
+            at[op.u], at[op.v] = at[op.v], at[op.u]
+    if any(pi(t) != v for v, t in enumerate(at)):
+        raise AssertionError("product routing failed to place a token")
     return Schedule(steps)
 
 
@@ -510,16 +459,11 @@ def route_generic(g: ArchGraph, pi: Permutation) -> Schedule:
     if len(g.edges) == g.n - 1:
         return route_tree(g, pi)
     params = g.param_dict
-    if g.family == "grid" and params.get("d", 1) >= 2:
-        n, d = params["n"], params["d"]
-        g1 = generate_graph("path", n=n, ancilla_budget=g.ancilla_budget)
-        g2 = generate_graph("grid", n=n, d=d - 1,
+    if g.family in ("grid", "hypercube") and params.get("d", 1) >= 2:
+        # path(n) x grid(n, d-1), or path(2) x hypercube(d-1)
+        g1 = generate_graph("path", n=params.get("n", 2),
                             ancilla_budget=g.ancilla_budget)
-        return route_product(g1, g2, pi)
-    if g.family == "hypercube" and params.get("d", 1) >= 2:
-        d = params["d"]
-        g1 = generate_graph("path", n=2, ancilla_budget=g.ancilla_budget)
-        g2 = generate_graph("hypercube", d=d - 1,
+        g2 = generate_graph(g.family, **{**params, "d": params["d"] - 1},
                             ancilla_budget=g.ancilla_budget)
         return route_product(g1, g2, pi)
     tree_edges = spanning_tree(g, 0)

@@ -312,27 +312,23 @@ def simulate_round_with_swaps(g: ArchGraph, rnd: TeleRound) -> Schedule:
         add_move(tr.path[0], tr.path[-1], tr.path)
         if tr.kind == "swap":
             add_move(tr.path[-1], tr.path[0], tuple(reversed(tr.path)))
+    image = list(range(n))
+    received: set[int] = set()
     for src, (dst, _) in moves.items():
         if dst not in moves:
             raise ValueError(
                 f"round is not self-contained: vertex {dst} receives "
                 f"a token but sends none")
+        if dst in received:
+            raise ValueError(f"vertex {dst} receives two tokens")
+        received.add(dst)
+        image[src] = dst
 
     # split the movement permutation into cycles; a cycle is long if
     # any of its declared paths exceeds the threshold
-    seen: set[int] = set()
-    short_cycles: list[list[int]] = []
+    short_cycles: list[tuple[int, ...]] = []
     long_support: list[int] = []
-    for start in sorted(moves):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        v = moves[start][0]
-        while v != start:
-            cyc.append(v)
-            seen.add(v)
-            v = moves[v][0]
+    for cyc in Permutation(tuple(image)).cycles():
         if any(len(moves[u][1]) - 1 > threshold for u in cyc):
             long_support.extend(cyc)
         else:

@@ -6,8 +6,14 @@ import pytest
 
 from teleroute import cli
 from teleroute.cli import main, perm_from_json, perm_to_json
-from teleroute.graphs import Permutation, generate_graph, generate_permutation
+from teleroute.graphs import (
+    Permutation,
+    generate_graph,
+    generate_permutation,
+    graph_to_json,
+)
 from teleroute.schedule import Schedule, SwapEdge
+from teleroute.swap_routing import route_generic
 
 
 def run(capsys, *argv):
@@ -60,6 +66,54 @@ def test_graph_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["n"] == 5
+
+
+# -- graph files ---------------------------------------------------------
+
+def write_graph(tmp_path, doc) -> str:
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_graph_file_of_a_family_routes(tmp_path, capsys):
+    g = generate_graph("grid", n=4, d=2)
+    gf = write_graph(tmp_path, json.loads(graph_to_json(g)))
+    code, out, _ = run(capsys, "route", "--model", "swap", "--graph-file",
+                       gf, "--perm", "reflection")
+    assert code == 0
+    expect = route_generic(g, generate_permutation("reflection", g))
+    assert out.strip() == expect.to_json(graph=g)
+
+
+def test_graph_file_grid_without_labels(tmp_path, capsys):
+    doc = json.loads(graph_to_json(generate_graph("grid", n=5, d=2)))
+    del doc["labels"]
+    gf = write_graph(tmp_path, doc)
+    code, _, err = run(capsys, "bounds", "--no-exact", "--graph-file", gf)
+    assert code == 2
+    assert "'grid'" in err and len(err.strip().splitlines()) == 1
+
+
+def test_graph_file_path_labelled_ladder(tmp_path, capsys):
+    # a 7-vertex path claiming to be ladder n=3 (also 7 vertices)
+    doc = json.loads(graph_to_json(generate_graph("path", n=7)))
+    doc["family"], doc["params"] = "ladder", {"n": 3}
+    gf = write_graph(tmp_path, doc)
+    code, out, err = run(capsys, "route", "--model", "teleport",
+                         "--graph-file", gf, "--perm", "reflection")
+    assert code == 2 and out == ""
+    assert "'ladder'" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("family", [["grid"], 7])
+def test_graph_file_family_must_be_a_string(tmp_path, capsys, family):
+    doc = json.loads(graph_to_json(generate_graph("path", n=4)))
+    doc["family"] = family
+    gf = write_graph(tmp_path, doc)
+    code, _, err = run(capsys, "graph", "--graph-file", gf)
+    assert code == 2
+    assert "'family' must be a string" in err
 
 
 # -- bounds --------------------------------------------------------------
@@ -341,6 +395,53 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run(capsys, "graph", "--config", str(cfg))
     assert code == 2
     assert "frobnicate" in err
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"family": "path", "n": "8"}, "n"),
+    ({"family": "path", "n": 8.0}, "n"),
+    ({"family": "path", "n": True}, "n"),
+    ({"family": "path", "n": 8, "perm": "random", "seed": "x"}, "seed"),
+    ({"family": "path", "n": 8, "perm": "rainbow", "alpha": "0.5"}, "alpha"),
+    ({"family": "moebius", "n": 8}, "family"),
+    ({"family": "path", "n": 8, "perm": ["random"], "seed": 1}, "perm"),
+    ({"family": "path", "n": 8, "graph-file": 3}, "graph-file"),
+    ({"family": "path", "n": 8, "model": "warp"}, "model"),
+    ({"family": "path", "n": 8, "perm": "identity", "func": "x"}, "func"),
+])
+def test_config_rejects_wrong_value_types(tmp_path, capsys, doc, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "route", "--model", "swap",
+                         "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"config key {key!r}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_config_value_types_accepted(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "path", "perm": "rainbow",
+                               "alpha": 1, "cost-swap": 2}))
+    code, out, err = run(capsys, "route", "--model", "swap", "--n", "16",
+                         "--config", str(cfg))
+    assert code == 0 and json.loads(out)["timesteps"]
+    cfg.write_text(json.dumps({"family": "path", "perm": "identity",
+                               "sizes": [4, "8"]}))
+    code, _, err = run(capsys, "advantage", "--config", str(cfg))
+    assert code == 2 and "a non-empty list of integers" in err
+
+
+def test_config_sets_store_true_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "grid", "n": 5, "d": 2,
+                               "no-exact": True}))
+    code, out, _ = run(capsys, "bounds", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["exact"] is False
+    cfg.write_text(json.dumps({"family": "path", "n": 4, "dot": 1}))
+    code, _, err = run(capsys, "graph", "--config", str(cfg))
+    assert code == 2 and "true or false" in err
 
 
 def test_perm_json_roundtrip():

@@ -1,5 +1,6 @@
 """Pinned schedule bytes: sha256 of ``Schedule.to_json`` for the sparse
-router and the generic swap router on fixed instances.
+router and the generic swap router on fixed instances (spanning-tree
+fallbacks, grid and hypercube products, and random trees).
 
 The routers are deterministic, so a change that means to keep every
 schedule (a faster traversal, a shared helper) must leave these digests
@@ -35,6 +36,11 @@ SPARSE_PERMS = ("k2", "k8", "k32", "diam")
 GENERIC_GRAPHS = {
     "butterfly-3": ("butterfly", {"r": 3}),
     "butterfly-4": ("butterfly", {"r": 4}),
+    "grid-8x8": ("grid", {"n": 8, "d": 2}),
+    "grid-16x16": ("grid", {"n": 16, "d": 2}),
+    "grid-4x4x4": ("grid", {"n": 4, "d": 3}),
+    "hypercube-6": ("hypercube", {"d": 6}),
+    "hypercube-8": ("hypercube", {"d": 8}),
     "wheel-63": ("wheel", {"n": 63}),
     "ladder-6": ("ladder", {"n": 6}),
 }
@@ -98,6 +104,26 @@ GOLDEN = {
         "0ad6036d8e1729e438233845124689e1813c7b122d6c5b73e4b9907b77989ad4",
     "generic/butterfly-4/reflection":
         "0b48d20948642acc60ed4fd1c02a3e9c520fe224ac0423e7cb5725ffc1f73ebb",
+    "generic/grid-16x16/random":
+        "4d60a22b070dbec5d3058133cf255cd03f116c0a95c8ebac49c9bf229ace8dd9",
+    "generic/grid-16x16/reflection":
+        "8bea1706cd202a52595c3e9ce75676282d381217b2449604a8cb6489dfaaa9fc",
+    "generic/grid-4x4x4/random":
+        "540030193e4e421adf017791133b5fa6101cb4403b41a7e47c2528d5a6fbb403",
+    "generic/grid-4x4x4/reflection":
+        "9aa63093a57346ff1c609de1117df75aee5d793008b6a460d4da1cb87e897e74",
+    "generic/grid-8x8/random":
+        "c1abbe439c47bb37e49a002c257b0fc404c0d0d80a734bc0e9116c6c47d21889",
+    "generic/grid-8x8/reflection":
+        "7e35467d4dec3f2c1cce4645e9e56fdf46feb03d3460190755ce4db33522ba81",
+    "generic/hypercube-6/random":
+        "2853af05ba01ad84f3ab5565dadce3e8ce74ea9e2132bbf03ca4677a91ebf03b",
+    "generic/hypercube-6/reflection":
+        "08b70a44f5e6c2e4034837bfa2416a324f92247b73aa1e58136a597067dca271",
+    "generic/hypercube-8/random":
+        "688ed1de0e22d6f263f7aa97e6bdda90c6a6e160f1c50724d4df3648bf131727",
+    "generic/hypercube-8/reflection":
+        "df6ffd6991348b007446ac8935be5bbf67b263a0253fbad392f5fb45891c26e0",
     "generic/ladder-6/random":
         "23427cc24e3e1b9ad17b1b983b1141ffb4ce396d68e71c7e8f3a0b868ee19018",
     "generic/ladder-6/reflection":

@@ -16,6 +16,8 @@ from teleroute.graphs import (
     generate_permutation,
     spanning_tree,
 )
+from teleroute import swap_routing
+from teleroute.schedule import Schedule
 from teleroute.swap_routing import (
     WheelRoute,
     route_complete,
@@ -272,6 +274,31 @@ def test_product_mixed_factors():
         sched = route_product(g1, g2, pi)
         assert verify_schedule(prod, sched, pi)
         assert sched.depth() <= 2 * 2 + 4
+
+
+@pytest.mark.parametrize("victim", [0, 5, 11])  # one copy in each phase
+def test_product_self_check_replays_emitted_swaps(monkeypatch, victim):
+    # drop the last layer of one copy's sub-schedule: the copy's tokens
+    # no longer reach the image it was given, and only a replay of the
+    # emitted swaps can notice
+    routed = swap_routing.route_generic
+    calls = []
+
+    def corrupt(g, pi):
+        sched = routed(g, pi)
+        calls.append(sched)
+        if len(calls) - 1 == victim:
+            assert sched.timesteps
+            return Schedule(sched.timesteps[:-1])
+        return sched
+
+    monkeypatch.setattr(swap_routing, "route_generic", corrupt)
+    p4 = generate_graph("path", n=4)
+    pi = generate_permutation("random", generate_graph("grid", n=4, d=2),
+                              seed=1)
+    with pytest.raises(AssertionError, match="failed to place a token"):
+        route_product(p4, p4, pi)
+    assert len(calls) == 12  # 4 copies in each of the three phases
 
 
 # ---------------------------------------------------------------------------

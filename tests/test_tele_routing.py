@@ -319,6 +319,15 @@ def test_replay_rejects_double_send():
         simulate_round_with_swaps(g, rnd)
 
 
+def test_replay_rejects_double_receive():
+    # 0 -> 1 and 2 -> 1 both deliver to vertex 1; the cycle walk from 2
+    # would never return to its start
+    g = generate_graph("path", n=3)
+    rnd = TeleRound((Transfer((0, 1)), Transfer((2, 1)), Transfer((1, 0))))
+    with pytest.raises(ValueError, match="vertex 1 receives two tokens"):
+        simulate_round_with_swaps(g, rnd)
+
+
 # ---------------------------------------------------------------------------
 # advantage
 # ---------------------------------------------------------------------------
