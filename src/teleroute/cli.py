@@ -7,6 +7,9 @@ verifies it before printing; ``advantage`` sweeps a graph family and
 tabulates swap depth against teleportation rounds; ``verify`` replays a
 schedule file against a graph and permutation.
 
+Family and permutation kinds, their parameter flags and a sweep's size
+flag are read from ``graphs.FAMILY_PARAMS`` and ``PERMUTATION_PARAMS``.
+
 Machine output (JSON/CSV) goes to stdout and human tables to stderr, so
 pipelines stay clean.  Exit codes: 0 success, 1 verification failure,
 2 usage or capacity error.  Every command is deterministic given its
@@ -30,6 +33,8 @@ from .execute import (
     verify_schedule,
 )
 from .graphs import (
+    FAMILY_PARAMS,
+    PERMUTATION_PARAMS,
     ArchGraph,
     Permutation,
     generate_graph,
@@ -45,15 +50,8 @@ from .tele_routing import greedy_schedule, ladder_schedule, teleport_schedule
 
 __all__ = ["main"]
 
-_SIZE_FLAG = {"hypercube": "d", "butterfly": "r"}
-_PERM_KINDS = ("identity", "diam", "rainbow", "wheel", "reflection",
-               "cyclic_shift", "random")
-_PERM_REQUIRES = {
-    "rainbow": ("alpha",),
-    "wheel": ("l",),
-    "cyclic_shift": ("s",),
-    "random": ("seed",),
-}
+# every flag that sets a graph family's parameter
+_GRAPH_PARAMS = sorted({p for names in FAMILY_PARAMS.values() for p in names})
 
 
 # ---------------------------------------------------------------------------
@@ -61,9 +59,8 @@ _PERM_REQUIRES = {
 # ---------------------------------------------------------------------------
 
 def _add_graph_args(p: argparse.ArgumentParser):
-    p.add_argument("--family", choices=sorted(
-        ("path", "complete", "wheel", "ladder", "hypercube", "butterfly",
-         "grid")), help="graph family to generate")
+    p.add_argument("--family", choices=sorted(FAMILY_PARAMS),
+                   help="graph family to generate")
     p.add_argument("--n", type=int, help="size parameter n")
     p.add_argument("--d", type=int, help="dimension parameter d")
     p.add_argument("--r", type=int, help="rank parameter r")
@@ -73,7 +70,7 @@ def _add_graph_args(p: argparse.ArgumentParser):
 
 
 def _add_perm_args(p: argparse.ArgumentParser):
-    p.add_argument("--perm", choices=_PERM_KINDS,
+    p.add_argument("--perm", choices=list(PERMUTATION_PARAMS),
                    help="permutation workload")
     p.add_argument("--alpha", type=float, help="rainbow density exponent")
     p.add_argument("--l", type=int, help="wheel segment count")
@@ -152,42 +149,32 @@ def _merge_config(ns: argparse.Namespace):
             setattr(ns, action.dest, value)
 
 
-def _resolve_graph(ns) -> ArchGraph:
-    if getattr(ns, "graph_file", None):
-        with open(ns.graph_file, "r", encoding="utf-8") as f:
-            g = graph_from_json(f.read())
-        if g.family is not None:
-            # routers and bounds trust a family's structure, so its name
-            # and params must describe exactly these edges and labels
-            if not isinstance(g.family, str):
-                raise ValueError("graph 'family' must be a string")
-            ref = generate_graph(g.family, ancilla_budget=g.ancilla_budget,
-                                 **g.param_dict)
-            if (ref.n, ref.edges, ref.labels) != (g.n, g.edges, g.labels):
-                raise ValueError(
-                    f"graph file's vertices, edges or labels are not those "
-                    f"of family {g.family!r} with params {g.param_dict}")
-        return g
-    if not ns.family:
-        raise ValueError("either --family or --graph-file is required")
-    params = {k: getattr(ns, k) for k in ("n", "d", "r")
-              if getattr(ns, k, None) is not None}
+def _family_graph(ns, size: int | None = None) -> ArchGraph:
+    """The ``--family`` graph from the parameter flags given; ``size``,
+    when given, stands in for the family's size flag."""
+    params = {k: getattr(ns, k) for k in _GRAPH_PARAMS
+              if getattr(ns, k) is not None}
+    if size is not None:
+        params[FAMILY_PARAMS[ns.family][0]] = size
     if ns.budget is not None:
-        return generate_graph(ns.family, ancilla_budget=ns.budget, **params)
+        params["ancilla_budget"] = ns.budget
     return generate_graph(ns.family, **params)
 
 
-def _perm_params(ns, kind: str) -> dict:
-    for name in _PERM_REQUIRES.get(kind, ()):
-        if getattr(ns, name, None) is None:
-            raise ValueError(
-                f"permutation kind {kind!r} requires --{name}")
-    out = {}
-    for name in ("alpha", "l", "s", "seed", "k"):
-        value = getattr(ns, name, None)
-        if value is not None:
-            out[name] = value
-    return out
+def _resolve_graph(ns) -> ArchGraph:
+    if getattr(ns, "graph_file", None):
+        with open(ns.graph_file, "r", encoding="utf-8") as f:
+            return graph_from_json(f.read())
+    if not ns.family:
+        raise ValueError("either --family or --graph-file is required")
+    return _family_graph(ns)
+
+
+def _perm_params(ns) -> dict:
+    """The flags given among the ``--perm`` kind's parameters;
+    generate_permutation reports any it requires that are missing."""
+    return {k: getattr(ns, k) for k in PERMUTATION_PARAMS[ns.perm]
+            if getattr(ns, k) is not None}
 
 
 def _resolve_perm(ns, g: ArchGraph) -> Permutation:
@@ -196,7 +183,7 @@ def _resolve_perm(ns, g: ArchGraph) -> Permutation:
             return perm_from_json(f.read())
     if not ns.perm:
         raise ValueError("either --perm or --perm-file is required")
-    return generate_permutation(ns.perm, g, **_perm_params(ns, ns.perm))
+    return generate_permutation(ns.perm, g, **_perm_params(ns))
 
 
 _COST_FLAGS = {"cost_swap": "swap_edge", "cost_local": "swap_local",
@@ -309,9 +296,7 @@ def cmd_route(ns) -> int:
 
 
 def _perm_label(ns) -> str:
-    used = [f"{name}={getattr(ns, name)}"
-            for name in ("alpha", "l", "s", "k", "seed")
-            if getattr(ns, name, None) is not None]
+    used = [f"{k}={v}" for k, v in sorted(_perm_params(ns).items())]
     return ns.perm + (f"[{','.join(used)}]" if used else "")
 
 
@@ -320,7 +305,7 @@ def cmd_advantage(ns) -> int:
         raise ValueError("--family is required for a sweep")
     if not ns.perm:
         raise ValueError("--perm is required for a sweep")
-    size_flag = _SIZE_FLAG.get(ns.family, "n")
+    size_flag = FAMILY_PARAMS[ns.family][0]
     sizes = ns.sizes or [getattr(ns, size_flag)]
     if sizes == [None]:
         raise ValueError(f"give sweep sizes (--sizes) or --{size_flag}")
@@ -328,14 +313,8 @@ def cmd_advantage(ns) -> int:
     label = _perm_label(ns)
     rows = []
     for size in sizes:
-        params = {size_flag: size}
-        if ns.family == "grid" and ns.d is not None:
-            params["d"] = ns.d
-        if ns.budget is not None:
-            g = generate_graph(ns.family, ancilla_budget=ns.budget, **params)
-        else:
-            g = generate_graph(ns.family, **params)
-        pi = generate_permutation(ns.perm, g, **_perm_params(ns, ns.perm))
+        g = _family_graph(ns, size)
+        pi = generate_permutation(ns.perm, g, **_perm_params(ns))
         swap_sched = route_generic(g, pi)
         tele_sched = _teleport_schedule(g, pi)
         if not (verify_schedule(g, swap_sched, pi)

@@ -6,6 +6,11 @@ ancilla slots (``ancilla_budget``).  The module provides the standard
 benchmark families (path, complete, wheel, layered complete ladder,
 hypercube, wrap-around butterfly, grid power of a path) plus the
 permutation workloads used to exercise routers.
+
+Both vocabularies are declared once, in ``FAMILY_PARAMS`` and
+``PERMUTATION_PARAMS``.  Only :func:`generate_graph` sets a graph's
+``family``; :func:`graph_from_json` builds a file's named family with
+it and rejects a file whose edges or labels it does not reproduce.
 """
 
 from __future__ import annotations
@@ -14,12 +19,14 @@ import hashlib
 import json
 import random
 from collections import deque
-from dataclasses import dataclass
-from itertools import chain, count
+from dataclasses import dataclass, field
+from itertools import chain, count, product
 
 import numpy as np
 
 __all__ = [
+    "FAMILY_PARAMS",
+    "PERMUTATION_PARAMS",
     "ArchGraph",
     "Permutation",
     "generate_graph",
@@ -59,8 +66,12 @@ class ArchGraph:
         Ancilla slots available at every vertex.
     labels : tuple or None
         Optional per-vertex labels (family coordinates).
+
+    Attributes
+    ----------
     family : str or None
-        Generator family name, when built by :func:`generate_graph`.
+        Generator family name, set only by :func:`generate_graph`:
+        routers and bounds trust it to describe the edges.
     params : tuple
         Generator parameters as a sorted tuple of (name, value) pairs.
     """
@@ -69,8 +80,8 @@ class ArchGraph:
     edges: tuple[tuple[int, int], ...]
     ancilla_budget: int = DEFAULT_ANCILLA_BUDGET
     labels: tuple | None = None
-    family: str | None = None
-    params: tuple = ()
+    family: str | None = field(default=None, init=False)
+    params: tuple = field(default=(), init=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -97,19 +108,8 @@ class ArchGraph:
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
-        if self.n > 1 and not self._connected():
+        if -1 in bfs_distances(self, 0):
             raise ValueError("graph must be connected")
-
-    def _connected(self) -> bool:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w in self.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted neighbors of ``v``."""
@@ -205,14 +205,14 @@ def _path(n: int, budget: int) -> ArchGraph:
     if n < 1:
         raise ValueError("path needs n >= 1")
     edges = tuple((i, i + 1) for i in range(n - 1))
-    return ArchGraph(n, edges, budget, family="path", params=(("n", n),))
+    return ArchGraph(n, edges, budget)
 
 
 def _complete(n: int, budget: int) -> ArchGraph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
     edges = tuple((u, v) for u in range(n) for v in range(u + 1, n))
-    return ArchGraph(n, edges, budget, family="complete", params=(("n", n),))
+    return ArchGraph(n, edges, budget)
 
 
 def _wheel(n: int, budget: int) -> ArchGraph:
@@ -223,8 +223,7 @@ def _wheel(n: int, budget: int) -> ArchGraph:
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges += [(i, hub) for i in range(n)]
     labels = tuple(list(range(n)) + ["hub"])
-    return ArchGraph(n + 1, tuple(edges), budget, labels=labels,
-                     family="wheel", params=(("n", n),))
+    return ArchGraph(n + 1, tuple(edges), budget, labels=labels)
 
 
 def _ladder(n: int, budget: int) -> ArchGraph:
@@ -238,20 +237,14 @@ def _ladder(n: int, budget: int) -> ArchGraph:
     if n < 1:
         raise ValueError("ladder needs n >= 1")
     size = 2 ** n - 1
-    layer_of = [0] * size
     labels = []
-    for idx in range(size):
-        addr = idx + 1
-        r = addr.bit_length()
-        layer_of[idx] = r
-        labels.append((r, addr - 2 ** (r - 1) + 1))
     edges = []
     for u in range(size):
-        for v in range(u + 1, size):
-            if abs(layer_of[u] - layer_of[v]) <= 1:
-                edges.append((u, v))
-    return ArchGraph(size, tuple(edges), budget, labels=tuple(labels),
-                     family="ladder", params=(("n", n),))
+        r = (u + 1).bit_length()
+        labels.append((r, u + 2 - 2 ** (r - 1)))
+        # u's later layer-mates and all of layer r + 1 (indices < 2^(r+1) - 1)
+        edges += [(u, v) for v in range(u + 1, min(2 ** (r + 1) - 1, size))]
+    return ArchGraph(size, tuple(edges), budget, labels=tuple(labels))
 
 
 def _hypercube(d: int, budget: int) -> ArchGraph:
@@ -260,8 +253,7 @@ def _hypercube(d: int, budget: int) -> ArchGraph:
     n = 2 ** d
     edges = [(u, u ^ (1 << b)) for u in range(n) for b in range(d) if u < u ^ (1 << b)]
     labels = tuple(format(u, f"0{d}b") for u in range(n))
-    return ArchGraph(n, tuple(sorted(edges)), budget, labels=labels,
-                     family="hypercube", params=(("d", d),))
+    return ArchGraph(n, tuple(sorted(edges)), budget, labels=labels)
 
 
 def _butterfly(r: int, budget: int) -> ArchGraph:
@@ -283,8 +275,7 @@ def _butterfly(r: int, budget: int) -> ArchGraph:
                 a, b = idx(w, i), idx(v, j)
                 edges.add((a, b) if a < b else (b, a))
     labels = tuple((w, i) for i in range(r) for w in range(words))
-    return ArchGraph(r * words, tuple(sorted(edges)), budget, labels=labels,
-                     family="butterfly", params=(("r", r),))
+    return ArchGraph(r * words, tuple(sorted(edges)), budget, labels=labels)
 
 
 def cartesian_product(g1: ArchGraph, g2: ArchGraph,
@@ -312,52 +303,60 @@ def _grid(n: int, d: int, budget: int) -> ArchGraph:
     tuples in row-major order (first coordinate most significant)."""
     if n < 1 or d < 1:
         raise ValueError("grid needs n >= 1 and d >= 1")
-    g = _path(n, budget)
-    prod = g
-    for _ in range(d - 1):
-        prod = cartesian_product(prod, g, budget)
     size = n ** d
-    labels = []
-    for idx in range(size):
-        coord = []
-        rem = idx
-        for k in range(d - 1, -1, -1):
-            coord.append(rem // n ** k)
-            rem %= n ** k
-        labels.append(tuple(coord))
-    return ArchGraph(size, prod.edges, budget, labels=tuple(labels),
-                     family="grid", params=(("d", d), ("n", n)))
+    # v's coordinate of weight n^k steps by +1 unless it is already n - 1
+    edges = [(v, v + n ** k) for k in range(d) for v in range(size)
+             if v // n ** k % n < n - 1]
+    labels = tuple(product(range(n), repeat=d))
+    return ArchGraph(size, tuple(edges), budget, labels=labels)
 
 
+# kind -> (builder, required params, optional params); a family's first
+# param is its size, the one an ``advantage`` sweep varies
 _FAMILIES = {
-    "path": (_path, ("n",)),
-    "complete": (_complete, ("n",)),
-    "wheel": (_wheel, ("n",)),
-    "ladder": (_ladder, ("n",)),
-    "hypercube": (_hypercube, ("d",)),
-    "butterfly": (_butterfly, ("r",)),
-    "grid": (_grid, ("n", "d")),
+    "path": (_path, ("n",), ()),
+    "complete": (_complete, ("n",), ()),
+    "wheel": (_wheel, ("n",), ()),
+    "ladder": (_ladder, ("n",), ()),
+    "hypercube": (_hypercube, ("d",), ()),
+    "butterfly": (_butterfly, ("r",), ()),
+    "grid": (_grid, ("n", "d"), ()),
 }
+
+
+def _lookup(table: dict, what: str, kind: str, params: dict):
+    """The builder of ``kind`` in ``table``, once ``params`` names every
+    required parameter of the kind and nothing else."""
+    if kind not in table:
+        raise ValueError(f"unknown {what} {kind!r}")
+    fn, required, optional = table[kind]
+    missing = [p for p in required if p not in params]
+    if missing:
+        raise ValueError(f"{kind} requires parameters {missing}")
+    extra = [p for p in params if p not in required + optional]
+    if extra:
+        raise ValueError(f"{kind} got unexpected parameters {extra}")
+    return fn
 
 
 def generate_graph(kind: str, ancilla_budget: int = DEFAULT_ANCILLA_BUDGET,
                    **params) -> ArchGraph:
-    """Build a named graph family.
+    """Build a named graph family, stamped with ``family`` and ``params``.
 
     Kinds and parameters: path(n), complete(n), wheel(n = rim size),
     ladder(n = layers), hypercube(d), butterfly(r), grid(n, d).
     """
-    if kind not in _FAMILIES:
-        raise ValueError(f"unknown graph family {kind!r}")
-    fn, names = _FAMILIES[kind]
-    missing = [p for p in names if p not in params]
-    if missing:
-        raise ValueError(f"{kind} requires parameters {missing}")
-    extra = [p for p in params if p not in names]
-    if extra:
-        raise ValueError(f"{kind} got unexpected parameters {extra}")
-    args = [params[p] for p in names]
-    return fn(*args, ancilla_budget)
+    return _build_family(kind, ancilla_budget, params)
+
+
+def _build_family(kind: str, budget: int, params: dict) -> ArchGraph:
+    # params is checked before it is spread, so a name like
+    # "ancilla_budget" in a file's params is rejected, not a TypeError
+    g = _lookup(_FAMILIES, "graph family", kind, params)(
+        budget=budget, **params)
+    object.__setattr__(g, "family", kind)
+    object.__setattr__(g, "params", tuple(sorted(params.items())))
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -431,29 +430,32 @@ def _perm_random(g: ArchGraph, seed: int, k: int | None = None) -> Permutation:
     return Permutation(tuple(image))
 
 
+# kind -> (builder, required params, optional params)
+_PERMUTATIONS = {
+    "identity": (lambda g: Permutation.identity(g.n), (), ()),
+    "diam": (_perm_diam, (), ()),
+    "rainbow": (_perm_rainbow, ("alpha",), ()),
+    "wheel": (_perm_wheel, ("l",), ()),
+    "reflection": (_perm_reflection, (), ()),
+    "cyclic_shift": (_perm_cyclic, ("s",), ()),
+    "random": (_perm_random, ("seed",), ("k",)),
+}
+
+# kind -> its parameter names, required first
+FAMILY_PARAMS = {kind: req + opt for kind, (_, req, opt) in _FAMILIES.items()}
+PERMUTATION_PARAMS = {kind: req + opt
+                      for kind, (_, req, opt) in _PERMUTATIONS.items()}
+
+
 def generate_permutation(kind: str, g: ArchGraph, **params) -> Permutation:
     """Build a named permutation workload on ``g``.
 
     Kinds: identity, diam, rainbow(alpha), wheel(l), reflection,
-    cyclic_shift(s), random(seed, k=None).
+    cyclic_shift(s), random(seed, k=None).  Parameters are checked like
+    :func:`generate_graph`'s.
     """
-    if kind == "identity":
-        return Permutation.identity(g.n)
-    if kind == "diam":
-        return _perm_diam(g)
-    if kind == "rainbow":
-        return _perm_rainbow(g, params["alpha"])
-    if kind == "wheel":
-        return _perm_wheel(g, params["l"])
-    if kind == "reflection":
-        return _perm_reflection(g)
-    if kind == "cyclic_shift":
-        return _perm_cyclic(g, params["s"])
-    if kind == "random":
-        if "seed" not in params:
-            raise ValueError("random permutation requires a seed")
-        return _perm_random(g, params["seed"], params.get("k"))
-    raise ValueError(f"unknown permutation kind {kind!r}")
+    return _lookup(_PERMUTATIONS, "permutation kind", kind, params)(
+        g, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +629,9 @@ def graph_to_json(g: ArchGraph) -> str:
 
 def graph_from_json(text: str) -> ArchGraph:
     """Parse :func:`graph_to_json` output.  Raises ValueError on JSON
-    that is not a graph document."""
+    that is not a graph document.  A document that names a family is
+    built with :func:`generate_graph` and must have exactly that graph's
+    vertices, edges and labels."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"a graph must be a JSON object, got "
@@ -655,14 +659,22 @@ def graph_from_json(text: str) -> ArchGraph:
     if not isinstance(params, dict) or any(
             type(v) is not int for v in params.values()):
         raise ValueError("graph 'params' must map names to integers")
-    return ArchGraph(
-        n=doc["n"],
-        edges=edges,
-        ancilla_budget=budget,
-        labels=labels,
-        family=doc.get("family"),
-        params=tuple(sorted(params.items())),
-    )
+    family = doc.get("family")
+    if family is None:
+        if params:
+            raise ValueError("graph 'params' given without a 'family'")
+        return ArchGraph(doc["n"], edges, budget, labels)
+    # routers and bounds trust a family's structure, so its name and
+    # params must describe exactly these edges and labels
+    if not isinstance(family, str):
+        raise ValueError("graph 'family' must be a string")
+    g = _build_family(family, budget, params)
+    # graph_to_json writes the edges sorted with u < v, as g holds them
+    if ((doc["n"], labels) == (g.n, g.labels)
+            and (edges == g.edges or ArchGraph(g.n, edges).edges == g.edges)):
+        return g
+    raise ValueError(f"graph file's vertices, edges or labels are not those "
+                     f"of family {family!r} with params {g.param_dict}")
 
 
 def graph_to_dot(g: ArchGraph) -> str:

@@ -1,9 +1,10 @@
 """Swap-only schedule synthesis.
 
-Routers for the standard situations: odd-even transposition on paths,
-two-layer routing on complete graphs, centroid-relay routing on trees,
-three-phase routing on Cartesian products, a generic dispatcher with a
-spanning-tree fallback, and the hub-vs-rim wheel protocol.
+Routers for the standard situations: two-layer routing on complete
+graphs, centroid-relay routing on trees (odd-even transposition on
+path-shaped subtrees, so on whole paths too), three-phase routing on
+Cartesian products, a generic dispatcher with a spanning-tree fallback,
+and the hub-vs-rim wheel protocol.
 
 All schedules consist purely of edge swaps (no ancilla use); every
 timestep is a set of vertex-disjoint swaps along existing edges, and
@@ -25,7 +26,6 @@ from .graphs import (
 from .schedule import Schedule, SwapEdge
 
 __all__ = [
-    "route_path_oet",
     "route_complete",
     "route_tree",
     "route_product",
@@ -77,16 +77,6 @@ def _oet_timesteps(order: list[int], rank_of_token, token_at: dict) -> list[list
     else:
         raise AssertionError("transposition sort failed to converge")
     return steps
-
-
-def route_path_oet(g: ArchGraph, pi: Permutation) -> Schedule:
-    """Route on a path (vertices in line order 0..n-1) by alternating
-    odd/even adjacent-transposition layers; depth <= n."""
-    if not _is_line_path(g):
-        raise ValueError("graph is not a path with vertices in line order")
-    token_at = {v: v for v in range(g.n)}
-    steps = _oet_timesteps(list(range(g.n)), lambda tok: pi(tok), token_at)
-    return Schedule(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -440,20 +430,15 @@ def route_product(g1: ArchGraph, g2: ArchGraph, pi: Permutation) -> Schedule:
 # generic dispatch and the wheel protocol
 # ---------------------------------------------------------------------------
 
-def _is_line_path(g: ArchGraph) -> bool:
-    return g.edges == tuple((i, i + 1) for i in range(g.n - 1))
-
-
 def route_generic(g: ArchGraph, pi: Permutation) -> Schedule:
-    """Dispatch to a specialized router by structure: line paths,
-    complete graphs, trees, grid/hypercube products; everything else
-    routes on a BFS spanning tree.  Depth <= 3N."""
+    """Dispatch to a specialized router by structure: complete graphs,
+    trees (a path sorts by odd-even transposition), grid/hypercube
+    products; everything else routes on a BFS spanning tree.
+    Depth <= 3N."""
     if pi.n != g.n:
         raise ValueError("permutation size does not match the graph")
     if pi.is_identity():
         return Schedule([])
-    if _is_line_path(g):
-        return route_path_oet(g, pi)
     if len(g.edges) == g.n * (g.n - 1) // 2:
         return route_complete(g, pi)
     if len(g.edges) == g.n - 1:

@@ -209,8 +209,7 @@ def _chain_timesteps(g: ArchGraph, cyc: tuple[int, ...],
                        f"within ancilla budget {budget}")
 
 
-def greedy_schedule(g: ArchGraph, pi: Permutation,
-                    budget: int | None = None) -> Schedule:
+def greedy_schedule(g: ArchGraph, pi: Permutation) -> Schedule:
     """Pack permutation cycles into teleportation rounds greedily.
 
     Cycles are taken longest hop first: by decreasing maximum BFS
@@ -222,14 +221,10 @@ def greedy_schedule(g: ArchGraph, pi: Permutation,
     """
     if pi.n != g.n:
         raise ValueError("permutation size does not match the graph")
-    if budget is None:
-        budget = g.ancilla_budget
+    budget = g.ancilla_budget
     if budget < 2:
         raise ValueError("teleportation scheduling needs an ancilla "
                          "budget of at least 2")
-    if budget > g.ancilla_budget:
-        raise ValueError(f"budget {budget} exceeds the graph's ancilla "
-                         f"budget {g.ancilla_budget}")
 
     # with no load every vertex is admitted, so these are BFS distances;
     # both hops of a 2-cycle have the same length on an undirected graph

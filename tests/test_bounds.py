@@ -9,6 +9,7 @@ import networkx as nx
 import pytest
 
 from teleroute.bounds import (
+    EXACT_EXPANSION_MAX_N,
     AdvantageBounds,
     advantage_upper_bounds,
     bounds_report,
@@ -307,6 +308,33 @@ def test_advantage_bounds_interval_dominate_either_end(kind, params):
         at_c = advantage_upper_bounds(g, c=c)
         assert b.linear >= at_c.linear
         assert b.sqrt_log >= at_c.sqrt_log
+
+
+def random_connected(n: int, seed: int) -> ArchGraph:
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n // 2)}
+    return ArchGraph(n, tuple(edges))
+
+
+@pytest.mark.parametrize("g", [
+    generate_graph("path", n=17), generate_graph("wheel", n=18),
+    generate_graph("complete", n=20), generate_graph("butterfly", r=3),
+    random_connected(18, 1), random_connected(21, 2),
+], ids=["path-17", "wheel-18", "complete-20", "butterfly-3", "random-18",
+        "random-21"])
+def test_advantage_bounds_interval_ends_never_below_exact(g):
+    # 16 < n <= 24: vertex_expansion_bounds gives an interval while
+    # advantage_upper_bounds uses exact c; the figures each takes from
+    # the interval end that favours it must not fall below exact c's
+    assert 16 < g.n <= EXACT_EXPANSION_MAX_N
+    c = vertex_expansion_exact(g)[0]
+    lo, hi = vertex_expansion_bounds(g)
+    assert lo <= c <= hi
+    exact = advantage_upper_bounds(g)
+    assert exact == advantage_upper_bounds(g, c=c)
+    assert advantage_upper_bounds(g, c=hi).linear >= exact.linear
+    assert advantage_upper_bounds(g, c=lo).sqrt_log >= exact.sqrt_log
 
 
 def test_bounds_report_exact():

@@ -1,5 +1,6 @@
 """Command-line interface: flags, exit codes, and output formats."""
 
+import csv
 import json
 
 import pytest
@@ -116,6 +117,36 @@ def test_graph_file_family_must_be_a_string(tmp_path, capsys, family):
     assert "'family' must be a string" in err
 
 
+def forged_family_file(tmp_path) -> str:
+    # hypercube d=3's document with butterfly r=2's edges: 8 vertices and
+    # the right labels, but a swap schedule for the family uses non-edges
+    doc = json.loads(graph_to_json(generate_graph("hypercube", d=3)))
+    doc["edges"] = [list(e) for e in generate_graph("butterfly", r=2).edges]
+    return write_graph(tmp_path, doc)
+
+
+def test_route_rejects_forged_family_file(tmp_path, capsys):
+    gf = forged_family_file(tmp_path)
+    code, out, err = run(capsys, "route", "--model", "swap", "--graph-file",
+                         gf, "--perm", "reflection")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "family 'hypercube'" in lines[0]
+
+
+def test_verify_rejects_forged_family_file(tmp_path, capsys):
+    g = generate_graph("hypercube", d=3)
+    pi = generate_permutation("reflection", g)
+    sf, pf = tmp_path / "s.json", tmp_path / "p.json"
+    sf.write_text(route_generic(g, pi).to_json())
+    pf.write_text(perm_to_json(pi))
+    gf = forged_family_file(tmp_path)
+    code, out, err = run(capsys, "verify", str(sf), gf, str(pf))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "family 'hypercube'" in lines[0]
+
+
 # -- bounds --------------------------------------------------------------
 
 def test_bounds_hypercube(capsys):
@@ -181,7 +212,7 @@ def test_route_random_requires_seed(capsys):
     code, _, err = run(capsys, "route", "--model", "swap",
                        "--family", "path", "--n", "5", "--perm", "random")
     assert code == 2
-    assert "seed" in err
+    assert err == "error: random requires parameters ['seed']\n"
 
 
 def test_route_never_emits_unverified(capsys, monkeypatch):
@@ -215,6 +246,28 @@ def test_advantage_path_sweep(capsys):
     assert [int(r[0]) for r in rows] == [7, 15, 31]
     ratios = [int(r[5]) for r in rows]
     assert ratios == sorted(ratios) and len(set(ratios)) == 3
+
+
+def test_advantage_sizes_set_each_family_size_param(capsys):
+    # a sweep varies the family's first param and keeps the other flags
+    for family, fixed, sizes, ns in (("grid", ("--d", "3"), ("2", "3"),
+                                      [8, 27]),
+                                     ("hypercube", (), ("2", "3"), [4, 8]),
+                                     ("butterfly", (), ("2", "3"), [8, 24])):
+        code, out, _ = run(capsys, "advantage", "--family", family, *fixed,
+                           "--budget", "3", "--sizes", *sizes,
+                           "--perm", "reflection")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == ns
+
+
+def test_advantage_label_lists_only_the_kind_params(capsys):
+    code, out, _ = run(capsys, "advantage", "--family", "path", "--n", "9",
+                       "--perm", "random", "--seed", "2", "--k", "3",
+                       "--alpha", "0.5")
+    assert code == 0
+    assert list(csv.reader(out.splitlines()))[1][2] == "random[k=3,seed=2]"
 
 
 def test_advantage_ladder_rounds_constant(capsys):

@@ -3,12 +3,15 @@
 import itertools
 import json
 import random
+import re
 import tracemalloc
 
 import networkx as nx
 import pytest
 
 from teleroute.graphs import (
+    FAMILY_PARAMS,
+    PERMUTATION_PARAMS,
     ArchGraph,
     Permutation,
     bfs_distances,
@@ -159,6 +162,26 @@ def test_graph_validation():
         generate_graph("mystery", n=3)
     with pytest.raises(ValueError):
         generate_graph("path")  # missing n
+
+
+def test_family_is_set_only_by_generate_graph():
+    # a family that does not describe the edges made route_generic emit
+    # swaps over non-edges, so the constructor takes no family at all
+    edges = generate_graph("butterfly", r=2).edges
+    with pytest.raises(TypeError):
+        ArchGraph(8, edges, family="hypercube", params=(("d", 3),))
+    g = generate_graph("grid", n=3, d=2)
+    assert (g.family, g.params) == ("grid", (("d", 2), ("n", 3)))
+    assert ArchGraph(g.n, g.edges, labels=g.labels).family is None
+
+
+def test_family_params_name_each_generator_param():
+    assert list(FAMILY_PARAMS) == [
+        "path", "complete", "wheel", "ladder", "hypercube", "butterfly",
+        "grid"]
+    for kind, params in FAMILY_SAMPLES:
+        assert set(params) == set(FAMILY_PARAMS[kind])
+    assert FAMILY_PARAMS["grid"] == ("n", "d")  # the size flag comes first
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +369,31 @@ def test_perm_random_deterministic():
     assert p1.image != p3.image
 
 
+@pytest.mark.parametrize("kind, params, needle", [
+    ("rainbow", {}, "rainbow requires parameters ['alpha']"),
+    ("random", {"k": 3}, "random requires parameters ['seed']"),
+    ("reflection", {"seed": 1}, "reflection got unexpected parameters "
+                                "['seed']"),
+    ("random", {"seed": 1, "alpha": 0.5}, "random got unexpected "
+                                          "parameters ['alpha']"),
+    ("shuffle", {}, "unknown permutation kind 'shuffle'"),
+])
+def test_generate_permutation_checks_params(kind, params, needle):
+    g = generate_graph("path", n=8)
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        generate_permutation(kind, g, **params)
+
+
+def test_permutation_params_table():
+    assert list(PERMUTATION_PARAMS) == [
+        "identity", "diam", "rainbow", "wheel", "reflection",
+        "cyclic_shift", "random"]
+    assert PERMUTATION_PARAMS["random"] == ("seed", "k")
+    g = generate_graph("path", n=9)
+    assert (generate_permutation("random", g, seed=4, k=None)
+            == generate_permutation("random", g, seed=4))
+
+
 def test_perm_random_support_k():
     g = generate_graph("grid", n=5, d=2)
     for seed in range(10):
@@ -371,6 +419,28 @@ def test_json_roundtrip():
         assert g2.ancilla_budget == g.ancilla_budget
         assert g2.labels == g.labels
         assert graph_to_json(g2) == text  # canonical: stable under reload
+
+
+def test_json_family_must_build_the_file():
+    # hypercube d=3's document carrying butterfly r=2's edges
+    doc = json.loads(graph_to_json(generate_graph("hypercube", d=3)))
+    doc["edges"] = [list(e) for e in generate_graph("butterfly", r=2).edges]
+    with pytest.raises(ValueError, match="family 'hypercube'"):
+        graph_from_json(json.dumps(doc))
+    g = generate_graph("wheel", n=5)
+    doc = json.loads(graph_to_json(g))
+    # a hand-written file may list the edges in any order and direction
+    doc["edges"] = [[v, u] for u, v in reversed(doc["edges"])]
+    assert graph_from_json(json.dumps(doc)) == g
+    doc["params"]["ancilla_budget"] = 2  # also a name generate_graph takes
+    with pytest.raises(ValueError, match="unexpected parameters"):
+        graph_from_json(json.dumps(doc))
+    doc["family"] = "moebius"
+    with pytest.raises(ValueError, match="unknown graph family 'moebius'"):
+        graph_from_json(json.dumps(doc))
+    del doc["family"]
+    with pytest.raises(ValueError, match="without a 'family'"):
+        graph_from_json(json.dumps(doc))
 
 
 def test_json_is_canonical():

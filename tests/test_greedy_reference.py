@@ -179,7 +179,7 @@ _ROLLBACK = (ArchGraph(6, ((0, 1), (1, 2), (1, 3), (1, 4), (4, 5))),
 @example(_ROLLBACK)
 def test_greedy_matches_reference(instance):
     g, pi, budget = instance
-    got = greedy_schedule(g, pi, budget=budget)
+    got = greedy_schedule(g, pi)
     assert got.to_json(graph=g) == \
         ref_greedy_schedule(g, pi, budget).to_json(graph=g)
     assert verify_schedule(g, got, pi)

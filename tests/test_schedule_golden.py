@@ -1,6 +1,6 @@
 """Pinned schedule bytes: sha256 of ``Schedule.to_json`` for the sparse
 router and the generic swap router on fixed instances (spanning-tree
-fallbacks, grid and hypercube products, and random trees).
+fallbacks, grid and hypercube products, paths, and random trees).
 
 The routers are deterministic, so a change that means to keep every
 schedule (a faster traversal, a shared helper) must leave these digests
@@ -43,6 +43,9 @@ GENERIC_GRAPHS = {
     "hypercube-8": ("hypercube", {"d": 8}),
     "wheel-63": ("wheel", {"n": 63}),
     "ladder-6": ("ladder", {"n": 6}),
+    "path-2": ("path", {"n": 2}),
+    "path-64": ("path", {"n": 64}),
+    "path-257": ("path", {"n": 257}),
 }
 
 GENERIC_PERMS = ("random", "reflection")
@@ -128,6 +131,18 @@ GOLDEN = {
         "23427cc24e3e1b9ad17b1b983b1141ffb4ce396d68e71c7e8f3a0b868ee19018",
     "generic/ladder-6/reflection":
         "87dfc42f8177243e6086d593861e7d2ca241d4c9229976ad371e78fbbdad82be",
+    "generic/path-2/random":
+        "da8108cc4df09c99a017b3c405ac52db38eaa07f99f1f9065f3b7448fb1b5c92",
+    "generic/path-2/reflection":
+        "da8108cc4df09c99a017b3c405ac52db38eaa07f99f1f9065f3b7448fb1b5c92",
+    "generic/path-64/random":
+        "06efd1e7a7b7c0d38375c819c306ef93afacfe87936c8c6ae6d194ca7ccc68b3",
+    "generic/path-64/reflection":
+        "d7414f283cba47bcde2f37564316a84a4e6c626900847ea3a1e6ba3c0735bb0b",
+    "generic/path-257/random":
+        "4c018fb2aad4d0d962f5ed4abb51db856c32f3a2a1af8e65b95e870250aa40e0",
+    "generic/path-257/reflection":
+        "50f9039ff81219d1451ae7465607f5cc50b9bccd279ac46f605ddf7647254eb4",
     "generic/wheel-63/random":
         "791ef98d49a8eae072d74b8a67037d7f3da908fca3b4bda5ae06a7d6bed7b7f0",
     "generic/wheel-63/reflection":

@@ -22,7 +22,6 @@ from teleroute.swap_routing import (
     WheelRoute,
     route_complete,
     route_generic,
-    route_path_oet,
     route_product,
     route_tree,
     route_wheel,
@@ -50,7 +49,7 @@ def test_path_oet_random(n):
     g = generate_graph("path", n=n)
     for seed in range(20):
         pi = shuffled(n, 1000 * n + seed)
-        sched = route_path_oet(g, pi)
+        sched = route_generic(g, pi)
         assert verify_schedule(g, sched, pi)
         assert sched.depth() <= n
 
@@ -63,7 +62,7 @@ def test_path_oet_endpoint_exchange_depths():
         img = list(range(m))
         img[0], img[m - 1] = m - 1, 0
         pi = Permutation(tuple(img))
-        sched = route_path_oet(g, pi)
+        sched = route_generic(g, pi)
         assert verify_schedule(g, sched, pi)
         assert sched.depth() == depth
 
@@ -71,20 +70,14 @@ def test_path_oet_endpoint_exchange_depths():
 def test_path_oet_reflection():
     g = generate_graph("path", n=5)
     pi = generate_permutation("reflection", g)
-    sched = route_path_oet(g, pi)
+    sched = route_generic(g, pi)
     assert verify_schedule(g, sched, pi)
     assert sched.depth() == 5
 
 
 def test_path_oet_identity_empty():
     g = generate_graph("path", n=6)
-    assert route_path_oet(g, Permutation.identity(6)).depth() == 0
-
-
-def test_path_oet_rejects_non_path():
-    g = generate_graph("wheel", n=6)
-    with pytest.raises(ValueError):
-        route_path_oet(g, Permutation.identity(7))
+    assert route_generic(g, Permutation.identity(6)).depth() == 0
 
 
 # ---------------------------------------------------------------------------

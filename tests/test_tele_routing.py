@@ -208,18 +208,16 @@ def test_greedy_deterministic():
 
 
 def test_greedy_budget_validation():
-    g = generate_graph("path", n=5)
+    g = generate_graph("path", n=5, ancilla_budget=1)
     pi = generate_permutation("diam", g)
     with pytest.raises(ValueError):
-        greedy_schedule(g, pi, budget=1)
-    with pytest.raises(ValueError):
-        greedy_schedule(g, pi, budget=7)
+        greedy_schedule(g, pi)
 
 
 def test_greedy_chain_fallback_budget_two():
     g = generate_graph("path", n=5, ancilla_budget=2)
     pi = Permutation((2, 1, 4, 3, 0))  # the 3-cycle 0 -> 2 -> 4 -> 0
-    sched = greedy_schedule(g, pi, budget=2)
+    sched = greedy_schedule(g, pi)
     assert verify_schedule(g, sched, pi)
     assert any(isinstance(op, SwapLocal)
                for step in sched.timesteps for op in step)
@@ -229,7 +227,7 @@ def test_greedy_chain_fallback_budget_two():
 def test_greedy_chain_through_hub_budget_two():
     g = ArchGraph(5, ((0, 1), (0, 2), (0, 3), (0, 4)), ancilla_budget=2)
     pi = Permutation((0, 2, 3, 1, 4))  # 3-cycle among the leaves
-    sched = greedy_schedule(g, pi, budget=2)
+    sched = greedy_schedule(g, pi)
     assert verify_schedule(g, sched, pi)
 
 

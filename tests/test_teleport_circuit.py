@@ -225,9 +225,9 @@ def test_teleport_round_circuit_permutes_tokens():
 
 
 def test_chain_schedule_circuit_respects_parked_tokens():
-    g = generate_graph("path", n=5)
+    g = generate_graph("path", n=5, ancilla_budget=2)
     pi = Permutation((2, 1, 4, 3, 0))
-    run_token_oracle(g, greedy_schedule(g, pi, budget=2), marked={1, 3})
+    run_token_oracle(g, greedy_schedule(g, pi), marked={1, 3})
 
 
 def test_wheel_round_circuit():
