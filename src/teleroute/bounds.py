@@ -13,7 +13,9 @@ inequality, per-vertex horizon profiles, and spectral figures of merit
 Enumeration visits one representative per complement pair {X, V-X} and
 scores the pair by the smaller of the two boundaries: the minimum can
 be attained only on the large side, so enumerating small sides alone
-would overestimate c on lopsided graphs.
+would overestimate c on lopsided graphs.  Subsets are uint32 bitsets;
+a table of the neighbourhoods of all low-bit subsets, built by
+doubling, gives every boundary as a popcount.
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ def cut_value(g: ArchGraph, xs) -> Fraction:
     the smaller side.  Equals min over the two sides of
     |boundary| / min(|X|, |V-X|)."""
     xs = set(xs)
+    outside = [v for v in sorted(xs) if not 0 <= v < g.n]
+    if outside:
+        raise ValueError(f"cut vertex {outside[0]} is not in range({g.n})")
     if not xs or len(xs) >= g.n:
         raise ValueError("cut must be a nonempty proper subset")
     comp = set(range(g.n)) - xs
@@ -65,13 +70,30 @@ def cut_value(g: ArchGraph, xs) -> Fraction:
     return Fraction(min(b1, b2), min(len(xs), len(comp)))
 
 
+_BLOCK_BITS = 16  # low mask bits per block of vertex_expansion_exact
+
+
 def vertex_expansion_exact(g: ArchGraph) -> tuple[Fraction, tuple[int, ...]]:
     """Exact vertex expansion and an argmin cut, by exhaustive search.
 
-    Enumerates one subset per complement pair (all nonempty subsets of
-    vertices 0..n-2) in blocks, with the neighbor counting vectorized
-    as a bit-matrix product.  Capacity-limited to n <= 24; larger
-    graphs get an explicit error pointing at vertex_expansion_bounds.
+    Enumerates one subset S per complement pair: every nonempty subset
+    of vertices 0..n-2, as a uint32 bitset, so vertex n-1 always lies
+    in the complement C.  Masks are split into b = min(16, n-1) low
+    bits and the high rest.  One table holds N(L), the neighbourhood of
+    every low-bit subset L, built by doubling (the subsets with bit k
+    set are those without it, ORed with vertex k's neighbours).  A block
+    is the 2^b masks sharing one high part H: N(S) is the table ORed
+    with the scalar N(H), and N(C) is the table reversed (the low part
+    of C is the complement of L) ORed with N of C's high part, which
+    holds vertex n-1.  Then |boundary(S)| = popcount(N(S) & ~S),
+    |boundary(C)| = popcount(N(C) & S), and |S| = popcount(S): a few
+    word operations per cut, 2^(n-1) cuts, in blocks of at most 2^16.
+
+    Ties go to the smallest mask: argmin within a block, and a strict
+    exact comparison (integer cross-multiplication) across blocks,
+    which run in increasing mask order.  Capacity-limited to n <= 24;
+    larger graphs get an explicit error pointing at
+    vertex_expansion_bounds.
     """
     n = g.n
     if n < 2:
@@ -81,30 +103,38 @@ def vertex_expansion_exact(g: ArchGraph) -> tuple[Fraction, tuple[int, ...]]:
             f"exact expansion is capped at {EXACT_EXPANSION_MAX_N} vertices "
             f"(got {n}); use vertex_expansion_bounds instead")
 
-    adj = np.zeros((n, n), dtype=np.float32)
+    adj = [0] * n
     for u, v in g.edges:
-        adj[u, v] = adj[v, u] = 1.0
-    deg = adj.sum(axis=0)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
 
-    best = math.inf
-    best_mask = None
-    total = 1 << (n - 1)
-    block = 1 << 18
-    bits = np.arange(n, dtype=np.uint32)
-    for start in range(1, total, block):
-        stop = min(start + block, total)
-        masks = np.arange(start, stop, dtype=np.uint32)
-        member = ((masks[:, None] >> bits) & 1).astype(np.float32)
-        inside = member @ adj                   # neighbors inside S, per vertex
-        bnd_s = ((inside > 0) & (member == 0)).sum(axis=1)
-        bnd_c = ((inside < deg) & (member == 1)).sum(axis=1)
-        size = member.sum(axis=1)
-        small = np.minimum(size, n - size)
-        ratio = np.minimum(bnd_s, bnd_c) / small
-        i = int(np.argmin(ratio))
-        if ratio[i] < best:
-            best = float(ratio[i])
-            best_mask = int(masks[i])
+    def nbhd(mask: int) -> int:
+        out = 0
+        for v in range(n):
+            if mask >> v & 1:
+                out |= adj[v]
+        return out
+
+    b = min(_BLOCK_BITS, n - 1)
+    low = np.arange(1 << b, dtype=np.uint32)
+    nb_low = np.zeros(1 << b, dtype=np.uint32)
+    for k in range(b):
+        nb_low[1 << k:2 << k] = nb_low[:1 << k] | np.uint32(adj[k])
+    nb_comp = nb_low[::-1]
+    high_all = ((1 << n) - 1) ^ ((1 << b) - 1)
+
+    best_num, best_den, best_mask = 1, 0, None   # 1/0: above any ratio
+    for hi in range(0, 1 << (n - 1), 1 << b):
+        s = low | np.uint32(hi)
+        bnd_s = np.bitwise_count((nb_low | np.uint32(nbhd(hi))) & ~s)
+        bnd_c = np.bitwise_count((nb_comp | np.uint32(nbhd(high_all ^ hi))) & s)
+        size = np.bitwise_count(s)
+        num = np.minimum(bnd_s, bnd_c)
+        den = np.minimum(size, n - size)
+        first = 1 if hi == 0 else 0          # skip the empty set
+        i = first + int(np.argmin(num[first:] / den[first:]))
+        if int(num[i]) * best_den < best_num * int(den[i]):
+            best_num, best_den, best_mask = int(num[i]), int(den[i]), hi | i
 
     xs = {v for v in range(n) if best_mask >> v & 1}
     comp = set(range(n)) - xs
@@ -112,7 +142,7 @@ def vertex_expansion_exact(g: ArchGraph) -> tuple[Fraction, tuple[int, ...]]:
     b_c = len(vertex_boundary(g, comp))
     witness = xs if b_s <= b_c else comp
     c = Fraction(min(b_s, b_c), min(len(xs), len(comp)))
-    assert abs(float(c) - best) < 1e-9
+    assert c == Fraction(best_num, best_den)
     return c, tuple(sorted(witness))
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import networkx as nx
@@ -111,6 +112,27 @@ def test_exact_capacity_error():
     g = generate_graph("grid", n=5, d=2)  # 25 vertices
     with pytest.raises(ValueError, match="vertex_expansion_bounds"):
         vertex_expansion_exact(g)
+
+
+def test_exact_memory_stays_small():
+    # 2^23 cuts at n = 24 are swept in blocks of 2^16 uint32 masks
+    g = generate_graph("butterfly", r=3)
+    tracemalloc.start()
+    try:
+        c, _ = vertex_expansion_exact(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c == Fraction(7, 12)
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("cut,bad", [({-1}, -1), ({7}, 7),
+                                     ({0, 1, 2, 3, 4, 9}, 9)])
+def test_cut_value_rejects_non_vertices(cut, bad):
+    g = generate_graph("path", n=5)
+    with pytest.raises(ValueError, match=rf"^cut vertex {bad} is not in range\(5\)$"):
+        cut_value(g, cut)
 
 
 # ---------------------------------------------------------------------------
