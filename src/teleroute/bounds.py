@@ -29,6 +29,7 @@ import numpy as np
 from .graphs import (
     ArchGraph,
     bfs_distances,
+    check_vertices,
     diameter,
     vertex_boundary,
 )
@@ -59,9 +60,7 @@ def cut_value(g: ArchGraph, xs) -> Fraction:
     the smaller side.  Equals min over the two sides of
     |boundary| / min(|X|, |V-X|)."""
     xs = set(xs)
-    outside = [v for v in sorted(xs) if not 0 <= v < g.n]
-    if outside:
-        raise ValueError(f"cut vertex {outside[0]} is not in range({g.n})")
+    check_vertices(g, xs, "cut vertex")
     if not xs or len(xs) >= g.n:
         raise ValueError("cut must be a nonempty proper subset")
     comp = set(range(g.n)) - xs

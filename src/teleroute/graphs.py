@@ -33,6 +33,7 @@ __all__ = [
     "generate_permutation",
     "cartesian_product",
     "bfs_distances",
+    "check_vertices",
     "diameter",
     "eccentricities",
     "graph_center",
@@ -462,8 +463,18 @@ def generate_permutation(kind: str, g: ArchGraph, **params) -> Permutation:
 # metric queries
 # ---------------------------------------------------------------------------
 
+def check_vertices(g: ArchGraph, vs, what: str = "vertex") -> None:
+    """Raise ValueError naming the smallest of ``vs`` outside
+    ``range(g.n)``; negative vertices would otherwise index from the
+    end."""
+    outside = [v for v in vs if not 0 <= v < g.n]
+    if outside:
+        raise ValueError(f"{what} {min(outside)} is not in range({g.n})")
+
+
 def bfs_distances(g: ArchGraph, source: int) -> list[int]:
     """BFS distance from ``source`` to every vertex."""
+    check_vertices(g, (source,))
     dist = [-1] * g.n
     dist[source] = 0
     queue = deque([source])
@@ -575,6 +586,7 @@ def shortest_path(g: ArchGraph, u: int, v: int) -> list[int]:
 def vertex_boundary(g: ArchGraph, xs) -> set[int]:
     """Vertices outside ``xs`` adjacent to at least one vertex of ``xs``."""
     xs = set(xs)
+    check_vertices(g, xs)
     out = set()
     for u in xs:
         for w in g.neighbors(u):

@@ -220,7 +220,7 @@ _PREPS = (
 def verify_teleportation(circuit: CliffordCircuit, d: int,
                          branches: int = 20, seed: int = 0) -> bool:
     """True iff the circuit teleports every Pauli eigenstate from
-    qubit 0 to qubit 2d unchanged, over all measurement branches.
+    qubit 0 to qubit 2d unchanged on every branch tried.
 
     Each of the six eigenstates is prepared on the source and the
     circuit run with forced measurement outcomes: exhaustively over all

@@ -135,6 +135,13 @@ def test_cut_value_rejects_non_vertices(cut, bad):
         cut_value(g, cut)
 
 
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_horizon_profile_rejects_non_vertices(bad):
+    g = generate_graph("path", n=5)
+    with pytest.raises(ValueError, match=rf"^vertex {bad} is not in range\(5\)$"):
+        horizon_profile(g, bad)
+
+
 # ---------------------------------------------------------------------------
 # interval bounds and witness cuts
 # ---------------------------------------------------------------------------

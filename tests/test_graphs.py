@@ -264,6 +264,21 @@ def test_vertex_boundary_known():
     assert vertex_boundary(q3, {0}) == {1, 2, 4}
 
 
+@pytest.mark.parametrize("xs,bad", [({-1}, -1), ({0, 5}, 5),
+                                    ({-2, 1, 7}, -2)])
+def test_vertex_boundary_rejects_non_vertices(xs, bad):
+    g = generate_graph("path", n=5)
+    with pytest.raises(ValueError, match=rf"^vertex {bad} is not in range\(5\)$"):
+        vertex_boundary(g, xs)
+
+
+@pytest.mark.parametrize("bad", [-1, 5, 7])
+def test_bfs_distances_rejects_non_vertices(bad):
+    g = generate_graph("path", n=5)
+    with pytest.raises(ValueError, match=rf"^vertex {bad} is not in range\(5\)$"):
+        bfs_distances(g, bad)
+
+
 def test_spanning_tree():
     g = generate_graph("wheel", n=8)
     tree = spanning_tree(g, 8)  # rooted at the hub: a star
