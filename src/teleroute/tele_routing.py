@@ -8,6 +8,14 @@ joined by a canonical relay path and any permutation fits in a single
 round; on general graphs a greedy packer fills rounds cycle by cycle
 under the per-vertex budget, falling back to one-transfer-per-round
 chains for cycles too congested to share a round even alone.
+
+The packer places each cycle in the first round it fits, but tries
+only rounds that can take it: per-vertex bitsets over the open rounds
+record where a vertex's load already rules a cycle out (above B - 2
+at a cycle element; above B - 4 inside a hop path on a tree), and an
+OR of the bitsets a cycle needs leaves the rounds worth a load-aware
+BFS.  Loads only rise, so the rounds it skips are rounds the fit would
+reject, and the schedule is the one plain first-fit builds.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import isqrt
+from operator import itemgetter
 
 from .execute import TokenState, apply_timestep
 from .graphs import ArchGraph, Permutation
@@ -215,9 +224,32 @@ def greedy_schedule(g: ArchGraph, pi: Permutation) -> Schedule:
     Cycles are taken longest hop first: by decreasing maximum BFS
     distance between consecutive elements, ties by smallest element.
     Each joins the first round, in the order rounds were opened, where
-    all its transfers fit under the per-vertex load budget, else opens
-    a new round; cycles too congested even for an empty round are
-    realized as buffered chains after all rounds.
+    all its transfers fit under the per-vertex load budget B, else
+    opens a new round; cycles too congested even for an empty round
+    are realized as buffered chains after all rounds.
+
+    First-fit does not try the rounds a cycle cannot fit.  Every vertex
+    keeps two bitsets over the open rounds: bit r of ``over`` is set
+    once round r's load at the vertex exceeds B - 2, and bit r of
+    ``over_inner`` once it exceeds B - 4.  A fit leaves every load it
+    touches at most B, so a cycle needs
+
+    * load <= B - 2 at each of its elements, which end two hops each;
+    * on a tree, load <= B - 4 inside each hop path.  The path is
+      unique (the free BFS path the sort key computes), and a vertex
+      inside it separates the hop's ends, so the cycle passes it twice:
+      inside two hops, or inside one and as an element.
+
+    For a 2-cycle on a tree these conditions are also sufficient; for
+    longer cycles, and off trees, they are only necessary.  The OR of
+    the bitsets of the vertices a cycle needs marks the rounds it
+    cannot fit; ``_fit_cycle`` runs on the others, lowest first, and a
+    fit sets bits only at the vertices it loaded.  Loads in a round
+    only rise, so a set bit stays true: the filter skips only rounds
+    where ``_fit_cycle`` would fail, and first-fit picks the same round
+    as trying every round in turn.  A cycle costs one bitset OR per
+    needed vertex, where trying a round costs at least one load-aware
+    BFS.
     """
     if pi.n != g.n:
         raise ValueError("permutation size does not match the graph")
@@ -225,36 +257,62 @@ def greedy_schedule(g: ArchGraph, pi: Permutation) -> Schedule:
     if budget < 2:
         raise ValueError("teleportation scheduling needs an ancilla "
                          "budget of at least 2")
+    tree = len(g.edges) == g.n - 1  # an ArchGraph is connected
 
-    # with no load every vertex is admitted, so these are BFS distances;
+    # with no load every vertex is admitted, so these are BFS paths;
     # both hops of a 2-cycle have the same length on an undirected graph
     free = [0] * g.n
 
-    def hop(u: int, v: int) -> int:
-        return len(_load_aware_path(g, u, v, free, budget)) - 1
+    def hop(u: int, v: int) -> tuple[int, ...]:
+        return _load_aware_path(g, u, v, free, budget)
 
-    def max_hop(cyc: tuple[int, ...]) -> int:
-        if len(cyc) == 2:
-            return hop(*cyc)
-        return max(hop(cyc[i], cyc[(i + 1) % len(cyc)])
-                   for i in range(len(cyc)))
+    # (sort key, cycle, the vertices inside its hop paths on a tree)
+    entries = []
+    for cyc in pi.cycles():
+        m = len(cyc)
+        paths = [hop(cyc[i], cyc[(i + 1) % m])
+                 for i in range(1 if m == 2 else m)]
+        inner = set().union(*(p[1:-1] for p in paths)) if tree else ()
+        entries.append(((-max(map(len, paths)), cyc[0]), cyc, inner))
+    entries.sort(key=itemgetter(0))
 
-    cycles = sorted(pi.cycles(), key=lambda c: (-max_hop(c), c[0]))
+    # below B = 4 a load of 0 also exceeds B - 4 and sets no bit; no
+    # cycle with a vertex inside a hop fits a tree then, and all such
+    # cycles (longest hop >= 2) come before any round is opened
+    over = [0] * g.n
+    over_inner = [0] * g.n
     rounds: list[tuple[list[Transfer], list[int]]] = []
     chained: list[tuple[int, ...]] = []
-    for cyc in cycles:
-        for transfers, load in rounds:
-            paths = _fit_cycle(g, cyc, load, budget)
+    for _, cyc, inner in entries:
+        blocked = 0
+        for v in cyc:
+            blocked |= over[v]
+        for v in inner:
+            blocked |= over_inner[v]
+        candidates = ((1 << len(rounds)) - 1) & ~blocked
+        while candidates:
+            r = (candidates & -candidates).bit_length() - 1
+            paths = _fit_cycle(g, cyc, rounds[r][1], budget)
             if paths is not None:
-                transfers.extend(Transfer(p) for p in paths)
                 break
-        else:
+            candidates &= candidates - 1
+        else:  # no open round takes the cycle
+            r = len(rounds)
             load = [0] * g.n
             paths = _fit_cycle(g, cyc, load, budget)
-            if paths is not None:
-                rounds.append(([Transfer(p) for p in paths], load))
-            else:
+            if paths is None:
                 chained.append(cyc)
+                continue
+            rounds.append(([], load))
+        transfers, load = rounds[r]
+        transfers.extend(Transfer(p) for p in paths)
+        bit = 1 << r
+        for p in paths:
+            for v in p:
+                if load[v] > budget - 4:
+                    over_inner[v] |= bit
+                    if load[v] > budget - 2:
+                        over[v] |= bit
 
     timesteps: list[list] = [[TeleRound(tuple(transfers))]
                              for transfers, _ in rounds]

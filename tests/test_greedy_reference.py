@@ -2,11 +2,13 @@
 
 The reference below is the packer as first written: hop lengths from
 ``shortest_path`` (a full BFS and a walk per hop), each round's load in
-a dict copied on every fit attempt, and a FIFO BFS with a dict of
-parents.  The library's packer computes the same thing more cheaply, so
-on random connected graphs, budgets and permutations (long cycles that
-need the chain fallback at budget 2 included) both must emit
-byte-identical schedule JSON, and the schedule must verify.
+a dict copied on every fit attempt, a FIFO BFS with a dict of parents,
+and first-fit that tries every open round.  The library's packer
+computes the same thing more cheaply, so on random connected graphs,
+budgets and permutations (long cycles that need the chain fallback at
+budget 2 included) both must emit byte-identical schedule JSON, and the
+schedule must verify.  Random trees get their own test: there the
+library skips rounds by each hop's unique path, exactly for 2-cycles.
 """
 
 from collections import deque
@@ -15,7 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teleroute.execute import verify_schedule
-from teleroute.graphs import ArchGraph, Permutation, shortest_path
+from teleroute.graphs import (
+    ArchGraph,
+    Permutation,
+    generate_graph,
+    generate_permutation,
+    shortest_path,
+)
 from teleroute.schedule import Schedule, SwapLocal, TeleRound, Transfer
 from teleroute.tele_routing import greedy_schedule
 
@@ -192,3 +200,77 @@ def test_reference_examples_reach_the_chain_fallback():
         sched = ref_greedy_schedule(g, pi, budget)
         assert any(isinstance(op, SwapLocal)
                    for step in sched.timesteps for op in step)
+
+
+# ---------------------------------------------------------------------------
+# random trees
+# ---------------------------------------------------------------------------
+
+def _pairs(n, pairs):
+    image = list(range(n))
+    for a, b in pairs:
+        image[a], image[b] = b, a
+    return Permutation(tuple(image))
+
+
+@st.composite
+def tree_instances(draw):
+    """A random tree on at most 60 vertices, a packing budget in 2..8
+    and a permutation: uniform, one half of a random cycle split into
+    two involutions (i <-> -i or i <-> 1-i over its indices, as
+    ``route_complete`` splits it), or random disjoint pairs."""
+    n = draw(st.integers(2, 60))
+    edges = tuple((draw(st.integers(0, v - 1)), v) for v in range(1, n))
+    budget = draw(st.integers(2, 8))
+    g = ArchGraph(n, edges, ancilla_budget=budget)
+    order = draw(st.permutations(range(n)))
+    kind = draw(st.sampled_from(["uniform", "half", "pairs"]))
+    if kind == "uniform":
+        return g, Permutation(tuple(order)), budget
+    if kind == "half":
+        cyc = order[:draw(st.integers(2, n))]
+        shift = draw(st.sampled_from([0, 1]))
+        m = len(cyc)
+        pairs = [(cyc[i], cyc[(shift - i) % m]) for i in range(m)
+                 if i < (shift - i) % m]
+    else:
+        pairs = [(order[2 * i], order[2 * i + 1])
+                 for i in range(draw(st.integers(1, n // 2)))]
+    return g, _pairs(n, pairs), budget
+
+
+def _path_reflection(n, budget):
+    g = generate_graph("path", n=n, ancilla_budget=budget)
+    return g, generate_permutation("reflection", g), budget
+
+
+# the hub is interior to both 2-cycles; at budget 4 its load after the
+# first one is 4 > B - 4, so the second needs a round of its own
+_STAR = (ArchGraph(5, ((0, 1), (0, 2), (0, 3), (0, 4)), ancilla_budget=4),
+         _pairs(5, ((1, 2), (3, 4))), 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_instances())
+@example(_path_reflection(40, 6))   # first-fit skips deep into the rounds
+@example(_path_reflection(9, 3))    # B - 4 < 0: every 2-cycle is chained
+@example(_STAR)
+def test_greedy_matches_reference_on_trees(instance):
+    g, pi, budget = instance
+    got = greedy_schedule(g, pi)
+    assert got.to_json(graph=g) == \
+        ref_greedy_schedule(g, pi, budget).to_json(graph=g)
+    assert verify_schedule(g, got, pi)
+
+
+def test_tree_examples_reach_their_cases():
+    # path 40 reflection packs its 20 2-cycles into 19 rounds (only the
+    # innermost pair shares one), path 9 reflection at budget 3 chains
+    # every pair, and the star takes two rounds
+    g, pi, budget = _path_reflection(40, 6)
+    assert ref_greedy_schedule(g, pi, budget).depth() == 19
+    g, pi, budget = _path_reflection(9, 3)
+    assert any(isinstance(op, SwapLocal) for step in
+               ref_greedy_schedule(g, pi, budget).timesteps for op in step)
+    g, pi, budget = _STAR
+    assert ref_greedy_schedule(g, pi, budget).depth() == 2

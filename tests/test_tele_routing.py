@@ -3,10 +3,12 @@ single-round ladder protocol with its incidence/load counting, greedy
 cycle packing (including the buffered chain fallback at budget 2), the
 swap-only replay of a round, and the advantage ratio."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from teleroute import tele_routing
 from teleroute.execute import apply_schedule, verify_schedule
 from teleroute.graphs import (
     ArchGraph,
@@ -14,6 +16,7 @@ from teleroute.graphs import (
     diameter,
     generate_graph,
     generate_permutation,
+    shortest_path,
 )
 from teleroute.schedule import Schedule, SwapLocal, TeleRound, Transfer
 from teleroute.tele_routing import (
@@ -236,6 +239,95 @@ def test_greedy_long_cycle_chain_on_grid():
     pi = generate_permutation("random", g, seed=0)  # one giant cycle mix
     sched = greedy_schedule(g, pi)
     assert verify_schedule(g, sched, pi)
+
+
+# the packer tries a round only when the round may have room for the
+# cycle (see greedy_schedule); a filter that stopped pruning would keep
+# the schedules above and the reference tests byte-identical, so count
+# the attempts themselves
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """Every ``_fit_cycle`` call the packer makes: the cycle, a copy of
+    the round's load when the call starts, and the result."""
+    calls = []
+    fit = tele_routing._fit_cycle
+
+    def counted(g, cyc, load, budget):
+        start = list(load)
+        paths = fit(g, cyc, load, budget)
+        calls.append((cyc, start, paths))
+        return paths
+
+    monkeypatch.setattr(tele_routing, "_fit_cycle", counted)
+    return calls
+
+
+def _instance(kind, perm, **params):
+    g = generate_graph(kind, **params)
+    seed = {"seed": 1} if perm == "random" else {}
+    return g, generate_permutation(perm, g, **seed)
+
+
+def _random_tree(n, seed, involution):
+    """A random tree with a random involution (disjoint pairs) or a
+    uniform permutation."""
+    rng = random.Random(seed)
+    g = ArchGraph(n, tuple((rng.randrange(v), v) for v in range(1, n)))
+    order = list(range(n))
+    rng.shuffle(order)
+    if not involution:
+        return g, Permutation(tuple(order))
+    image = list(range(n))
+    for i in range(0, 2 * rng.randint(1, n // 2), 2):
+        a, b = order[i], order[i + 1]
+        image[a], image[b] = b, a
+    return g, Permutation(tuple(image))
+
+
+@pytest.mark.parametrize("g,pi", [
+    _instance("path", "reflection", n=128),
+    _random_tree(60, 0, involution=True),
+    _random_tree(60, 1, involution=True),
+], ids=["path-128-reflection", "tree-60-seed0", "tree-60-seed1"])
+def test_greedy_tree_involution_one_fit_per_cycle(fit_calls, g, pi):
+    # on a tree the filter is exact for 2-cycles: each is tried once,
+    # in the round it joins (or in a new one), and never fails
+    assert g.ancilla_budget == 6
+    sched = greedy_schedule(g, pi)
+    assert len(fit_calls) == len(pi.cycles())
+    assert all(paths is not None for _, _, paths in fit_calls)
+    assert verify_schedule(g, sched, pi)
+
+
+@pytest.mark.parametrize("g,pi", [
+    _instance("wheel", "reflection", n=63),
+    _instance("grid", "reflection", n=8, d=2),
+    _instance("hypercube", "reflection", d=6),
+    _instance("butterfly", "reflection", r=4),
+    _instance("grid", "random", n=8, d=2),
+    _instance("path", "random", n=64),
+    _random_tree(40, 2, involution=False),
+    _random_tree(40, 3, involution=False),
+], ids=["wheel-63-reflection", "grid-8x8-reflection",
+        "hypercube-6-reflection", "butterfly-4-reflection",
+        "grid-8x8-random", "path-64-random", "tree-40-seed2",
+        "tree-40-seed3"])
+def test_greedy_never_tries_a_full_vertex(fit_calls, g, pi):
+    # each cycle element ends two hops, and on a tree each vertex inside
+    # a hop path carries two hops of the cycle, so a round whose load
+    # there exceeds B - 2 (B - 4 inside) cannot take the cycle and is
+    # not tried
+    greedy_schedule(g, pi)
+    assert fit_calls
+    budget = g.ancilla_budget
+    tree = len(g.edges) == g.n - 1
+    for cyc, load, _ in fit_calls:
+        assert all(load[v] <= budget - 2 for v in cyc)
+        if tree:
+            for i in range(len(cyc)):
+                hop = shortest_path(g, cyc[i], cyc[(i + 1) % len(cyc)])
+                assert all(load[v] <= budget - 4 for v in hop[1:-1])
 
 
 # ---------------------------------------------------------------------------
