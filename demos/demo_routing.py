@@ -1,8 +1,9 @@
 """Route a few permutations with nearest-neighbour swaps only.
 
-Shows the family-specific routers (odd-even path sort, wheel hub
-shortcut, product-graph composition) and the generic fallback, with the
-verifier run on every schedule before its depth is reported.
+Shows the family-specific routers (odd-even path sort, product-graph
+composition, two-layer complete-graph routing) and the BFS spanning-tree
+fallback that wheels take, with the verifier run on every schedule
+before its depth is reported.
 """
 
 from teleroute.execute import verify_schedule

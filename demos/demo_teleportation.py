@@ -7,8 +7,7 @@ states across every measurement branch.
 """
 
 from teleroute.graphs import generate_graph, generate_permutation
-from teleroute.swap_routing import route_generic
-from teleroute.tele_routing import advantage, greedy_schedule
+from teleroute.tele_routing import advantage
 from teleroute.teleport_circuit import emit_teleport_circuit, verify_teleportation
 
 
@@ -16,12 +15,10 @@ def main():
     print("endpoint exchange on a path: swap depth vs teleportation rounds")
     for n in (7, 15, 31, 63):
         g = generate_graph("path", n=n)
-        pi = generate_permutation("diam", g)
-        swap = route_generic(g, pi)
-        tele = greedy_schedule(g, pi)
-        print(f"  P_{n:2d}: swap depth {swap.depth():2d}, "
-              f"teleport rounds {tele.depth()}, "
-              f"advantage {advantage(g, pi)}")
+        adv = advantage(g, generate_permutation("diam", g))
+        print(f"  P_{n:2d}: swap depth {adv.swap_depth:2d}, "
+              f"teleport rounds {adv.tele_depth}, "
+              f"advantage {adv.ratio}")
 
     print()
     print("gate-level check of the relay chain (all measurement branches)")

@@ -4,8 +4,9 @@ Subcommands: ``graph`` emits a connectivity graph as JSON or DOT;
 ``bounds`` reports expansion, spectral figures, and routing-time lower
 bounds; ``route`` synthesizes a schedule under a chosen model and
 verifies it before printing; ``advantage`` sweeps a graph family and
-tabulates swap depth against teleportation rounds; ``verify`` replays a
-schedule file against a graph and permutation.
+tabulates the swap-vs-teleport record of ``tele_routing.advantage``
+after verifying both of its schedules; ``verify`` replays a schedule
+file against a graph and permutation.
 
 Family and permutation kinds, their parameter flags and a sweep's size
 flag are read from ``graphs.FAMILY_PARAMS`` and ``PERMUTATION_PARAMS``.
@@ -23,7 +24,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from .bounds import EXACT_EXPANSION_MAX_N, bounds_report
 from .execute import (
@@ -46,7 +46,12 @@ from .graphs import (
 from .schedule import DepthModel, Schedule
 from .sparse_routing import sparse_route
 from .swap_routing import route_generic
-from .tele_routing import greedy_schedule, ladder_schedule, teleport_schedule
+from .tele_routing import (
+    advantage,
+    greedy_schedule,
+    ladder_schedule,
+    teleport_schedule,
+)
 
 __all__ = ["main"]
 
@@ -58,18 +63,19 @@ _GRAPH_PARAMS = sorted({p for names in FAMILY_PARAMS.values() for p in names})
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_graph_args(p: argparse.ArgumentParser):
+def _add_graph_args(p: argparse.ArgumentParser, graph_file: bool = True):
     p.add_argument("--family", choices=sorted(FAMILY_PARAMS),
                    help="graph family to generate")
     p.add_argument("--n", type=int, help="size parameter n")
     p.add_argument("--d", type=int, help="dimension parameter d")
     p.add_argument("--r", type=int, help="rank parameter r")
     p.add_argument("--budget", type=int, help="ancilla slots per vertex")
-    p.add_argument("--graph-file", metavar="FILE",
-                   help="load the graph from a JSON file instead")
+    if graph_file:
+        p.add_argument("--graph-file", metavar="FILE",
+                       help="load the graph from a JSON file instead")
 
 
-def _add_perm_args(p: argparse.ArgumentParser):
+def _add_perm_args(p: argparse.ArgumentParser, perm_file: bool = True):
     p.add_argument("--perm", choices=list(PERMUTATION_PARAMS),
                    help="permutation workload")
     p.add_argument("--alpha", type=float, help="rainbow density exponent")
@@ -77,20 +83,21 @@ def _add_perm_args(p: argparse.ArgumentParser):
     p.add_argument("--s", type=int, help="cyclic shift distance")
     p.add_argument("--k", type=int, help="random support size")
     p.add_argument("--seed", type=int, help="seed for randomized choices")
-    p.add_argument("--perm-file", metavar="FILE",
-                   help="load the permutation from a JSON file instead")
+    if perm_file:
+        p.add_argument("--perm-file", metavar="FILE",
+                       help="load the permutation from a JSON file instead")
 
 
 def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--cost-swap", type=int,
-                   help="depth charged per swap layer (default "
+                   help="depth charged per swap layer, at least 1 (default "
                         f"{DepthModel.swap_edge})")
     p.add_argument("--cost-local", type=int,
-                   help="depth charged per local-slot swap (default "
-                        f"{DepthModel.swap_local})")
+                   help="depth charged per local-slot swap, at least 0 "
+                        f"(default {DepthModel.swap_local})")
     p.add_argument("--cost-round", type=int,
-                   help="depth charged per teleportation round (default "
-                        f"{DepthModel.tele_round})")
+                   help="depth charged per teleportation round, at least 1 "
+                        f"(default {DepthModel.tele_round})")
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -276,19 +283,24 @@ _ROUTERS = {
 }
 
 
+def _check(g: ArchGraph, sched: Schedule, pi: Permutation, what: str):
+    """Raise ScheduleError, naming ``what``, unless ``sched`` routes
+    ``pi`` on ``g``; :func:`main` reports it as a verification failure."""
+    try:
+        ok = verify_schedule(g, sched, pi)
+    except ScheduleError as e:
+        raise ScheduleError(f"{what}: {e}") from None
+    if not ok:
+        raise ScheduleError(f"{what}: schedule achieves a different "
+                            f"permutation")
+
+
 def cmd_route(ns) -> int:
     g = _resolve_graph(ns)
     pi = _resolve_perm(ns, g)
     model = _resolve_model(ns)
-    try:
-        sched = _ROUTERS[ns.model](g, pi)
-        ok = verify_schedule(g, sched, pi)
-    except ScheduleError as e:
-        _say(f"verification FAILED: {e}")
-        return 1
-    if not ok:
-        _say("verification FAILED: schedule achieves a different permutation")
-        return 1
+    sched = _ROUTERS[ns.model](g, pi)
+    _check(g, sched, pi, f"{ns.model} schedule")
     _say(f"model {ns.model}: {sched.num_timesteps()} timesteps, "
          f"depth {sched.depth(model)}, verified")
     _emit(ns, sched.to_json(graph=g))
@@ -315,19 +327,13 @@ def cmd_advantage(ns) -> int:
     for size in sizes:
         g = _family_graph(ns, size)
         pi = generate_permutation(ns.perm, g, **_perm_params(ns))
-        swap_sched = route_generic(g, pi)
-        tele_sched = _teleport_schedule(g, pi)
-        if not (verify_schedule(g, swap_sched, pi)
-                and verify_schedule(g, tele_sched, pi)):
-            _say(f"verification FAILED on {ns.family} size {size}")
-            return 1
-        swap_depth = swap_sched.depth(model)
-        tele_rounds = tele_sched.depth(model)
-        ratio = (Fraction(swap_depth, tele_rounds) if tele_rounds
-                 else Fraction(1))
+        adv = advantage(g, pi, model)
+        where = f"schedule on {ns.family} size {size}"
+        _check(g, adv.swap, pi, f"swap {where}")
+        _check(g, adv.teleport, pi, f"teleport {where}")
         rep = bounds_report(g)
-        rows.append([g.n, ns.family, label, swap_depth, tele_rounds,
-                     str(ratio), rep.iso_lb, rep.diam])
+        rows.append([g.n, ns.family, label, adv.swap_depth, adv.tele_depth,
+                     str(adv.ratio), rep.iso_lb, rep.diam])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["N", "family", "perm", "swap_depth", "tele_rounds",
@@ -404,10 +410,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("advantage",
                        help="sweep swap depth against teleportation rounds")
-    _add_graph_args(p)
+    _add_graph_args(p, graph_file=False)
     p.add_argument("--sizes", type=int, nargs="+",
                    help="family size values to sweep")
-    _add_perm_args(p)
+    _add_perm_args(p, perm_file=False)
     _add_model_args(p)
     _add_common(p)
     p.set_defaults(func=cmd_advantage)
@@ -426,6 +432,9 @@ def main(argv=None) -> int:
     try:
         _merge_config(ns)
         return ns.func(ns)
+    except ScheduleError as e:
+        _say(f"verification FAILED: {e}")
+        return 1
     except (ValueError, KeyError, OSError) as e:
         _say(f"error: {e}")
         return 2

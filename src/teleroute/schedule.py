@@ -148,11 +148,23 @@ Op = SwapEdge | SwapLocal | TeleRound
 
 @dataclass(frozen=True)
 class DepthModel:
-    """Per-primitive time costs; a timestep costs the max over its ops."""
+    """Per-primitive time costs; a timestep costs the max over its ops.
+
+    Costs are integers; a swap layer and a teleportation round cost at
+    least 1, a local-slot swap at least 0.
+    """
 
     swap_edge: int = 1
     swap_local: int = 0
     tele_round: int = 1
+
+    def __post_init__(self):
+        for name, least in (("swap_edge", 1), ("swap_local", 0),
+                            ("tele_round", 1)):
+            cost = getattr(self, name)
+            if type(cost) is not int or cost < least:
+                raise ValueError(f"depth model cost {name!r} must be an "
+                                 f"integer >= {least}, got {cost!r}")
 
     @classmethod
     def conservative(cls) -> "DepthModel":
@@ -178,10 +190,6 @@ class DepthModel:
         if not isinstance(d, dict) or not set(d) <= set(names):
             raise ValueError(f"depth_model must be an object with keys "
                              f"among {sorted(names)}, got {d!r}")
-        for key, cost in d.items():
-            if type(cost) is not int:
-                raise ValueError(f"depth_model cost {key!r} must be an "
-                                 f"integer, got {cost!r}")
         return cls(**d)
 
 
@@ -281,9 +289,6 @@ class Schedule:
     def ops(self):
         for step in self.timesteps:
             yield from step
-
-    def count(self, optype) -> int:
-        return sum(1 for op in self.ops() if isinstance(op, optype))
 
     def to_json(self, graph: ArchGraph | None = None) -> str:
         """Canonical JSON: empty timesteps dropped and the ops of each

@@ -3,8 +3,8 @@
 Routers for the standard situations: two-layer routing on complete
 graphs, centroid-relay routing on trees (odd-even transposition on
 path-shaped subtrees, so on whole paths too), three-phase routing on
-Cartesian products, a generic dispatcher with a spanning-tree fallback,
-and the hub-vs-rim wheel protocol.
+Cartesian products, and a generic dispatcher with a spanning-tree
+fallback.
 
 All schedules consist purely of edge swaps (no ancilla use); every
 timestep is a set of vertex-disjoint swaps along existing edges, and
@@ -14,13 +14,11 @@ every router assumes the canonical start state (token v at vertex v).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .graphs import (
     ArchGraph,
     Permutation,
     generate_graph,
-    generate_permutation,
     spanning_tree,
 )
 from .schedule import Schedule, SwapEdge
@@ -30,8 +28,6 @@ __all__ = [
     "route_tree",
     "route_product",
     "route_generic",
-    "route_wheel",
-    "WheelRoute",
 ]
 
 
@@ -427,7 +423,7 @@ def route_product(g1: ArchGraph, g2: ArchGraph, pi: Permutation) -> Schedule:
 
 
 # ---------------------------------------------------------------------------
-# generic dispatch and the wheel protocol
+# generic dispatch
 # ---------------------------------------------------------------------------
 
 def route_generic(g: ArchGraph, pi: Permutation) -> Schedule:
@@ -455,57 +451,3 @@ def route_generic(g: ArchGraph, pi: Permutation) -> Schedule:
     tree = ArchGraph(g.n, tuple(sorted(tree_edges)),
                      ancilla_budget=g.ancilla_budget)
     return route_tree(tree, pi)
-
-
-@dataclass(frozen=True)
-class WheelRoute:
-    """Wheel protocol outcome: the emitted schedule, which branch won,
-    both branch depths, and the reference floor min(2l, N/l - 1) on the
-    optimum (recorded for comparison, not asserted of the schedule)."""
-
-    schedule: Schedule
-    branch: str
-    hub_depth: int
-    rim_depth: int
-    optimum_floor: int
-
-
-def route_wheel(g: ArchGraph, l: int) -> WheelRoute:
-    """Route the l-segment endpoint exchange on a wheel: the cheaper of
-    hub-sequential (3 swaps per pair, depth 3l) and rim-parallel
-    (transposition sort inside each rim segment)."""
-    if g.family != "wheel":
-        raise ValueError("route_wheel requires a wheel graph")
-    rim = g.param_dict["n"]
-    if l < 1 or rim % l != 0:
-        raise ValueError("segment count l must divide the rim size")
-    hub = rim
-    m = rim // l
-    pi = generate_permutation("wheel", g, l=l)
-
-    hub_steps: list[list[SwapEdge]] = []
-    for j in range(l):
-        a, b = j * m, (j + 1) * m - 1
-        if a == b:
-            continue
-        hub_steps.append([SwapEdge(a, hub)])
-        hub_steps.append([SwapEdge(b, hub)])
-        hub_steps.append([SwapEdge(a, hub)])
-    hub_sched = Schedule(hub_steps)
-
-    segment_steps: list[list[list[SwapEdge]]] = []
-    for j in range(l):
-        order = list(range(j * m, (j + 1) * m))
-        pos = {v: i for i, v in enumerate(order)}
-        token_at = {v: v for v in order}
-        segment_steps.append(
-            _oet_timesteps(order, lambda tok: pos[pi(tok)], token_at))
-    rim_sched = Schedule(_merge_timelines(segment_steps))
-
-    hub_depth, rim_depth = hub_sched.depth(), rim_sched.depth()
-    if rim_depth <= hub_depth:
-        branch, sched = "rim", rim_sched
-    else:
-        branch, sched = "hub", hub_sched
-    return WheelRoute(sched, branch, hub_depth, rim_depth,
-                      min(2 * l, m - 1))

@@ -21,13 +21,21 @@ reject, and the schedule is the one plain first-fit builds.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from operator import itemgetter
 
 from .execute import TokenState, apply_timestep
 from .graphs import ArchGraph, Permutation
-from .schedule import Schedule, SwapEdge, SwapLocal, TeleRound, Transfer
+from .schedule import (
+    DepthModel,
+    Schedule,
+    SwapEdge,
+    SwapLocal,
+    TeleRound,
+    Transfer,
+)
 from .sparse_routing import sparse_route
 from .swap_routing import route_generic
 
@@ -38,6 +46,7 @@ __all__ = [
     "greedy_schedule",
     "teleport_schedule",
     "simulate_round_with_swaps",
+    "Advantage",
     "advantage",
 ]
 
@@ -465,13 +474,31 @@ def simulate_round_with_swaps(g: ArchGraph, rnd: TeleRound) -> Schedule:
 # the headline comparison
 # ---------------------------------------------------------------------------
 
-def advantage(g: ArchGraph, pi: Permutation) -> Fraction:
-    """Depth of the generic swap-only schedule divided by the depth of
-    the teleportation schedule (:func:`teleport_schedule`), as an
-    exact rational; 1 for the identity."""
-    tele = teleport_schedule(g, pi)
+@dataclass(frozen=True)
+class Advantage:
+    """Swap routing next to teleportation routing for one permutation:
+    both schedules and their depths under one depth model."""
+
+    swap: Schedule
+    teleport: Schedule
+    swap_depth: int
+    tele_depth: int
+
+    @property
+    def ratio(self) -> Fraction:
+        """Swap depth over teleportation depth, exactly; 1 when the
+        teleportation depth is 0, as for the identity."""
+        if self.tele_depth == 0:
+            return Fraction(1)
+        return Fraction(self.swap_depth, self.tele_depth)
+
+
+def advantage(g: ArchGraph, pi: Permutation,
+              model: DepthModel | None = None) -> Advantage:
+    """The generic swap-only schedule (:func:`route_generic`) against
+    the teleportation schedule (:func:`teleport_schedule`), with both
+    depths under ``model``, or under each schedule's own model when
+    ``model`` is None.  The schedules are returned unverified."""
     swap = route_generic(g, pi)
-    dt = tele.depth()
-    if dt == 0:
-        return Fraction(1)
-    return Fraction(swap.depth(), dt)
+    tele = teleport_schedule(g, pi)
+    return Advantage(swap, tele, swap.depth(model), tele.depth(model))

@@ -1,20 +1,23 @@
 """Command-line interface: flags, exit codes, and output formats."""
 
 import csv
+import hashlib
 import json
 
 import pytest
 
-from teleroute import cli
+from teleroute import cli, tele_routing
 from teleroute.cli import main, perm_from_json, perm_to_json
 from teleroute.graphs import (
+    FAMILY_PARAMS,
     Permutation,
     generate_graph,
     generate_permutation,
     graph_to_json,
 )
-from teleroute.schedule import Schedule, SwapEdge
+from teleroute.schedule import DepthModel, Schedule, SwapEdge
 from teleroute.swap_routing import route_generic
+from teleroute.tele_routing import advantage
 
 
 def run(capsys, *argv):
@@ -226,6 +229,44 @@ def test_route_never_emits_unverified(capsys, monkeypatch):
     assert "FAILED" in err
 
 
+def non_edge_swap(g, pi):
+    return Schedule([[SwapEdge(0, 2)]])  # 0 and 2 are not adjacent on a path
+
+
+def assert_one_verification_line(code, out, err, what):
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"verification FAILED: {what}: timestep 0")
+
+
+def test_route_reports_an_invalid_schedule_in_one_line(capsys, monkeypatch):
+    monkeypatch.setitem(cli._ROUTERS, "swap", non_edge_swap)
+    code, out, err = run(capsys, "route", "--model", "swap",
+                         "--family", "path", "--n", "5",
+                         "--perm", "reflection")
+    assert_one_verification_line(code, out, err, "swap schedule")
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--cost-swap", "-1", "swap_edge"),
+    ("--cost-swap", "0", "swap_edge"),
+    ("--cost-round", "0", "tele_round"),
+    ("--cost-local", "-1", "swap_local"),
+])
+@pytest.mark.parametrize("command", [
+    ("route", "--model", "swap", "--n", "7"),
+    ("advantage", "--sizes", "7"),
+])
+def test_bad_cost_is_usage_error(capsys, command, flag, value, name):
+    code, out, err = run(capsys, *command, "--family", "path",
+                         "--perm", "diam", flag, value)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"{name!r} must be an integer" in lines[0]
+
+
 def test_route_deterministic(capsys):
     args = ("route", "--model", "teleport", "--family", "grid",
             "--n", "4", "--d", "2", "--perm", "random", "--seed", "3")
@@ -295,6 +336,76 @@ def test_advantage_byte_identical(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+# family, sizes, graph params, perm, perm params, depth model costs,
+# sha256 of stdout
+ADVANTAGE_GOLDEN = [
+    ("path", (7, 15, 31), {}, "diam", {}, {},
+     "d3ea5b09fcdfdc28ead468a796ad07eb7d01e5cbb439961beb4f9c361f8b76ec"),
+    ("wheel", (8, 16), {}, "wheel", {"l": 2}, {},
+     "ae4257eb766b26d1db3a1e058978c6f2bfadc089536110266e330a29277499dc"),
+    ("ladder", (3, 4, 5), {}, "random", {"seed": 11}, {},
+     "55de6e5f89037c4ae76299d44fc028dbae89915c2117f6477295accd621260f5"),
+    ("grid", (3, 4), {"d": 2}, "reflection", {}, {},
+     "352363ace1568cf47dd37db9e6965cd6c10480e5af31a8f57ab7d6b85997b2ab"),
+    ("hypercube", (3, 4), {}, "reflection", {},
+     {"tele_round": 3, "swap_local": 1},
+     "1879cf8f58bcfc5c085bada82155d58de095b7c6cc9241b16ccacaadbbdca872"),
+    ("butterfly", (2, 3), {}, "random", {"seed": 1}, {},
+     "f0adfc4ec0e558d4e5f13cadea8d5487e0ad21987b5a1c6f483246aaddd59701"),
+    ("complete", (5, 8), {"ancilla_budget": 3}, "random", {"seed": 2}, {},
+     "41867c38d83cfbb7e88bc60c1900042bc03d7c401b9ae23e41d8e476a08b51a2"),
+]
+
+FLAG = {"ancilla_budget": "--budget", "swap_edge": "--cost-swap",
+        "swap_local": "--cost-local", "tele_round": "--cost-round"}
+
+
+def as_flags(params: dict) -> list[str]:
+    return [a for k, v in params.items()
+            for a in (FLAG.get(k, f"--{k}"), str(v))]
+
+
+@pytest.mark.parametrize(
+    "family, sizes, gparams, perm, pparams, costs, sha", ADVANTAGE_GOLDEN,
+    ids=[case[0] for case in ADVANTAGE_GOLDEN])
+def test_advantage_golden(capsys, family, sizes, gparams, perm, pparams,
+                          costs, sha):
+    code, out, _ = run(capsys, "advantage", "--family", family,
+                       "--sizes", *map(str, sizes), *as_flags(gparams),
+                       "--perm", perm, *as_flags(pparams), *as_flags(costs))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+    # each row prints the comparison record for its size
+    model = DepthModel(**costs)
+    rows = list(csv.reader(out.splitlines()))[1:]
+    assert len(rows) == len(sizes)
+    for row, size in zip(rows, sizes):
+        g = generate_graph(family, **{FAMILY_PARAMS[family][0]: size},
+                           **gparams)
+        adv = advantage(g, generate_permutation(perm, g, **pparams), model)
+        assert row[0] == str(g.n) and row[1] == family
+        assert row[3:6] == [str(adv.swap_depth), str(adv.tele_depth),
+                            str(adv.ratio)]
+
+
+@pytest.mark.parametrize("flag", ["--graph-file", "--perm-file"])
+def test_advantage_takes_no_files(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["advantage", "--family", "path", "--sizes", "7",
+              "--perm", "diam", flag, "x.json"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_advantage_reports_an_invalid_schedule_in_one_line(capsys,
+                                                           monkeypatch):
+    monkeypatch.setattr(tele_routing, "route_generic", non_edge_swap)
+    code, out, err = run(capsys, "advantage", "--family", "path",
+                         "--sizes", "5", "7", "--perm", "reflection")
+    assert_one_verification_line(code, out, err,
+                                 "swap schedule on path size 5")
 
 
 def test_advantage_requires_sizes(capsys):

@@ -71,6 +71,22 @@ def test_depth_model():
     assert sched.depth(c) == 1 + 1 + 3
 
 
+@pytest.mark.parametrize("costs, name", [
+    ({"swap_edge": 0}, "swap_edge"),
+    ({"swap_edge": -5}, "swap_edge"),
+    ({"tele_round": 0}, "tele_round"),
+    ({"swap_local": -1}, "swap_local"),
+    ({"swap_edge": 1.0}, "swap_edge"),
+    ({"tele_round": True}, "tele_round"),
+])
+def test_depth_model_rejects_bad_costs(costs, name):
+    with pytest.raises(ValueError, match=f"'{name}' must be an integer"):
+        DepthModel(**costs)
+    text = json.dumps({"timesteps": [], "depth_model": costs})
+    with pytest.raises(ValueError, match=f"'{name}' must be an integer"):
+        Schedule.from_json(text)
+
+
 def test_schedule_json_roundtrip_and_canonical():
     g = generate_graph("path", n=4)
     sched = Schedule([
@@ -133,8 +149,8 @@ def test_op_json_is_the_dumped_dict_form(op):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(ops, max_size=4), max_size=4),
-       st.builds(DepthModel, st.integers(0, 3), st.integers(0, 3),
-                 st.integers(0, 3)),
+       st.builds(DepthModel, st.integers(1, 3), st.integers(0, 3),
+                 st.integers(1, 3)),
        st.one_of(st.none(), st.text(max_size=12)))
 def test_random_schedule_json_matches_dumped_dict_form(steps, model, ref):
     sched = Schedule(steps, model, ref)
@@ -165,6 +181,7 @@ def test_schedule_from_json_rejects_malformed_documents():
                  '"transfers": [{"path": 4}]}]]}',
                  '{"timesteps": [], "depth_model": [1]}',
                  '{"timesteps": [], "depth_model": {"swap_edge": "1"}}',
+                 '{"timesteps": [], "depth_model": {"swap_edge": -5}}',
                  '{"timesteps": [], "depth_model": {"hop": 1}}'):
         with pytest.raises(ValueError):
             Schedule.from_json(text)

@@ -19,12 +19,10 @@ from teleroute.graphs import (
 from teleroute import swap_routing
 from teleroute.schedule import Schedule
 from teleroute.swap_routing import (
-    WheelRoute,
     route_complete,
     route_generic,
     route_product,
     route_tree,
-    route_wheel,
 )
 
 
@@ -343,50 +341,3 @@ def test_generic_rejects_size_mismatch():
     g = generate_graph("path", n=4)
     with pytest.raises(ValueError):
         route_generic(g, Permutation.identity(5))
-
-
-# ---------------------------------------------------------------------------
-# wheels
-# ---------------------------------------------------------------------------
-
-WHEEL_CASES = [
-    # rim, l, branch, hub_depth, rim_depth, floor
-    (8, 1, "hub", 3, 7, 2),
-    (8, 2, "rim", 6, 3, 3),
-    (8, 4, "rim", 12, 1, 1),
-    (16, 2, "hub", 6, 7, 4),
-    (16, 4, "rim", 12, 3, 3),
-    (16, 8, "rim", 24, 1, 1),
-    (12, 3, "rim", 9, 3, 3),
-]
-
-
-@pytest.mark.parametrize("rim,l,branch,hub_d,rim_d,floor", WHEEL_CASES)
-def test_wheel_cases(rim, l, branch, hub_d, rim_d, floor):
-    g = generate_graph("wheel", n=rim)
-    wr = route_wheel(g, l)
-    assert isinstance(wr, WheelRoute)
-    assert wr.branch == branch
-    assert wr.hub_depth == hub_d
-    assert wr.rim_depth == rim_d
-    assert wr.optimum_floor == floor
-    pi = generate_permutation("wheel", g, l=l)
-    assert verify_schedule(g, wr.schedule, pi)
-    assert wr.schedule.depth() == min(hub_d, rim_d)
-    assert wr.schedule.depth() <= 3 * min(l, rim // l) + 2
-
-
-def test_wheel_hub_branch_is_three_swaps_per_segment():
-    g = generate_graph("wheel", n=16)
-    wr = route_wheel(g, 2)
-    assert wr.branch == "hub"
-    assert all(len(step) == 1 for step in wr.schedule.timesteps)
-    assert wr.hub_depth == 3 * 2
-
-
-def test_wheel_rejects_bad_segments():
-    g = generate_graph("wheel", n=8)
-    with pytest.raises(ValueError):
-        route_wheel(g, 3)
-    with pytest.raises(ValueError):
-        route_wheel(generate_graph("path", n=5), 1)

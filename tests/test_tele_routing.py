@@ -3,6 +3,7 @@ single-round ladder protocol with its incidence/load counting, greedy
 cycle packing (including the buffered chain fallback at budget 2), the
 swap-only replay of a round, and the advantage ratio."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -18,7 +19,14 @@ from teleroute.graphs import (
     generate_permutation,
     shortest_path,
 )
-from teleroute.schedule import Schedule, SwapLocal, TeleRound, Transfer
+from teleroute.schedule import (
+    DepthModel,
+    Schedule,
+    SwapLocal,
+    TeleRound,
+    Transfer,
+)
+from teleroute.swap_routing import route_generic
 from teleroute.tele_routing import (
     advantage,
     canonical_path,
@@ -424,25 +432,27 @@ def test_replay_rejects_double_receive():
 
 def test_advantage_path_diameter():
     g = generate_graph("path", n=31)
-    adv = advantage(g, generate_permutation("diam", g))
+    adv = advantage(g, generate_permutation("diam", g)).ratio
     assert isinstance(adv, Fraction)
     assert 30 <= adv <= 93
 
 
 def test_advantage_identity_is_one():
     g = generate_graph("path", n=9)
-    assert advantage(g, Permutation.identity(9)) == Fraction(1)
+    adv = advantage(g, Permutation.identity(9))
+    assert adv.ratio == Fraction(1)
+    assert adv.swap_depth == adv.tele_depth == 0
 
 
 def test_advantage_wheel_exceeds_one():
     g = generate_graph("wheel", n=8)
-    assert advantage(g, generate_permutation("wheel", g, l=2)) > 1
+    assert advantage(g, generate_permutation("wheel", g, l=2)).ratio > 1
 
 
 def test_advantage_ladder_uses_single_round():
     g = generate_graph("ladder", n=4)
     pi = generate_permutation("random", g, seed=5)
-    adv = advantage(g, pi)
+    adv = advantage(g, pi).ratio
     assert adv == Fraction(int(adv))  # denominator 1: one teleport round
     assert adv >= 1
 
@@ -450,7 +460,33 @@ def test_advantage_ladder_uses_single_round():
 def test_advantage_ladder_small_budget_falls_back():
     g = generate_graph("ladder", n=3, ancilla_budget=4)
     pi = generate_permutation("reflection", g)
-    assert advantage(g, pi) >= 1
+    assert advantage(g, pi).ratio >= 1
+
+
+def test_advantage_record_holds_both_routers_schedules():
+    g = generate_graph("grid", n=4, d=2)
+    pi = generate_permutation("reflection", g)
+    adv = advantage(g, pi)
+    assert adv.swap.to_json() == route_generic(g, pi).to_json()
+    assert adv.teleport.to_json() == teleport_schedule(g, pi).to_json()
+    assert verify_schedule(g, adv.swap, pi)
+    assert verify_schedule(g, adv.teleport, pi)
+    assert (adv.swap_depth, adv.tele_depth) == (8, 3)
+    assert adv.ratio == Fraction(8, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        adv.swap_depth = 1
+
+
+def test_advantage_depths_follow_the_model():
+    g = generate_graph("hypercube", d=3)
+    pi = generate_permutation("reflection", g)
+    own = advantage(g, pi)
+    model = DepthModel(swap_local=1, tele_round=3)
+    costed = advantage(g, pi, model)
+    assert (own.swap_depth, own.tele_depth) == (3, 2)
+    assert costed.swap_depth == costed.swap.depth(model) == 3
+    assert costed.tele_depth == costed.teleport.depth(model) == 6
+    assert costed.ratio == Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
