@@ -1,7 +1,9 @@
 """Survey vertex expansion and diameter across the built-in families.
 
-Small graphs get the exact brute-force expansion constant; larger ones
-fall back to spectral/degree intervals with a family witness cut.
+Small graphs (N <= 24) get the exact brute-force expansion constant;
+larger ones get the interval [2/N, u], where u is the score of the
+family witness cut (1 for families without one).  lambda2 is printed
+next to it and does not enter the interval.
 """
 
 from teleroute.bounds import bounds_report

@@ -196,11 +196,13 @@ def vertex_expansion_bounds(g: ArchGraph) -> tuple[Fraction, Fraction]:
     if n <= _BOUNDS_EXACT_MAX_N:
         c, _ = vertex_expansion_exact(g)
         return c, c
-    lower = Fraction(2, n)
-    upper = Fraction(1)
-    cut = family_witness_cut(g)
-    if cut is not None:
-        upper = min(upper, cut_value(g, cut))
+    return _witness_interval(g, family_witness_cut(g))
+
+
+def _witness_interval(g: ArchGraph, cut) -> tuple[Fraction, Fraction]:
+    # [2/N, 1], the upper end lowered to the score of a witness cut
+    lower = Fraction(2, g.n)
+    upper = Fraction(1) if cut is None else min(Fraction(1), cut_value(g, cut))
     return lower, max(lower, upper)
 
 
@@ -266,22 +268,48 @@ def horizon_profile(g: ArchGraph, v: int, c=None) -> HorizonProfile:
     return HorizonProfile(v, rho, tuple(circles), tuple(disks))
 
 
+# family -> lambda2 from its params (Fiedler, "Algebraic connectivity of
+# graphs", 1973): the path's spectrum is 4·sin²(πk/2n), k < n; a
+# Cartesian product's lambda2 is its factors' least (grid = path^d,
+# hypercube = K2^d); joining the hub to the rim cycle (4·sin²(πk/n))
+# adds 1 to each nonzero rim eigenvalue and the eigenvalue n + 1.
+_LAMBDA2 = {
+    "path": lambda n: 4 * math.sin(math.pi / (2 * n)) ** 2,
+    "grid": lambda n, d: 4 * math.sin(math.pi / (2 * n)) ** 2,
+    "hypercube": lambda d: 2.0,
+    "complete": lambda n: float(n),
+    "wheel": lambda n: min(1 + 4 * math.sin(math.pi / n) ** 2, n + 1.0),
+}
+
+
 def spectral(g: ArchGraph) -> tuple[float, Fraction, float]:
     """(lambda2, degree ratio, figure of merit d*·log2(N)^2/lambda2^2).
 
-    lambda2 is the second-smallest Laplacian eigenvalue, from a dense
-    symmetric eigensolver.
+    lambda2 is the second-smallest Laplacian eigenvalue.  Families whose
+    spectrum is known take it in closed form:
+
+    - path n and grid (n, d): 4·sin²(π/2n);
+    - hypercube: 2;
+    - complete n: n;
+    - wheel with rim n: min(1 + 4·sin²(π/n), n + 1).
+
+    Butterfly, ladder and graphs without a family build the dense
+    Laplacian and take its whole spectrum from a symmetric eigensolver,
+    O(N³).
     """
     n = g.n
     if n < 2:
         raise ValueError("spectral quantities need at least two vertices")
-    lap = np.zeros((n, n))
-    for u, v in g.edges:
-        lap[u, v] = lap[v, u] = -1.0
-        lap[u, u] += 1.0
-        lap[v, v] += 1.0
-    eig = np.linalg.eigvalsh(lap)
-    lam2 = float(eig[1])
+    closed = _LAMBDA2.get(g.family)
+    if closed is not None:
+        lam2 = closed(**g.param_dict)
+    else:
+        lap = np.zeros((n, n))
+        for u, v in g.edges:
+            lap[u, v] = lap[v, u] = -1.0
+            lap[u, u] += 1.0
+            lap[v, v] += 1.0
+        lam2 = float(np.linalg.eigvalsh(lap)[1])
     degs = [g.degree(v) for v in range(n)]
     dstar = Fraction(max(degs), min(degs))
     figure = float(dstar) * math.log2(n) ** 2 / lam2 ** 2
@@ -365,9 +393,9 @@ def bounds_report(g: ArchGraph) -> BoundsReport:
         lo = hi = c
         exact = True
     else:
-        lo, hi = vertex_expansion_bounds(g)
-        witness = family_witness_cut(g)
-        witness = tuple(sorted(witness)) if witness else None
+        cut = family_witness_cut(g)
+        lo, hi = _witness_interval(g, cut)
+        witness = tuple(sorted(cut)) if cut else None
         exact = False
     d = diameter(g)
     lam2, dstar, figure = spectral(g)

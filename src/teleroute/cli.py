@@ -198,9 +198,15 @@ _COST_FLAGS = {"cost_swap": "swap_edge", "cost_local": "swap_local",
 
 
 def _resolve_model(ns) -> DepthModel:
-    return DepthModel(**{field: getattr(ns, flag)
-                         for flag, field in _COST_FLAGS.items()
-                         if getattr(ns, flag) is not None})
+    costs = {}
+    for flag, field in _COST_FLAGS.items():
+        if getattr(ns, flag) is not None:
+            costs[field] = getattr(ns, flag)
+            try:  # checked one flag at a time, so the error can name it
+                DepthModel(**costs)
+            except ValueError as e:
+                raise ValueError(f"--{flag.replace('_', '-')}: {e}") from None
+    return DepthModel(**costs)
 
 
 def _emit(ns, text: str):

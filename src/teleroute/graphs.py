@@ -488,9 +488,20 @@ def bfs_distances(g: ArchGraph, source: int) -> list[int]:
 
 
 def eccentricities(g: ArchGraph) -> list[int]:
-    """BFS eccentricity of every vertex, from one all-sources sweep.
+    """BFS eccentricity of every vertex.
 
-    A level-synchronous BFS from all n sources at once (Then et al.,
+    On a tree (n - 1 edges) three BFS sweeps suffice: a is a farthest
+    vertex from vertex 0, b a farthest vertex from a, and
+    ecc(v) = max(d(v, a), d(v, b)).  Both steps follow from the
+    four-point condition of tree metrics,
+    d(v, w) + d(p, q) <= max(d(v, p) + d(w, q), d(v, q) + d(w, p)).
+    With (p, q) a diametral pair and w = a, v = 0 (so d(0, p), d(0, q)
+    <= d(0, a)), it gives D <= max(d(a, p), d(a, q)) <= ecc(a), so a-b
+    is a diameter.  With (p, q) = (a, b), every distance from a or b is
+    at most D = d(a, b), so d(v, w) <= max(d(v, a), d(v, b)) for every w.
+
+    Every other graph takes one all-sources sweep: a level-synchronous
+    BFS from all n sources at once (Then et al.,
     "The More the Merrier", VLDB 2014): each vertex holds a bitset of
     the sources that have reached it, in words of 64 bits.  One level
     ORs the frontier bitsets of each vertex's neighbours and keeps the
@@ -502,15 +513,15 @@ def eccentricities(g: ArchGraph) -> list[int]:
 
     A level costs O(m·n/64) word operations and there are D + 1 of
     them, so the sweep costs O(D·m·n/64) against O(n·m) for one BFS
-    per source.  That is a large win at small diameter, but on a path
-    it grows like n³: path 1024 still takes about half the time of one
-    BFS per source, and somewhere between 2048 and 3072 vertices the
-    per-source loop becomes the faster.  A level also makes one gather
-    per slot, as many as the largest degree, so a hub of degree ~n on a
-    long path is the worst shape: on a 1024-vertex broom (512 leaves on
-    one end of a 512-vertex path) the sweep takes about 3x as long as
-    one BFS per source.
+    per source: a large win at small diameter.  Paths and brooms, where
+    it grows like n³, are trees and never reach it.  A level also makes
+    one gather per slot, as many as the largest degree.
     """
+    if len(g.edges) == g.n - 1:
+        far = bfs_distances(g, 0)
+        da = bfs_distances(g, far.index(max(far)))
+        db = bfs_distances(g, da.index(max(da)))
+        return [max(x, y) for x, y in zip(da, db)]
     n, adj = g.n, g._adj
     order = sorted(range(n), key=lambda v: -len(adj[v]))
     row = [0] * n

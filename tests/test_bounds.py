@@ -7,6 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from teleroute.bounds import (
@@ -280,6 +281,45 @@ def test_spectral_vs_networkx():
         assert lam2 == pytest.approx(
             nx.algebraic_connectivity(h, method="lanczos"), abs=1e-6)
         assert lam2 > 0
+
+
+def ref_lambda2(g):
+    """Frozen dense reference: the second-smallest eigenvalue of the
+    full Laplacian (do not optimize)."""
+    lap = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        lap[u, v] = lap[v, u] = -1.0
+        lap[u, u] += 1.0
+        lap[v, v] += 1.0
+    return float(np.linalg.eigvalsh(lap)[1])
+
+
+CLOSED_FORM_RANGE = (
+    [("path", {"n": n}) for n in range(2, 201)]
+    + [("grid", {"n": n, "d": d}) for d in (2, 3) for n in range(2, 14)
+       if n ** d <= 800]
+    + [("hypercube", {"d": d}) for d in range(1, 9)]
+    + [("complete", {"n": n}) for n in range(2, 41)]
+    + [("wheel", {"n": n}) for n in range(3, 201)]   # rim 3 is K4
+)
+
+
+@pytest.mark.parametrize("kind", sorted({k for k, _ in CLOSED_FORM_RANGE}))
+def test_spectral_closed_forms_match_dense_reference(kind):
+    for k, params in CLOSED_FORM_RANGE:
+        if k == kind:
+            g = generate_graph(kind, **params)
+            lam2, ref = spectral(g)[0], ref_lambda2(g)
+            assert abs(lam2 - ref) <= 1e-9 * max(1.0, ref), params
+
+
+def test_spectral_familyless_path_takes_dense_solver():
+    g = ArchGraph(50, tuple((i, i + 1) for i in range(49)))
+    assert g.family is None
+    lam2 = spectral(g)[0]
+    assert lam2 == ref_lambda2(g)
+    assert lam2 == pytest.approx(spectral(generate_graph("path", n=50))[0],
+                                 rel=1e-9)
 
 
 def test_spectral_degree_ratio():

@@ -263,7 +263,7 @@ def test_bad_cost_is_usage_error(capsys, command, flag, value, name):
                          "--perm", "diam", flag, value)
     assert code == 2 and out == ""
     lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert len(lines) == 1 and lines[0].startswith(f"error: {flag}: ")
     assert f"{name!r} must be an integer" in lines[0]
 
 

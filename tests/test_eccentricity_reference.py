@@ -3,10 +3,14 @@
 The reference below is how the library first answered eccentricity
 questions: one FIFO BFS per vertex, and ``graph_center``, ``diameter``
 and the ``diam`` permutation each looping over those BFS runs.  The
-library now reads all three off :func:`eccentricities`, a bit-parallel
-BFS over 64-bit words, so on random connected graphs every answer must
-be equal.  Vertex counts at the edges of a word (1, 2, 63, 64, 65, 128,
-129) are always tried, on paths, stars, dense graphs and random trees.
+library now reads all three off :func:`eccentricities`, which takes
+three BFS sweeps on a tree (the two ends of a diameter decide every
+eccentricity) and a bit-parallel BFS over 64-bit words on any other
+graph, so on random connected graphs every answer must be equal.  Paths
+and stars exercise the tree rule; dense graphs and random trees with up
+to n/4 extra edges (a tree when n < 4 or every extra edge is a loop or
+a repeat) exercise the word sweep.  Vertex counts at the edges of a
+word (1, 2, 63, 64, 65, 128, 129) are always tried.
 """
 
 import random
