@@ -310,7 +310,7 @@ def spectral(g: ArchGraph) -> tuple[float, Fraction, float]:
             lap[u, u] += 1.0
             lap[v, v] += 1.0
         lam2 = float(np.linalg.eigvalsh(lap)[1])
-    degs = [g.degree(v) for v in range(n)]
+    degs = [len(a) for a in g._adj]
     dstar = Fraction(max(degs), min(degs))
     figure = float(dstar) * math.log2(n) ** 2 / lam2 ** 2
     return lam2, dstar, figure

@@ -90,7 +90,7 @@ def _check_op(g: ArchGraph, op, t: int) -> dict[int, int] | None:
                 if not 0 <= v < g.n:
                     _fail(t, op, f"vertex {v} out of range")
             for a, b in zip(tr.path, tr.path[1:]):
-                if not g.has_edge(a, b):
+                if b not in g._adj[a]:
                     _fail(t, op, f"path step ({a},{b}) is not an edge")
         loads = op.loads()
         for v, load in loads.items():

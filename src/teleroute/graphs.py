@@ -35,6 +35,8 @@ __all__ = [
     "bfs_distances",
     "check_vertices",
     "diameter",
+    "distance_rows",
+    "DistanceRows",
     "eccentricities",
     "graph_center",
     "next_hop",
@@ -112,14 +114,21 @@ class ArchGraph:
         if -1 in bfs_distances(self, 0):
             raise ValueError("graph must be connected")
 
+    # the three queries below reject vertices outside range(n), which
+    # would otherwise index the adjacency from its end; loops that have
+    # checked their vertices read ``_adj`` directly
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted neighbors of ``v``."""
+        check_vertices(self, (v,))
         return self._adj[v]
 
     def degree(self, v: int) -> int:
+        check_vertices(self, (v,))
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
+        check_vertices(self, (u, v))
         return v in self._adj[u]
 
     @property
@@ -475,16 +484,79 @@ def check_vertices(g: ArchGraph, vs, what: str = "vertex") -> None:
 def bfs_distances(g: ArchGraph, source: int) -> list[int]:
     """BFS distance from ``source`` to every vertex."""
     check_vertices(g, (source,))
+    adj = g._adj
     dist = [-1] * g.n
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for w in g.neighbors(u):
+        for w in adj[u]:
             if dist[w] < 0:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
+
+
+def _sweep_levels(g: ArchGraph):
+    """The all-sources BFS behind :func:`eccentricities` and
+    :func:`distance_rows`: ``(row, levels)``, where ``row[t]`` is the
+    row of vertex t and ``levels`` yields, for L = 1, 2, ... up to the
+    diameter, the n x ceil(n/64) matrix of 64-bit words whose row
+    ``row[t]`` has bit v set exactly when d(v, t) = L.  Each yielded
+    matrix is overwritten by the next level.
+
+    It is the level-synchronous BFS from all n sources at once of Then
+    et al., "The More the Merrier" (VLDB 2014): each vertex holds a
+    bitset of the sources that have reached it.  One level ORs the
+    frontier bitsets of each vertex's neighbours and keeps the bits the
+    vertex has not seen.  Rows are the vertices by decreasing degree,
+    so slot j (every vertex's j-th neighbour) is one gather into a
+    prefix of the rows, no larger than the frontier itself.  Gathers
+    stop at the slot J that minimises J plus the number of rows of
+    degree above J; each such row ORs its remaining neighbours in one
+    reduction, so a hub costs one call per level, not one gather per
+    neighbour slot.  A level costs O(m·n/64) word operations.
+    """
+    n, adj = g.n, g._adj
+    order = sorted(range(n), key=lambda v: -len(adj[v]))
+    row = [0] * n
+    for i, v in enumerate(order):
+        row[v] = i
+    tops = []  # tops[j]: the number of rows with a j-th neighbour
+    k = n
+    for j in count():
+        while k and len(adj[order[k - 1]]) <= j:
+            k -= 1
+        if not k:
+            break
+        tops.append(k)
+    tops.append(0)
+    cut = min(range(len(tops)), key=lambda j: j + tops[j])
+    slots = [(top, np.array([row[adj[v][j]] for v in order[:top]],
+                            dtype=np.intp))
+             for j, top in enumerate(tops[:cut])]
+    tail = [(i, np.array([row[w] for w in adj[v][cut:]], dtype=np.intp))
+            for i, v in enumerate(order[:tops[cut]])]
+
+    def levels():
+        src = np.array(order, dtype="<u8")
+        frontier = np.zeros((n, (n + 63) // 64), dtype="<u8")
+        frontier[np.arange(n), src >> 6] = np.uint64(1) << (src & 63)
+        unseen, nxt = ~frontier, np.empty_like(frontier)
+        while True:
+            nxt.fill(0)
+            for top, nb in slots:
+                nxt[:top] |= frontier[nb]
+            for i, nb in tail:
+                nxt[i] |= np.bitwise_or.reduce(frontier[nb], axis=0)
+            nxt &= unseen
+            if not nxt.any():
+                return
+            yield nxt
+            unseen ^= nxt
+            frontier, nxt = nxt, frontier
+
+    return row, levels()
 
 
 def eccentricities(g: ArchGraph) -> list[int]:
@@ -500,59 +572,80 @@ def eccentricities(g: ArchGraph) -> list[int]:
     is a diameter.  With (p, q) = (a, b), every distance from a or b is
     at most D = d(a, b), so d(v, w) <= max(d(v, a), d(v, b)) for every w.
 
-    Every other graph takes one all-sources sweep: a level-synchronous
-    BFS from all n sources at once (Then et al.,
-    "The More the Merrier", VLDB 2014): each vertex holds a bitset of
-    the sources that have reached it, in words of 64 bits.  One level
-    ORs the frontier bitsets of each vertex's neighbours and keeps the
-    bits the vertex has not seen; a source's eccentricity is the last
-    level at which it reached a new vertex.  Rows are the vertices by
-    decreasing degree, so slot j (every vertex's j-th neighbour) is one
-    gather into a prefix of the rows, and no gather is larger than the
-    frontier itself.
-
-    A level costs O(m·n/64) word operations and there are D + 1 of
-    them, so the sweep costs O(D·m·n/64) against O(n·m) for one BFS
-    per source: a large win at small diameter.  Paths and brooms, where
-    it grows like n³, are trees and never reach it.  A level also makes
-    one gather per slot, as many as the largest degree.
+    Every other graph takes the all-sources word sweep that
+    :func:`distance_rows` also runs (see ``_sweep_levels``): a
+    source's eccentricity is the last level at which it reached a new
+    vertex.  There are D + 1 levels, so the sweep costs O(D·m·n/64)
+    word operations against O(n·m) for one BFS per source: a large win
+    at small diameter.  Paths and brooms, where it grows like n³, are
+    trees and never reach it.
     """
     if len(g.edges) == g.n - 1:
         far = bfs_distances(g, 0)
         da = bfs_distances(g, far.index(max(far)))
         db = bfs_distances(g, da.index(max(da)))
         return [max(x, y) for x, y in zip(da, db)]
-    n, adj = g.n, g._adj
-    order = sorted(range(n), key=lambda v: -len(adj[v]))
-    row = [0] * n
-    for i, v in enumerate(order):
-        row[v] = i
-    slots = []  # (k, nb): rows 0..k-1 have a j-th neighbour, in rows nb
-    k = n
-    for j in count():
-        while k and len(adj[order[k - 1]]) <= j:
-            k -= 1
-        if not k:
-            break
-        slots.append((k, np.array([row[adj[v][j]] for v in order[:k]],
-                                  dtype=np.intp)))
-    src = np.array(order, dtype="<u8")
-    frontier = np.zeros((n, (n + 63) // 64), dtype="<u8")
-    frontier[np.arange(n), src >> 6] = np.uint64(1) << (src & 63)
-    seen, nxt = frontier.copy(), np.empty_like(frontier)
+    n = g.n
     ecc = np.zeros(n, dtype=np.int64)
-    for level in count(1):
-        nxt.fill(0)
-        for top, nb in slots:
-            nxt[:top] |= frontier[nb]
-        nxt &= ~seen
+    for level, nxt in enumerate(_sweep_levels(g)[1], 1):
         reached = np.bitwise_or.reduce(nxt, axis=0)
-        if not reached.any():
-            return ecc.tolist()
         ecc[np.unpackbits(reached.view(np.uint8), count=n,
                           bitorder="little").view(bool)] = level
-        seen |= nxt
-        frontier, nxt = nxt, frontier
+    return ecc.tolist()
+
+
+class DistanceRows:
+    """BFS distances between all pairs of vertices, bit-sliced: bit b
+    of d(v, t) is bit v of row ``row[t]`` in plane b, an n x ceil(n/64)
+    matrix of 64-bit words.  :func:`distance_rows` builds one plane
+    per bit of 2·ecc(0), which bounds the diameter: grid 32² (N = 1024,
+    diameter 62) takes 7 x 128 KiB."""
+
+    def __init__(self, n: int, row: list[int], planes: np.ndarray):
+        self.n = n
+        self._row = row
+        self._planes = planes
+        # plane b's bits move up by b, as a column against (planes, n)
+        self._shifts = np.arange(len(planes), dtype=np.uint16)[:, None]
+
+    def __getitem__(self, t: int) -> memoryview:
+        """d(v, t) for every vertex v, unpacked into a uint16
+        memoryview (indexing it gives ints)."""
+        check_vertices(self, (t,))
+        words = self._planes[:, self._row[t]]
+        bits = np.unpackbits(words.view(np.uint8), axis=1, count=self.n,
+                             bitorder="little").astype(np.uint16)
+        bits <<= self._shifts
+        return memoryview(np.bitwise_or.reduce(bits, axis=0))
+
+    def between(self, us, vs) -> list[int]:
+        """d(u, v) for each pair of equal-length sequences ``us`` and
+        ``vs``, read off the planes without unpacking a row."""
+        check_vertices(self, chain(us, vs))
+        u = np.asarray(us, dtype=np.intp)
+        rows = np.array([self._row[v] for v in vs], dtype=np.intp)
+        words = self._planes[:, rows, u >> 6]
+        bits = (words >> (u & 63).astype(np.uint64)) & np.uint64(1)
+        bits <<= self._shifts.astype(np.uint64)
+        return np.bitwise_or.reduce(bits, axis=0).tolist()
+
+
+def distance_rows(g: ArchGraph) -> DistanceRows:
+    """Every BFS distance of ``g`` from one all-sources word sweep
+    (the one :func:`eccentricities` runs off trees), kept packed: level
+    L ORs its matrix into the planes of the bits set in L.  Rows are
+    unpacked only when asked for.
+
+    The diameter is at most 2·ecc(0), so one BFS sizes the planes
+    before the sweep, with at most one plane to spare."""
+    row, levels = _sweep_levels(g)
+    planes = np.zeros(((2 * max(bfs_distances(g, 0))).bit_length(), g.n,
+                       (g.n + 63) // 64), dtype="<u8")
+    for level, nxt in enumerate(levels, 1):
+        for b in range(level.bit_length()):
+            if level >> b & 1:
+                planes[b] |= nxt
+    return DistanceRows(g.n, row, planes)
 
 
 def diameter(g: ArchGraph) -> int:
@@ -600,7 +693,7 @@ def vertex_boundary(g: ArchGraph, xs) -> set[int]:
     check_vertices(g, xs)
     out = set()
     for u in xs:
-        for w in g.neighbors(u):
+        for w in g._adj[u]:
             if w not in xs:
                 out.add(w)
     return out
@@ -609,12 +702,14 @@ def vertex_boundary(g: ArchGraph, xs) -> set[int]:
 def spanning_tree(g: ArchGraph, root: int) -> list[tuple[int, int]]:
     """BFS spanning tree edges (parent, child), discovered in sorted
     neighbor order; deterministic."""
+    check_vertices(g, (root,))
+    adj = g._adj
     seen = {root}
     queue = deque([root])
     edges = []
     while queue:
         u = queue.popleft()
-        for w in g.neighbors(u):
+        for w in adj[u]:
             if w not in seen:
                 seen.add(w)
                 edges.append((u, w))

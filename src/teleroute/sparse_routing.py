@@ -121,6 +121,7 @@ def _regroup(g: ArchGraph, trains: list[Train], r: int,
              dist: list[int]) -> list[TokenCluster]:
     """Concatenate head-to-tail trains, then group trains into clusters
     by token adjacency."""
+    adj = g._adj  # train vertices are vertices of g
     trains = list(trains)
     changed = True
     while changed:
@@ -131,7 +132,7 @@ def _regroup(g: ArchGraph, trains: list[Train], r: int,
                     continue
                 # only join when t2 continues t1 toward the target, so
                 # train bodies stay monotone in distance
-                if (g.has_edge(t1.head, t2.tail)
+                if (t2.tail in adj[t1.head]
                         and dist[t2.tail] == dist[t1.head] - 1):
                     trains[i] = Train(t1.vertices + t2.vertices, r)
                     del trains[j]
@@ -151,7 +152,7 @@ def _regroup(g: ArchGraph, trains: list[Train], r: int,
     for i, t1 in enumerate(trains):
         for j in range(i + 1, len(trains)):
             t2 = trains[j]
-            if any(g.has_edge(u, v) or u == v
+            if any(v in adj[u] or u == v
                    for u in t1.vertices for v in t2.vertices):
                 ra, rb = find(i), find(j)
                 if ra != rb:

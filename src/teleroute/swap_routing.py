@@ -299,7 +299,7 @@ def route_tree(g: ArchGraph, pi: Permutation) -> Schedule:
     every tested instance (the classic O(N) strategy)."""
     if len(g.edges) != g.n - 1:
         raise ValueError("graph is not a tree")
-    adj = {v: list(g.neighbors(v)) for v in range(g.n)}
+    adj = {v: list(g._adj[v]) for v in range(g.n)}
     token_at = {v: v for v in range(g.n)}
     target = {tok: pi(tok) for tok in range(g.n)}
     steps = _route_tree_rec(list(range(g.n)), adj, token_at, target)
@@ -426,6 +426,22 @@ def route_product(g1: ArchGraph, g2: ArchGraph, pi: Permutation) -> Schedule:
 # generic dispatch
 # ---------------------------------------------------------------------------
 
+def _product_factors(g: ArchGraph) -> tuple[ArchGraph, ArchGraph]:
+    """The factors of a grid or hypercube: path(n) x grid(n, d-1), or
+    path(2) x hypercube(d-1).  Built once per graph and kept on it, so
+    the copies ``route_product`` routes through one factor graph share
+    that graph's factors instead of building them once per copy."""
+    factors = g.__dict__.get("_factors")
+    if factors is None:
+        p, budget = g.param_dict, g.ancilla_budget
+        factors = (generate_graph("path", n=p.get("n", 2),
+                                  ancilla_budget=budget),
+                   generate_graph(g.family, **{**p, "d": p["d"] - 1},
+                                  ancilla_budget=budget))
+        object.__setattr__(g, "_factors", factors)
+    return factors
+
+
 def route_generic(g: ArchGraph, pi: Permutation) -> Schedule:
     """Dispatch to a specialized router by structure: complete graphs,
     trees (a path sorts by odd-even transposition), grid/hypercube
@@ -439,14 +455,8 @@ def route_generic(g: ArchGraph, pi: Permutation) -> Schedule:
         return route_complete(g, pi)
     if len(g.edges) == g.n - 1:
         return route_tree(g, pi)
-    params = g.param_dict
-    if g.family in ("grid", "hypercube") and params.get("d", 1) >= 2:
-        # path(n) x grid(n, d-1), or path(2) x hypercube(d-1)
-        g1 = generate_graph("path", n=params.get("n", 2),
-                            ancilla_budget=g.ancilla_budget)
-        g2 = generate_graph(g.family, **{**params, "d": params["d"] - 1},
-                            ancilla_budget=g.ancilla_budget)
-        return route_product(g1, g2, pi)
+    if g.family in ("grid", "hypercube") and g.param_dict.get("d", 1) >= 2:
+        return route_product(*_product_factors(g), pi)
     tree_edges = spanning_tree(g, 0)
     tree = ArchGraph(g.n, tuple(sorted(tree_edges)),
                      ancilla_budget=g.ancilla_budget)

@@ -16,10 +16,17 @@ at a cycle element; above B - 4 inside a hop path on a tree), and an
 OR of the bitsets a cycle needs leaves the rounds worth a load-aware
 BFS.  Loads only rise, so the rounds it skips are rounds the fit would
 reject, and the schedule is the one plain first-fit builds.
+
+Every hop takes the path a load-aware BFS would, but the BFS runs only
+for detours.  Off trees a walk down the shortest-path DAG, over the
+distances of one all-sources word sweep, finds the BFS's path whenever
+an admitted path of length d(s, t) exists; on a tree the unique path
+comes from climbing a rooted BFS tree to the lowest common ancestor.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +34,13 @@ from math import isqrt
 from operator import itemgetter
 
 from .execute import TokenState, apply_timestep
-from .graphs import ArchGraph, Permutation
+from .graphs import (
+    ArchGraph,
+    Permutation,
+    bfs_distances,
+    distance_rows,
+    spanning_tree,
+)
 from .schedule import (
     DepthModel,
     Schedule,
@@ -136,6 +149,12 @@ def _load_aware_path(g: ArchGraph, s: int, t: int, load: list[int],
     The BFS runs level by level and each vertex scans its neighbours in
     sorted order, so every vertex's parent is the first one that
     reaches it, as in a FIFO queue; it stops as soon as t is reached.
+    The path it returns is the lexicographically smallest shortest
+    admitted path: level L lists its vertices in the lexicographic
+    order of their tree paths (it is sorted by parent, then by index),
+    so the first vertex of level L - 1 that reaches a vertex, the one
+    with the smallest tree path, is its parent.  ``_dag_hops`` relies
+    on this.
     """
     if load[s] >= budget or load[t] >= budget:
         return None
@@ -164,6 +183,120 @@ def _load_aware_path(g: ArchGraph, s: int, t: int, load: list[int],
     return None
 
 
+def _dag_path(adj, s: int, t: int, dist, load: list[int],
+              cap: int) -> tuple[int, ...] | None:
+    """The lexicographically smallest s-t path of length d(s, t) whose
+    interiors have load <= ``cap``, or None.  ``dist`` holds the
+    distances to t.
+
+    A depth-first walk down the shortest-path DAG toward t, taking
+    neighbours one step closer in sorted order: the first path it
+    completes is the smallest.  A vertex it backs out of reaches t by
+    no admitted DAG path, whatever led to it, so it is marked dead and
+    never entered again; each DAG edge is scanned at most once.
+    """
+    path = [s]
+    scans = [iter(adj[s])]
+    dead = set()
+    while scans:
+        k = dist[path[-1]] - 1
+        for w in scans[-1]:
+            if dist[w] == k:
+                if w == t:
+                    path.append(t)
+                    return tuple(path)
+                if load[w] <= cap and w not in dead:
+                    path.append(w)
+                    scans.append(iter(adj[w]))
+                    break
+        else:
+            dead.add(path.pop())
+            scans.pop()
+    return None
+
+
+def _dag_hops(g: ArchGraph, budget: int, targets):
+    """``(hop, between)`` off trees, for hops into ``targets``:
+    ``between(us, vs)`` lists the distances d(u, v), and
+    ``hop(s, t, load)`` returns what ``_load_aware_path(g, s, t, load,
+    budget)`` does, but runs that BFS only when no admitted path of
+    length d(s, t) exists.
+
+    ``hop`` takes the distances to t and walks the shortest-path DAG
+    (``_dag_path``).  This is the BFS's answer whenever the walk finds
+    a path.  The BFS explores the admitted vertices (load <= B - 2,
+    plus s and t), so it reaches t at level d(s, t) exactly when some
+    admitted path has that length, and it returns the lexicographically
+    smallest of the shortest ones (see ``_load_aware_path``): the path
+    the walk finds.  Only when the walk fails does the BFS run, for a
+    detour or for None.  With no load every vertex is admitted, so the
+    walk takes the smallest closer neighbour at every step: the free
+    path is :func:`shortest_path`.
+
+    The distances come from one all-sources sweep
+    (:func:`distance_rows`), or from one BFS per target when there are
+    no more targets than ecc(0): the sweep runs at least ecc(0) levels,
+    and up to N = 1024 a level costs about as much as a BFS.
+    """
+    adj, cap = g._adj, budget - 2
+    if len(targets) <= max(bfs_distances(g, 0)):
+        rows = {t: array("H", bfs_distances(g, t)) for t in targets}
+
+        def between(us, vs):
+            return [rows[v][u] for u, v in zip(us, vs)]
+    else:
+        rows = distance_rows(g)
+        between = rows.between
+
+    def hop(s, t, load):
+        if load[s] >= budget or load[t] >= budget:
+            return None
+        return (_dag_path(adj, s, t, rows[t], load, cap)
+                or _load_aware_path(g, s, t, load, budget))
+
+    return hop, between
+
+
+def _tree_hops(g: ArchGraph, budget: int):
+    """``(hop, free)`` on a tree: ``free(s, t)`` is the s-t path and
+    ``hop(s, t, load)`` is ``_load_aware_path(g, s, t, load, budget)``.
+
+    The s-t path is unique, so the BFS returns it when its interiors
+    are admitted and None otherwise.  A BFS tree rooted at vertex 0
+    gives every vertex's parent and depth, and ``free`` climbs from s
+    and t to their lowest common ancestor.
+    """
+    depth = bfs_distances(g, 0)
+    parent = [0] * g.n
+    for p, c in spanning_tree(g, 0):
+        parent[c] = p
+    cap = budget - 2
+
+    def free(s, t):
+        up, down = [s], [t]
+        while depth[s] > depth[t]:
+            s = parent[s]
+            up.append(s)
+        while depth[t] > depth[s]:
+            t = parent[t]
+            down.append(t)
+        while s != t:
+            s, t = parent[s], parent[t]
+            up.append(s)
+            down.append(t)
+        return tuple(up + down[-2::-1])
+
+    def hop(s, t, load):
+        if load[s] >= budget or load[t] >= budget:
+            return None
+        path = free(s, t)
+        if all(load[v] <= cap for v in path[1:-1]):
+            return path
+        return None
+
+    return hop, free
+
+
 def _add_load(load: list[int], path: tuple[int, ...], sign: int) -> None:
     load[path[0]] += sign
     load[path[-1]] += sign
@@ -171,16 +304,17 @@ def _add_load(load: list[int], path: tuple[int, ...], sign: int) -> None:
         load[v] += 2 * sign
 
 
-def _fit_cycle(g: ArchGraph, cyc: tuple[int, ...], load: list[int],
-               budget: int) -> list[tuple[int, ...]] | None:
+def _fit_cycle(hop, cyc: tuple[int, ...],
+               load: list[int]) -> list[tuple[int, ...]] | None:
     """Try to place every hop of a cycle into a round with current
-    ``load``.  All hops fit (rerouting around saturated vertices where
-    possible) or none do; on failure the hops placed so far are taken
-    back out, leaving ``load`` as it was."""
+    ``load``, each on the path ``hop(s, t, load)`` gives.  All hops fit
+    (rerouting around saturated vertices where possible) or none do; on
+    failure the hops placed so far are taken back out, leaving ``load``
+    as it was."""
     paths = []
     m = len(cyc)
     for i in range(m):
-        p = _load_aware_path(g, cyc[i], cyc[(i + 1) % m], load, budget)
+        p = hop(cyc[i], cyc[(i + 1) % m], load)
         if p is None:
             for q in paths:
                 _add_load(load, q, -1)
@@ -190,7 +324,7 @@ def _fit_cycle(g: ArchGraph, cyc: tuple[int, ...], load: list[int],
     return paths
 
 
-def _chain_timesteps(g: ArchGraph, cyc: tuple[int, ...],
+def _chain_timesteps(hop, cyc: tuple[int, ...], n: int,
                      budget: int) -> list[list]:
     """Realize one cycle as single-transfer rounds: park one vertex's
     token in an ancilla, deliver the others in reverse cycle order,
@@ -202,18 +336,18 @@ def _chain_timesteps(g: ArchGraph, cyc: tuple[int, ...],
     (rotate until the parking vertex separates no other two elements).
     """
     m = len(cyc)
-    parked = [0] * g.n
+    parked = [0] * n
     for r in range(m):
         rot = cyc[r:] + cyc[:r]
         parked[rot[0]] = 1
         paths = []
         for i in range(m - 1, 0, -1):
-            p = _load_aware_path(g, rot[i], rot[(i + 1) % m], parked, budget)
+            p = hop(rot[i], rot[(i + 1) % m], parked)
             if p is None:
                 break
             paths.append(p)
         else:
-            final = _load_aware_path(g, rot[0], rot[1], parked, budget)
+            final = hop(rot[0], rot[1], parked)
             if final is not None:
                 park = SwapLocal(rot[0], 0, 1)
                 steps: list[list] = [[park]]
@@ -235,7 +369,11 @@ def greedy_schedule(g: ArchGraph, pi: Permutation) -> Schedule:
     Each joins the first round, in the order rounds were opened, where
     all its transfers fit under the per-vertex load budget B, else
     opens a new round; cycles too congested even for an empty round
-    are realized as buffered chains after all rounds.
+    are realized as buffered chains after all rounds.  Every transfer
+    takes the path a load-aware BFS would (``_load_aware_path``), but
+    the BFS runs only for detours: hop distances come from one
+    all-sources sweep or, for a few targets, one BFS each
+    (``_dag_hops``), and on a tree from one rooted BFS (``_tree_hops``).
 
     First-fit does not try the rounds a cycle cannot fit.  Every vertex
     keeps two bitsets over the open rounds: bit r of ``over`` is set
@@ -245,8 +383,8 @@ def greedy_schedule(g: ArchGraph, pi: Permutation) -> Schedule:
 
     * load <= B - 2 at each of its elements, which end two hops each;
     * on a tree, load <= B - 4 inside each hop path.  The path is
-      unique (the free BFS path the sort key computes), and a vertex
-      inside it separates the hop's ends, so the cycle passes it twice:
+      unique (the free path the sort key climbs), and a vertex inside
+      it separates the hop's ends, so the cycle passes it twice:
       inside two hops, or inside one and as an element.
 
     For a 2-cycle on a tree these conditions are also sufficient; for
@@ -256,9 +394,7 @@ def greedy_schedule(g: ArchGraph, pi: Permutation) -> Schedule:
     fit sets bits only at the vertices it loaded.  Loads in a round
     only rise, so a set bit stays true: the filter skips only rounds
     where ``_fit_cycle`` would fail, and first-fit picks the same round
-    as trying every round in turn.  A cycle costs one bitset OR per
-    needed vertex, where trying a round costs at least one load-aware
-    BFS.
+    as trying every round in turn.
     """
     if pi.n != g.n:
         raise ValueError("permutation size does not match the graph")
@@ -266,23 +402,28 @@ def greedy_schedule(g: ArchGraph, pi: Permutation) -> Schedule:
     if budget < 2:
         raise ValueError("teleportation scheduling needs an ancilla "
                          "budget of at least 2")
-    tree = len(g.edges) == g.n - 1  # an ArchGraph is connected
+    cycles = pi.cycles()
+    if not cycles:
+        return Schedule([])
 
-    # with no load every vertex is admitted, so these are BFS paths;
     # both hops of a 2-cycle have the same length on an undirected graph
-    free = [0] * g.n
-
-    def hop(u: int, v: int) -> tuple[int, ...]:
-        return _load_aware_path(g, u, v, free, budget)
-
+    hops = [[(cyc[i], cyc[(i + 1) % len(cyc)])
+             for i in range(1 if len(cyc) == 2 else len(cyc))]
+            for cyc in cycles]
     # (sort key, cycle, the vertices inside its hop paths on a tree)
     entries = []
-    for cyc in pi.cycles():
-        m = len(cyc)
-        paths = [hop(cyc[i], cyc[(i + 1) % m])
-                 for i in range(1 if m == 2 else m)]
-        inner = set().union(*(p[1:-1] for p in paths)) if tree else ()
-        entries.append(((-max(map(len, paths)), cyc[0]), cyc, inner))
+    if len(g.edges) == g.n - 1:  # a tree, as an ArchGraph is connected
+        hop, free = _tree_hops(g, budget)
+        for cyc, pairs in zip(cycles, hops):
+            paths = [free(u, v) for u, v in pairs]
+            inner = set().union(*(p[1:-1] for p in paths))
+            entries.append(((-max(map(len, paths)), cyc[0]), cyc, inner))
+    else:
+        hop, between = _dag_hops(g, budget, pi.support())
+        dist = iter(between(*zip(*(uv for pairs in hops for uv in pairs))))
+        for cyc, pairs in zip(cycles, hops):
+            longest = max(next(dist) for _ in pairs)
+            entries.append(((-longest, cyc[0]), cyc, ()))
     entries.sort(key=itemgetter(0))
 
     # below B = 4 a load of 0 also exceeds B - 4 and sets no bit; no
@@ -301,14 +442,14 @@ def greedy_schedule(g: ArchGraph, pi: Permutation) -> Schedule:
         candidates = ((1 << len(rounds)) - 1) & ~blocked
         while candidates:
             r = (candidates & -candidates).bit_length() - 1
-            paths = _fit_cycle(g, cyc, rounds[r][1], budget)
+            paths = _fit_cycle(hop, cyc, rounds[r][1])
             if paths is not None:
                 break
             candidates &= candidates - 1
         else:  # no open round takes the cycle
             r = len(rounds)
             load = [0] * g.n
-            paths = _fit_cycle(g, cyc, load, budget)
+            paths = _fit_cycle(hop, cyc, load)
             if paths is None:
                 chained.append(cyc)
                 continue
@@ -326,7 +467,7 @@ def greedy_schedule(g: ArchGraph, pi: Permutation) -> Schedule:
     timesteps: list[list] = [[TeleRound(tuple(transfers))]
                              for transfers, _ in rounds]
     for cyc in chained:
-        timesteps.extend(_chain_timesteps(g, cyc, budget))
+        timesteps.extend(_chain_timesteps(hop, cyc, g.n, budget))
     return Schedule(timesteps)
 
 

@@ -8,6 +8,8 @@ import tracemalloc
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teleroute.graphs import (
     FAMILY_PARAMS,
@@ -17,6 +19,7 @@ from teleroute.graphs import (
     bfs_distances,
     cartesian_product,
     diameter,
+    distance_rows,
     eccentricities,
     generate_graph,
     generate_permutation,
@@ -277,6 +280,53 @@ def test_bfs_distances_rejects_non_vertices(bad):
     g = generate_graph("path", n=5)
     with pytest.raises(ValueError, match=rf"^vertex {bad} is not in range\(5\)$"):
         bfs_distances(g, bad)
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_adjacency_queries_reject_non_vertices(bad):
+    g = generate_graph("path", n=5)
+    msg = rf"^vertex {bad} is not in range\(5\)$"
+    for query in (lambda: g.neighbors(bad), lambda: g.degree(bad),
+                  lambda: g.has_edge(bad, 3), lambda: g.has_edge(3, bad),
+                  lambda: spanning_tree(g, bad),
+                  lambda: distance_rows(g)[bad],
+                  lambda: distance_rows(g).between([0, bad], [1, 2])):
+        with pytest.raises(ValueError, match=msg):
+            query()
+    assert g.neighbors(4) == (3,) and g.degree(0) == 1
+    assert g.has_edge(3, 4) and not g.has_edge(0, 4)
+
+
+def check_distance_rows(g):
+    rows = distance_rows(g)
+    dists = [bfs_distances(g, t) for t in range(g.n)]
+    for t in range(g.n):
+        assert list(rows[t]) == dists[t]
+    pairs = list(itertools.product(range(g.n), repeat=2))
+    assert rows.between(*zip(*pairs)) == [dists[v][u] for u, v in pairs]
+
+
+@pytest.mark.parametrize("kind,params", FAMILY_SAMPLES)
+def test_distance_rows_match_bfs_on_families(kind, params):
+    check_distance_rows(generate_graph(kind, **params))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 130), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_distance_rows_match_bfs_on_random_graphs(n, seed, hub):
+    # a random tree plus up to n/4 extra edges; with ``hub`` a vertex
+    # joined to half the others, whose slots the sweep reduces in one
+    # piece, where eccentricities must stay exact too
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {tuple(sorted(rng.sample(range(n), 2)))
+              for _ in range(n // 4) if n > 1}
+    if hub:
+        edges |= {(0, v) for v in range(1, n, 2)}
+    g = ArchGraph(n, tuple(edges))
+    check_distance_rows(g)
+    assert eccentricities(g) == [max(bfs_distances(g, v))
+                                 for v in range(g.n)]
 
 
 def test_spanning_tree():

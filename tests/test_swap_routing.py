@@ -292,6 +292,30 @@ def test_product_self_check_replays_emitted_swaps(monkeypatch, victim):
     assert len(calls) == 12  # 4 copies in each of the three phases
 
 
+@pytest.mark.parametrize("kind,params,factors", [
+    ("hypercube", {"d": 6}, [("path", 2)] * 5 + [("hypercube", d)
+                                                   for d in range(1, 6)]),
+    ("grid", {"n": 3, "d": 4}, [("path", 3)] * 3 + [("grid", d)
+                                                     for d in range(1, 4)]),
+])
+def test_generic_builds_each_product_factor_once(monkeypatch, kind, params,
+                                                 factors):
+    # every level splits off one path and one smaller graph of the
+    # family, however many copies of it the level above routes
+    built = []
+    generate = swap_routing.generate_graph
+
+    def counted(kind, ancilla_budget, **params):
+        built.append((kind, params.get("d", params.get("n"))))
+        return generate(kind, ancilla_budget, **params)
+
+    monkeypatch.setattr(swap_routing, "generate_graph", counted)
+    g = generate_graph(kind, **params)
+    pi = generate_permutation("random", g, seed=1)
+    assert verify_schedule(g, route_generic(g, pi), pi)
+    assert sorted(built) == sorted(factors)
+
+
 # ---------------------------------------------------------------------------
 # generic dispatch
 # ---------------------------------------------------------------------------

@@ -261,9 +261,9 @@ def fit_calls(monkeypatch):
     calls = []
     fit = tele_routing._fit_cycle
 
-    def counted(g, cyc, load, budget):
+    def counted(hop, cyc, load):
         start = list(load)
-        paths = fit(g, cyc, load, budget)
+        paths = fit(hop, cyc, load)
         calls.append((cyc, start, paths))
         return paths
 
