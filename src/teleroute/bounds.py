@@ -52,7 +52,6 @@ __all__ = [
 ]
 
 EXACT_EXPANSION_MAX_N = 24
-_BOUNDS_EXACT_MAX_N = 16  # cheap-call cap used by vertex_expansion_bounds
 
 
 def cut_value(g: ArchGraph, xs) -> Fraction:
@@ -183,27 +182,32 @@ def family_witness_cut(g: ArchGraph) -> set[int] | None:
     return None
 
 
-def vertex_expansion_bounds(g: ArchGraph) -> tuple[Fraction, Fraction]:
-    """An interval [lower, upper] certainly containing c(G).
+def _expansion(g: ArchGraph):
+    """What is known of c(G): ``(lower, upper, witness cut, exact)``.
 
-    Generic bounds are [2/N, 1]; a family witness cut sharpens the
-    upper end, and for small graphs (n <= 16) the exact search
-    collapses the interval to a point.
+    Exact search up to EXACT_EXPANSION_MAX_N vertices, a point with its
+    argmin cut.  Beyond, the interval [2/N, u] with u the score of the
+    family witness cut (at most 1), or 1 for a family without one.
     """
-    n = g.n
-    if n < 2:
-        raise ValueError("expansion needs at least two vertices")
-    if n <= _BOUNDS_EXACT_MAX_N:
-        c, _ = vertex_expansion_exact(g)
-        return c, c
-    return _witness_interval(g, family_witness_cut(g))
-
-
-def _witness_interval(g: ArchGraph, cut) -> tuple[Fraction, Fraction]:
-    # [2/N, 1], the upper end lowered to the score of a witness cut
+    if g.n <= EXACT_EXPANSION_MAX_N:
+        c, witness = vertex_expansion_exact(g)
+        return c, c, witness, True
     lower = Fraction(2, g.n)
-    upper = Fraction(1) if cut is None else min(Fraction(1), cut_value(g, cut))
-    return lower, max(lower, upper)
+    cut = family_witness_cut(g)
+    if cut is None:
+        return lower, Fraction(1), None, False
+    upper = max(lower, min(Fraction(1), cut_value(g, cut)))
+    return lower, upper, tuple(sorted(cut)), False
+
+
+def vertex_expansion_bounds(g: ArchGraph) -> tuple[Fraction, Fraction]:
+    """An interval [lower, upper] certainly containing c(G): the point
+    c(G) by exact search up to EXACT_EXPANSION_MAX_N (24) vertices,
+    else [2/N, 1] with the upper end lowered to the score of any family
+    witness cut.  ``bounds_report`` and ``advantage_upper_bounds`` use
+    the same interval."""
+    lower, upper, _, _ = _expansion(g)
+    return lower, upper
 
 
 def iso_lower_bound(c: Fraction) -> int:
@@ -328,20 +332,17 @@ class AdvantageBounds:
 def advantage_upper_bounds(g: ArchGraph, c=None) -> AdvantageBounds:
     """Two ceilings on the achievable routing advantage and their min.
 
-    Uses ``c`` when given, else exact expansion when feasible.  Beyond
-    that c(G) is only known to lie in vertex_expansion_bounds' interval,
-    and each figure takes the end that makes it largest, so it stays a
-    valid up-to-constant ceiling: ``linear`` = N·c grows with c and
-    takes the upper end; ``sqrt_log`` = √N + log2 N / c shrinks as c
-    grows and takes the lower end.
+    Uses ``c`` when given, else vertex_expansion_bounds' interval (a
+    point up to 24 vertices).  Each figure takes the end that makes it
+    largest, so it stays a valid up-to-constant ceiling: ``linear`` =
+    N·c grows with c and takes the upper end; ``sqrt_log`` =
+    √N + log2 N / c shrinks as c grows and takes the lower end.
     """
     n = g.n
     if c is not None:
         lo = hi = c
-    elif n <= EXACT_EXPANSION_MAX_N:
-        lo = hi = vertex_expansion_exact(g)[0]
     else:
-        lo, hi = vertex_expansion_bounds(g)
+        lo, hi, _, _ = _expansion(g)
     linear = n * float(hi)
     sqrt_log = math.sqrt(n) + (math.log2(n) / float(lo) if n > 1 else 0.0)
     return AdvantageBounds(linear, sqrt_log, min(linear, sqrt_log))
@@ -388,15 +389,7 @@ def bounds_report(g: ArchGraph) -> BoundsReport:
     any family witness cut.  iso_lb uses the upper end of the interval,
     which keeps it a valid routing-time lower bound.
     """
-    if g.n <= EXACT_EXPANSION_MAX_N:
-        c, witness = vertex_expansion_exact(g)
-        lo = hi = c
-        exact = True
-    else:
-        cut = family_witness_cut(g)
-        lo, hi = _witness_interval(g, cut)
-        witness = tuple(sorted(cut)) if cut else None
-        exact = False
+    lo, hi, witness, exact = _expansion(g)
     d = diameter(g)
     lam2, dstar, figure = spectral(g)
     return BoundsReport(

@@ -8,8 +8,11 @@ tabulates the swap-vs-teleport record of ``tele_routing.advantage``
 after verifying both of its schedules; ``verify`` replays a schedule
 file against a graph and permutation.
 
-Family and permutation kinds, their parameter flags and a sweep's size
-flag are read from ``graphs.FAMILY_PARAMS`` and ``PERMUTATION_PARAMS``.
+Family and permutation kinds, the parameters each one reads and a
+sweep's size flag come from ``graphs.FAMILY_PARAMS`` and
+``PERMUTATION_PARAMS``; the flags are declared by hand in
+``_add_graph_args`` and ``_add_perm_args``, and a test checks that
+they cover both tables.
 
 Machine output (JSON/CSV) goes to stdout and human tables to stderr, so
 pipelines stay clean.  Exit codes: 0 success, 1 verification failure,

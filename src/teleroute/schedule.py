@@ -100,7 +100,9 @@ class Transfer:
         A path of d edges consumes one pair per edge: interiors hold two
         halves, endpoints one.  A "swap" uses a channel in each
         direction, doubling every load.  This is the one statement of
-        the load rule; every other load count derives from it.
+        the load rule; every other load count derives from it, except
+        ``tele_routing._add_load``, which restates it for the packer's
+        hot loop (a test holds the two equal).
         """
         w = 2 if self.kind == "swap" else 1
         p = self.path

@@ -298,6 +298,9 @@ def _tree_hops(g: ArchGraph, budget: int):
 
 
 def _add_load(load: list[int], path: tuple[int, ...], sign: int) -> None:
+    """Add (sign 1) or take back (-1) the halves a move along ``path``
+    parks: ``Transfer.halves``' load rule, restated inline for the
+    packer's hot loop.  A test holds the two equal."""
     load[path[0]] += sign
     load[path[-1]] += sign
     for v in path[1:-1]:

@@ -2,11 +2,13 @@
 
 A circuit is a list of layers of gates on disjoint qubits: H, S, CNOT,
 X, Z, Z-basis measurement into a numbered classical record, and X/Z
-corrections controlled by the parity of a record subset.  The
-teleportation emitter produces the repeater-style block for a path of
-any length in a fixed number of layers: Bell pairs across every hop,
+corrections controlled by the parity of a record subset.  One builder
+makes the repeater-style teleportation block for relay chains of any
+length in a fixed number of layers: Bell pairs across every hop,
 simultaneous Bell measurements at the source and every junction, and
-two parity-controlled corrections at the destination.
+two parity-controlled corrections at the destination.  It is both the
+one-chain circuit that ``verify_teleportation`` checks and what
+``emit_circuit`` compiles every teleportation round to.
 """
 
 from __future__ import annotations
@@ -31,7 +33,12 @@ __all__ = [
     "emit_circuit",
 ]
 
-_KINDS = ("h", "s", "x", "z", "cnot", "measure", "parity_x", "parity_z")
+# gate kind -> the Tableau method applying it, by name, so that run()
+# drives any tableau with Tableau's interface; a parity gate passes the
+# parity of its control records as the method's mask
+_METHODS = {"h": "h", "s": "s", "x": "x_gate", "z": "z_gate",
+            "cnot": "cnot", "parity_x": "x_if", "parity_z": "z_if"}
+_KINDS = (*_METHODS, "measure")
 
 
 @dataclass(frozen=True)
@@ -116,17 +123,7 @@ class CliffordCircuit:
         records: list[int | None] = [None] * self.num_records
         for layer in self.layers:
             for gate in layer:
-                if gate.kind == "h":
-                    tab.h(gate.qubits[0])
-                elif gate.kind == "s":
-                    tab.s(gate.qubits[0])
-                elif gate.kind == "x":
-                    tab.x_gate(gate.qubits[0])
-                elif gate.kind == "z":
-                    tab.z_gate(gate.qubits[0])
-                elif gate.kind == "cnot":
-                    tab.cnot(*gate.qubits)
-                elif gate.kind == "measure":
+                if gate.kind == "measure":
                     a = gate.qubits[0]
                     if feed is not None and tab.is_random(a):
                         try:
@@ -137,14 +134,13 @@ class CliffordCircuit:
                         records[gate.record] = tab.measure(a, outcome=out)
                     else:
                         records[gate.record] = tab.measure(a, rng=rng)
-                else:
+                elif gate.controls:
                     parity = 0
                     for c in gate.controls:
                         parity = parity ^ records[c]
-                    if gate.kind == "parity_x":
-                        tab.x_if(gate.qubits[0], parity)
-                    else:
-                        tab.z_if(gate.qubits[0], parity)
+                    getattr(tab, _METHODS[gate.kind])(gate.qubits[0], parity)
+                else:
+                    getattr(tab, _METHODS[gate.kind])(*gate.qubits)
         return tab, records
 
     def to_json(self) -> str:
@@ -173,36 +169,54 @@ class CliffordCircuit:
 # the constant-depth teleportation block
 # ---------------------------------------------------------------------------
 
-def emit_teleport_circuit(d: int) -> CliffordCircuit:
-    """Teleport qubit 0 to qubit 2d across d hops in 7 layers.
+def _relay_block(chains, rec: int):
+    """The teleportation block for relay chains run side by side.
 
-    Qubits: 0 is the source; hop i (1-based) owns the fresh pair
-    (2i-1, 2i); qubit 2d is the destination.  Layers: create a Bell
-    pair across every hop (H, then CNOT); Bell-measure source with the
-    first pair half and each junction's arriving half with the next
-    departing half (CNOT, H, measure twice); finally apply X controlled
-    by the parity of the CNOT-target records and Z by the parity of the
-    H-side records.  The layer count never depends on d.
+    A chain is ``(source, hops)``, hop i the fresh qubit pair (a, b)
+    whose b arrives where hop i+1 departs; the state lands on the last
+    b.  Layers: create a Bell pair across every hop (H, then CNOT);
+    Bell-measure the source with the first a and each arriving b with
+    the next a (CNOT, H, measure the H side into one record and the
+    CNOT target into the next, counting from ``rec``); finally apply X
+    controlled by the parity of the chain's CNOT-target records and Z
+    by that of its H-side records.  The layer count never depends on
+    the hop count.  Returns the seven layers, the resets (X on each
+    measured qubit controlled by its own record) and the next record.
     """
+    pair_h, pair_cnot, bell_cnot, bell_h = [], [], [], []
+    meas, resets, fix_x, fix_z = [], [], [], []
+    for source, hops in chains:
+        first = rec
+        senders = [source] + [b for _, b in hops[:-1]]
+        for (a, b), sender in zip(hops, senders):
+            pair_h.append(Gate("h", (a,)))
+            pair_cnot.append(Gate("cnot", (a, b)))
+            bell_cnot.append(Gate("cnot", (sender, a)))
+            bell_h.append(Gate("h", (sender,)))
+            for q, r in ((sender, rec), (a, rec + 1)):
+                meas.append(Gate("measure", (q,), record=r))
+                resets.append(Gate("parity_x", (q,), controls=(r,)))
+            rec += 2
+        landed = hops[-1][1]
+        fix_x.append(Gate("parity_x", (landed,),
+                          controls=tuple(range(first + 1, rec, 2))))
+        fix_z.append(Gate("parity_z", (landed,),
+                          controls=tuple(range(first, rec, 2))))
+    layers = [pair_h, pair_cnot, bell_cnot, bell_h, meas, fix_x, fix_z]
+    return layers, resets, rec
+
+
+def emit_teleport_circuit(d: int) -> CliffordCircuit:
+    """Teleport qubit 0 to qubit 2d across d hops in 7 layers: the
+    ``_relay_block`` that ``emit_circuit`` compiles every round to, for
+    the one chain whose hop i (1-based) is the fresh pair (2i-1, 2i).
+    X is controlled by the odd records, Z by the even ones."""
     if d < 1:
         raise ValueError("teleportation needs at least one hop")
-    c = CliffordCircuit(num_qubits=1 + 2 * d, num_records=2 * d)
-    c.layers.append([Gate("h", (2 * i - 1,)) for i in range(1, d + 1)])
-    c.layers.append([Gate("cnot", (2 * i - 1, 2 * i))
-                     for i in range(1, d + 1)])
-    bell = [(0, 1)] + [(2 * i, 2 * i + 1) for i in range(1, d)]
-    c.layers.append([Gate("cnot", (a, b)) for a, b in bell])
-    c.layers.append([Gate("h", (a,)) for a, _ in bell])
-    measures = []
-    for k, (a, b) in enumerate(bell):
-        measures.append(Gate("measure", (a,), record=2 * k))
-        measures.append(Gate("measure", (b,), record=2 * k + 1))
-    c.layers.append(measures)
-    dest = 2 * d
-    c.layers.append([Gate("parity_x", (dest,),
-                          controls=tuple(range(1, 2 * d, 2)))])
-    c.layers.append([Gate("parity_z", (dest,),
-                          controls=tuple(range(0, 2 * d, 2)))])
+    layers, _, records = _relay_block(
+        [(0, [(2 * i - 1, 2 * i) for i in range(1, d + 1)])], 0)
+    c = CliffordCircuit(num_qubits=1 + 2 * d, layers=layers,
+                        num_records=records)
     c.validate()
     return c
 
@@ -240,7 +254,7 @@ def verify_teleportation(circuit: CliffordCircuit, d: int,
     for pauli, sign, prep in _PREPS:
         tab = Tableau(circuit.num_qubits, batch=vectors.shape[1])
         for kind in prep:
-            getattr(tab, kind if kind in ("h", "s") else kind + "_gate")(0)
+            getattr(tab, _METHODS[kind])(0)
         tab, _ = circuit.run(tab, forced=vectors)
         got = tab.stabilized_sign(2 * d, pauli)
         if got is None or not np.all(got == sign):
@@ -263,11 +277,12 @@ def _swap_layers(pairs: list[tuple[int, int]]) -> list[list[Gate]]:
 
 def emit_circuit(g: ArchGraph, schedule: Schedule) -> CliffordCircuit:
     """Gate-level export of a schedule: qubit v*(1+B)+s is slot s of
-    vertex v; swaps become 3 CNOTs; every transfer of a teleportation
-    round becomes one teleportation block over ancilla slots allocated
-    along its path, followed by measured-qubit resets (X controlled by
-    the qubit's own record) and a local swap of the delivered state
-    into the destination's data slot."""
+    vertex v; swaps become 3 CNOTs.  A timestep's teleportation rounds
+    become one ``_relay_block`` with a chain per transfer (one each way
+    for a "swap" transfer) over ancilla slots allocated along its path,
+    its resets as a layer between measurements and corrections, then a
+    local swap of each delivered state into its destination's data
+    slot: 11 layers."""
     width = 1 + g.ancilla_budget
     c = CliffordCircuit(num_qubits=g.n * width)
 
@@ -306,46 +321,17 @@ def _emit_rounds(c: CliffordCircuit, g: ArchGraph, rounds: list[TeleRound],
         raise ValueError(f"vertex {v} has no free ancilla slot left for "
                          f"its share of the round")
 
-    chains = []
+    chains, deliver = [], []
     for rnd in rounds:
         for tr in rnd.transfers:
             legs = [tr.path] if tr.kind == "move" else [
                 tr.path, tuple(reversed(tr.path))]
             for path in legs:
-                halves = []
-                for u, v in zip(path, path[1:]):
-                    halves.append((take(u), take(v)))
-                chains.append((slot(path[0], 0), halves, slot(path[-1], 0)))
-
-    pair_h, pair_cnot, bell_cnot, bell_h = [], [], [], []
-    meas, resets, fixes, deliver = [], [], [], []
-    rec = c.num_records
-    for source, halves, dest_data in chains:
-        for a, b in halves:
-            pair_h.append(Gate("h", (a,)))
-            pair_cnot.append(Gate("cnot", (a, b)))
-        senders = [source] + [b for _, b in halves[:-1]]
-        targets = [a for a, _ in halves]
-        x_records, z_records = [], []
-        for s_q, t_q in zip(senders, targets):
-            bell_cnot.append(Gate("cnot", (s_q, t_q)))
-            bell_h.append(Gate("h", (s_q,)))
-            meas.append(Gate("measure", (s_q,), record=rec))
-            z_records.append(rec)
-            meas.append(Gate("measure", (t_q,), record=rec + 1))
-            x_records.append(rec + 1)
-            rec += 2
-        for gate in meas[-2 * len(senders):]:
-            resets.append(Gate("parity_x", gate.qubits,
-                               controls=(gate.record,)))
-        arrived = halves[-1][1]
-        fixes.append(Gate("parity_x", (arrived,), controls=tuple(x_records)))
-        fixes.append(Gate("parity_z", (arrived,), controls=tuple(z_records)))
-        deliver.append((arrived, dest_data))
-
-    c.num_records = rec
-    for layer in (pair_h, pair_cnot, bell_cnot, bell_h, meas, resets):
-        c.layers.append(layer)
-    c.layers.append([g_ for g_ in fixes if g_.kind == "parity_x"])
-    c.layers.append([g_ for g_ in fixes if g_.kind == "parity_z"])
+                hops = [(take(u), take(v)) for u, v in zip(path, path[1:])]
+                chains.append((slot(path[0], 0), hops))
+                deliver.append((hops[-1][1], slot(path[-1], 0)))
+    block, resets, c.num_records = _relay_block(chains, c.num_records)
+    c.layers.extend(block[:5])
+    c.layers.append(resets)
+    c.layers.extend(block[5:])
     c.layers.extend(_swap_layers(deliver))

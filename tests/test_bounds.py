@@ -154,15 +154,16 @@ def test_bounds_collapse_when_small():
 
 
 def test_bounds_butterfly():
-    g = generate_graph("butterfly", r=3)  # 24 vertices: witness regime
-    lo, hi = vertex_expansion_bounds(g)
-    assert hi <= Fraction(2, 3)
-    assert lo == Fraction(2, 24)
+    g = generate_graph("butterfly", r=3)  # 24 vertices: exact regime
     c, _ = vertex_expansion_exact(g)
-    assert lo <= c <= hi
     cut = family_witness_cut(g)
     assert cut_value(g, cut) == Fraction(2, 3)
     assert len(cut) == g.n // 2
+    assert c <= cut_value(g, cut)
+    g = generate_graph("butterfly", r=4)  # 64 vertices: witness regime
+    lo, hi = vertex_expansion_bounds(g)
+    assert hi == cut_value(g, family_witness_cut(g)) == Fraction(1, 2)
+    assert lo == Fraction(2, 64)
 
 
 def test_bounds_grid_hyperplane():
@@ -393,9 +394,9 @@ def random_connected(n: int, seed: int) -> ArchGraph:
 ], ids=["path-17", "wheel-18", "complete-20", "butterfly-3", "random-18",
         "random-21"])
 def test_advantage_bounds_interval_ends_never_below_exact(g):
-    # 16 < n <= 24: vertex_expansion_bounds gives an interval while
-    # advantage_upper_bounds uses exact c; the figures each takes from
-    # the interval end that favours it must not fall below exact c's
+    # 16 < n <= 24: the interval must hold exact c, and the figures
+    # advantage_upper_bounds takes from the end that favours each must
+    # not fall below exact c's
     assert 16 < g.n <= EXACT_EXPANSION_MAX_N
     c = vertex_expansion_exact(g)[0]
     lo, hi = vertex_expansion_bounds(g)
@@ -427,3 +428,29 @@ def test_bounds_report_interval():
     assert Fraction(doc["c_lower"]) == rep.c_lower
     assert doc["c_upper"] == "1/2"
     assert rep.iso_lb == iso_lower_bound(rep.c_upper)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("path", {"n": 16}), ("path", {"n": 17}), ("path", {"n": 24}),
+    ("path", {"n": 25}),
+    ("wheel", {"n": 15}), ("wheel", {"n": 19}), ("wheel", {"n": 23}),
+    ("wheel", {"n": 24}),
+    ("complete", {"n": 16}), ("complete", {"n": 20}), ("complete", {"n": 24}),
+    ("complete", {"n": 25}),
+    ("butterfly", {"r": 2}), ("butterfly", {"r": 3}), ("butterfly", {"r": 4}),
+    ("grid", {"n": 4, "d": 2}), ("grid", {"n": 5, "d": 2}),
+    ("grid", {"n": 3, "d": 3}),
+    ("hypercube", {"d": 4}), ("hypercube", {"d": 5}),
+    ("ladder", {"n": 4}), ("ladder", {"n": 5}),
+])
+def test_expansion_bounds_agree_with_report(kind, params):
+    # the library and `teleroute bounds` draw the same line between
+    # the exact point and the witness interval
+    g = generate_graph(kind, **params)
+    rep = bounds_report(g)
+    assert vertex_expansion_bounds(g) == (rep.c_lower, rep.c_upper)
+    assert rep.exact == (g.n <= EXACT_EXPANSION_MAX_N)
+    b = advantage_upper_bounds(g)
+    assert b.linear == pytest.approx(g.n * float(rep.c_upper))
+    assert b.sqrt_log == pytest.approx(
+        math.sqrt(g.n) + math.log2(g.n) / float(rep.c_lower))

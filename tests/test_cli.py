@@ -1,5 +1,6 @@
 """Command-line interface: flags, exit codes, and output formats."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -10,6 +11,7 @@ from teleroute import cli, tele_routing
 from teleroute.cli import main, perm_from_json, perm_to_json
 from teleroute.graphs import (
     FAMILY_PARAMS,
+    PERMUTATION_PARAMS,
     Permutation,
     generate_graph,
     generate_permutation,
@@ -613,3 +615,19 @@ def test_perm_json_roundtrip():
     assert perm_from_json(perm_to_json(pi)).image == pi.image
     with pytest.raises(ValueError, match="disagrees"):
         perm_from_json('{"n": 5, "image": [0, 1, 2]}')
+
+
+# -- flag vocabulary ---------------------------------------------------------
+
+def test_every_table_param_has_a_flag():
+    # the flags are declared by hand; a family or permutation parameter
+    # without one would crash every subcommand that reads the table
+    subs = next(a for a in cli._build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+    graph = set(cli._GRAPH_PARAMS)
+    perm = {p for names in PERMUTATION_PARAMS.values() for p in names}
+    reads = {"graph": graph, "bounds": graph, "route": graph | perm,
+             "advantage": graph | perm, "verify": set()}
+    assert set(subs) == set(reads)
+    for name, wanted in reads.items():
+        assert wanted <= {a.dest for a in subs[name]._actions}, name

@@ -191,6 +191,24 @@ def test_greedy_round_loads_revalidate():
         assert verify_schedule(g, sched, pi)
 
 
+def test_add_load_restates_the_halves_rule():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randrange(2, 12)
+        start = [rng.randrange(4) for _ in range(n)]
+        load, want = list(start), list(start)
+        paths = [tuple(rng.sample(range(n), rng.randrange(2, n + 1)))
+                 for _ in range(rng.randrange(1, 4))]
+        for path in paths:
+            tele_routing._add_load(load, path, 1)
+            for v, h in Transfer(path).halves():
+                want[v] += h
+        assert load == want
+        for path in paths:
+            tele_routing._add_load(load, path, -1)
+        assert load == start
+
+
 @pytest.mark.parametrize("kind,params", [
     ("complete", {"n": 8}),
     ("hypercube", {"d": 3}),

@@ -1,7 +1,9 @@
 """Layered Clifford circuits: teleportation blocks and schedule export."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from teleroute.execute import apply_schedule
@@ -163,28 +165,60 @@ def test_crosswired_corrections_fail():
 
 # -- whole-schedule export ----------------------------------------------------
 
+def random_measurements(c, tab):
+    """How many measurements of ``c`` come out random when it runs on
+    ``tab``; the count is the same on every branch."""
+    fed = []
+
+    def zeros():
+        while True:
+            fed.append(0)
+            yield 0
+
+    c.run(tab, forced=zeros())
+    return len(fed)
+
+
 def run_token_oracle(g, sched, marked, coherent=()):
     """Execute the exported circuit and check every token's marker
-    lands on its destination data qubit with ancillas reset."""
+    lands on its destination data qubit with ancillas reset, on every
+    measurement branch when there are at most 16 random measurements,
+    else on 64 seeded branches, all in one batched tableau pass."""
     final = apply_schedule(g, sched)
     c = emit_circuit(g, sched)
     width = 1 + g.ancilla_budget
-    tab = Tableau(c.num_qubits)
-    for v in marked:
-        tab.x_gate(v * width)
-    for v in coherent:
-        tab.h(v * width)
-    tab, _ = c.run(tab)
+
+    def prepared(batch):
+        tab = Tableau(c.num_qubits, batch=batch)
+        for v in marked:
+            tab.x_gate(v * width)
+        for v in coherent:
+            tab.h(v * width)
+        return tab
+
+    bits = random_measurements(c, prepared(1))
+    if bits <= 16:
+        vectors = np.array(list(itertools.product((0, 1), repeat=bits)),
+                           dtype=np.uint8).T
+    else:
+        rng = random.Random(0)
+        vectors = np.array([[rng.randrange(2) for _ in range(64)]
+                            for _ in range(bits)], dtype=np.uint8)
+    tab, _ = c.run(prepared(vectors.shape[1]), forced=vectors)
+
+    def holds(q, pauli, want):
+        got = tab.stabilized_sign(q, pauli)
+        return got is not None and bool(np.all(got == want))
+
     for w in range(g.n):
         tok = final.data(w)
         if tok in coherent:
-            assert tab.stabilized_sign(w * width, "X") == 1
+            assert holds(w * width, "X", 1)
         else:
-            want = -1 if tok in marked else 1
-            assert tab.stabilized_sign(w * width, "Z") == want
+            assert holds(w * width, "Z", -1 if tok in marked else 1)
     for v in range(g.n):
         for s in range(1, g.ancilla_budget + 1):
-            assert tab.stabilized_sign(v * width + s, "Z") == 1
+            assert holds(v * width + s, "Z", 1)
     return c
 
 
