@@ -364,7 +364,7 @@ def cmd_verify(ns) -> int:
     if pi.n != g.n:
         raise ValueError(f"permutation is over {pi.n} vertices but the "
                          f"graph has {g.n}")
-    if sched.graph_ref and sched.graph_ref != g.ref_hash():
+    if sched.graph_ref is not None and sched.graph_ref != g.ref_hash():
         _say(f"MISMATCH: schedule targets graph {sched.graph_ref}, "
              f"got {g.ref_hash()}")
         return 1

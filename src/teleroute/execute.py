@@ -12,8 +12,10 @@ schedule achieves.
 
 from __future__ import annotations
 
+from operator import contains, itemgetter
+
 from .graphs import ArchGraph, Permutation
-from .schedule import Schedule, SwapEdge, SwapLocal, TeleRound
+from .schedule import Schedule, SwapEdge, SwapLayer, SwapLocal, TeleRound
 
 __all__ = [
     "TokenState",
@@ -23,6 +25,9 @@ __all__ = [
     "achieved_permutation",
     "verify_schedule",
 ]
+
+
+_data = itemgetter(0)   # the data slot of a vertex's slot row
 
 
 class ScheduleError(Exception):
@@ -112,16 +117,37 @@ def _slots_written(op) -> list[tuple[int, int]]:
     return list({(v, 0) for tr in op.transfers for v in (tr.source, tr.dest)})
 
 
+def _layer_fits(g: ArchGraph, layer: SwapLayer) -> bool:
+    """Whether every swap of a layer joins two in-range adjacent
+    vertices and no two swaps share a vertex."""
+    us, vs = layer.us, layer.vs
+    if not us:
+        return True
+    # u < v, so the smallest u and the largest v bound every endpoint
+    return (min(us) >= 0 and max(vs) < g.n
+            and all(map(contains, map(g._adj.__getitem__, us), vs))
+            and len({*us, *vs}) == 2 * len(us))
+
+
 def apply_timestep(g: ArchGraph, state: TokenState, ops, t: int = 0):
     """Apply one timestep's primitives simultaneously, in place.
 
-    Raises :class:`ScheduleError` if a primitive is malformed or
-    unrealizable, if two primitives share a slot (a round occupies every
-    slot of every vertex on its paths), or if the step does not conserve
+    ``ops`` is a list of primitives or a :class:`SwapLayer`.  Raises
+    :class:`ScheduleError` if a primitive is malformed or unrealizable,
+    if two primitives share a slot (a round occupies every slot of
+    every vertex on its paths), or if the step does not conserve
     tokens.  Only the slots the primitives write can change, so the
     conservation check compares the tokens in those slots before and
-    after the step; the cost is linear in the size of the timestep.
+    after the step; the cost is linear in the size of the timestep.  A
+    layer is checked whole, with no object per swap, before any slot
+    changes; a layer that fails is checked again as its ``SwapEdge``
+    objects, so the error names the same primitive either way.
     """
+    if type(ops) is SwapLayer:
+        if _layer_fits(g, ops):
+            _apply_swap_layer(state, ops, t)
+            return
+        ops = list(ops)
     # a SwapEdge/SwapLocal claims the (v, s) slots it writes; a round
     # claims (v, None), all of v, for each vertex on its paths.  ``users``
     # maps a vertex to the first primitive claiming any of its slots.
@@ -177,6 +203,23 @@ def apply_timestep(g: ArchGraph, state: TokenState, ops, t: int = 0):
     after = sorted(tok for v, s in written
                    if (tok := slots[v][s]) is not None)
     if before != after:
+        raise ScheduleError(f"timestep {t}: tokens not conserved")
+
+
+def _apply_swap_layer(state: TokenState, layer: SwapLayer, t: int):
+    """Exchange the data tokens of each pair of a layer that fits.  The
+    conservation check needs no sort: the endpoints' data slots must end
+    holding their starting tokens with each pair's two exchanged, which
+    is a permutation of them."""
+    us, vs = layer.us, layer.vs
+    k = len(us)
+    if not k:
+        return
+    rows = itemgetter(*us, *vs)(state.slots)
+    before = list(map(_data, rows))
+    for su, sv in zip(rows[:k], rows[k:]):
+        su[0], sv[0] = sv[0], su[0]
+    if list(map(_data, rows)) != before[k:] + before[:k]:
         raise ScheduleError(f"timestep {t}: tokens not conserved")
 
 

@@ -1,7 +1,10 @@
 """Schedules: timed sequences of routing primitives, with cost models.
 
 A schedule is a list of timesteps; each timestep is a set of primitives
-that act simultaneously.  Three primitives exist:
+that act simultaneously, held as a list of primitive objects or, when
+it holds edge swaps only, as a :class:`SwapLayer` (two lists of
+endpoints, which yields ``SwapEdge`` objects on demand).  Three
+primitives exist:
 
 * ``SwapEdge(u, v)`` — exchange the data tokens of adjacent vertices.
 * ``SwapLocal(v, s1, s2)`` — exchange two slots at one vertex (slot 0 is
@@ -11,18 +14,22 @@ that act simultaneously.  Three primitives exist:
   one-way (``move``) or exchanging the endpoint tokens (``swap``).
 
 Depth is the sum over timesteps of the most expensive primitive in the
-timestep, under a configurable cost model.
+timestep, under a configurable cost model.  Both forms of a timestep
+give the same depth, the same canonical JSON and, in the executor, the
+same result or the same error.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import lt
 
 from .graphs import ArchGraph
 
 __all__ = [
     "SwapEdge",
+    "SwapLayer",
     "SwapLocal",
     "Transfer",
     "TeleRound",
@@ -47,6 +54,45 @@ class SwapEdge:
                 raise ValueError("swap_edge endpoints must differ")
             object.__setattr__(self, "u", v)
             object.__setattr__(self, "v", u)
+
+
+class SwapLayer:
+    """A timestep of edge swaps only: swap i exchanges the data tokens of
+    ``us[i]`` and ``vs[i]``.  Endpoints are stored as lists of ints with
+    ``us[i] < vs[i]``, the order :class:`SwapEdge` normalises to, so a
+    layer costs no object per swap.  Iterating yields the ``SwapEdge``
+    objects in emission order; ``len`` is the number of swaps.  The
+    constructor does not check that the swaps are disjoint or lie on
+    edges; the executor does."""
+
+    __slots__ = ("us", "vs")
+    __hash__ = None
+
+    def __init__(self, us, vs):
+        us, vs = list(us), list(vs)
+        if len(us) != len(vs):
+            raise ValueError("swap layer endpoint lists differ in length")
+        if not all(map(lt, us, vs)):
+            for i, (u, v) in enumerate(zip(us, vs)):
+                if u >= v:
+                    if u == v:
+                        raise ValueError("swap_edge endpoints must differ")
+                    us[i], vs[i] = v, u
+        self.us, self.vs = us, vs
+
+    def __len__(self) -> int:
+        return len(self.us)
+
+    def __iter__(self):
+        return map(SwapEdge, self.us, self.vs)
+
+    def __eq__(self, other):
+        if type(other) is not SwapLayer:
+            return NotImplemented
+        return self.us == other.us and self.vs == other.vs
+
+    def __repr__(self) -> str:
+        return f"SwapLayer({self.us!r}, {self.vs!r})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,6 +314,36 @@ def _op_json(op: Op) -> str:
     raise TypeError(f"not a primitive: {op!r}")
 
 
+def _step_json(step) -> str:
+    """A timestep's ops as canonical JSON texts, sorted, in a list.  A
+    layer's swaps are formatted inline, to the same text as
+    :func:`_op_json`."""
+    if type(step) is SwapLayer:
+        texts = [f'{{"type": "swap_edge", "u": {u}, "v": {v}}}'
+                 for u, v in zip(step.us, step.vs)]
+    else:
+        texts = list(map(_op_json, step))
+    texts.sort()
+    return "[" + ", ".join(texts) + "]"
+
+
+def _swap_layer_from_dicts(step: list) -> SwapLayer | None:
+    """The layer a nonempty JSON timestep describes when every entry is
+    a well-formed ``swap_edge`` object, else None."""
+    if not step:
+        return None
+    us, vs = [], []
+    for d in step:
+        if type(d) is not dict or d.get("type") != "swap_edge":
+            return None
+        u, v = d.get("u"), d.get("v")
+        if type(u) is not int or type(v) is not int or u == v:
+            return None
+        us.append(u)
+        vs.append(v)
+    return SwapLayer(us, vs)
+
+
 @dataclass
 class Schedule:
     """Primitives grouped into simultaneous timesteps.
@@ -276,13 +352,15 @@ class Schedule:
     it is filled in when serializing with a graph at hand.
     """
 
-    timesteps: list[list]
+    timesteps: list[list | SwapLayer]
     depth_model: DepthModel = field(default_factory=DepthModel)
     graph_ref: str | None = None
 
     def depth(self, model: DepthModel | None = None) -> int:
         model = model or self.depth_model
-        return sum(max((model.cost(op) for op in step), default=0)
+        # every swap of a layer costs swap_edge
+        return sum((model.swap_edge if step else 0) if type(step) is SwapLayer
+                   else max(map(model.cost, step), default=0)
                    for step in self.timesteps)
 
     def num_timesteps(self) -> int:
@@ -297,18 +375,20 @@ class Schedule:
         timestep sorted by their canonical JSON text.  The result is
         byte for byte what ``JSONEncoder(sort_keys=True)`` (and so
         ``json.dumps(doc, sort_keys=True)``) gives for the dict form,
-        assembled from each op's canonical string (:func:`_op_json`) so
-        that every op is formatted once."""
+        assembled from each op's canonical string (:func:`_op_json`, or
+        its inline form for a :class:`SwapLayer`) so that every op is
+        formatted once."""
         ref = graph.ref_hash() if graph is not None else self.graph_ref
-        steps = ", ".join("[" + ", ".join(sorted(map(_op_json, step))) + "]"
-                          for step in self.timesteps if step)
+        steps = ", ".join(_step_json(step) for step in self.timesteps if step)
         return (f'{{"depth_model": {_encode(self.depth_model.to_dict())}, '
                 f'"graph_ref": {_encode(ref)}, "timesteps": [{steps}]}}')
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
-        """Parse :meth:`to_json` output.  Raises ValueError on JSON that
-        is not a schedule document."""
+        """Parse :meth:`to_json` output.  A timestep of well-formed edge
+        swaps only becomes a :class:`SwapLayer`, any other a list of
+        primitives.  Raises ValueError on JSON that is not a schedule
+        document."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError(f"a schedule must be a JSON object, got "
@@ -320,6 +400,11 @@ class Schedule:
                 isinstance(step, list) for step in steps):
             raise ValueError("schedule 'timesteps' must be a list of lists "
                              "of primitives")
-        ops = [[op_from_dict(d) for d in step] for step in steps]
+        ref = doc.get("graph_ref")
+        if ref is not None and type(ref) is not str:
+            raise ValueError(f"schedule 'graph_ref' must be a string or "
+                             f"null, got {ref!r}")
+        ops = [layer if (layer := _swap_layer_from_dicts(step)) is not None
+               else [op_from_dict(d) for d in step] for step in steps]
         model = DepthModel.from_dict(doc.get("depth_model", {}))
-        return cls(ops, model, doc.get("graph_ref"))
+        return cls(ops, model, ref)

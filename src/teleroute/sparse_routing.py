@@ -26,7 +26,7 @@ from .graphs import (
     next_hop,
     spanning_tree,
 )
-from .schedule import Schedule, SwapEdge, SwapLocal
+from .schedule import Schedule, SwapEdge, SwapLayer, SwapLocal
 from .swap_routing import route_tree
 
 __all__ = ["Train", "TokenCluster", "advance_train", "step_clusters",
@@ -261,11 +261,13 @@ def sparse_route(g: ArchGraph, pi: Permutation) -> Schedule:
     for tok in support:
         image[index_of[vertex_of[tok]]] = index_of[vertex_of[pi(tok)]]
     sub_pi = Permutation(tuple(image))
-    middle: list[list] = []
+    # gathered is sorted, so mapping a layer through it keeps u < v
+    middle: list[SwapLayer] = []
+    vertex = gathered.__getitem__
     for step in route_tree(tree, sub_pi).timesteps:
-        ops = [SwapEdge(gathered[op.u], gathered[op.v]) for op in step]
-        apply_timestep(g, state, ops)
-        middle.append(ops)
+        layer = SwapLayer(map(vertex, step.us), map(vertex, step.vs))
+        apply_timestep(g, state, layer)
+        middle.append(layer)
 
     # phase 3: the hide/gather timesteps are involutions; replaying
     # them in reverse carries each token from its gathered slot home

@@ -7,8 +7,9 @@ Cartesian products, and a generic dispatcher with a spanning-tree
 fallback.
 
 All schedules consist purely of edge swaps (no ancilla use); every
-timestep is a set of vertex-disjoint swaps along existing edges, and
-every router assumes the canonical start state (token v at vertex v).
+timestep is a :class:`SwapLayer` of vertex-disjoint swaps along
+existing edges, and every router assumes the canonical start state
+(token v at vertex v).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .graphs import (
     generate_graph,
     spanning_tree,
 )
-from .schedule import Schedule, SwapEdge
+from .schedule import Schedule, SwapLayer
 
 __all__ = [
     "route_complete",
@@ -31,22 +32,23 @@ __all__ = [
 ]
 
 
-def _merge_timelines(timelines: list[list[list]]) -> list[list]:
+def _merge_timelines(timelines: list[list[SwapLayer]]) -> list[SwapLayer]:
     """Run schedules on disjoint vertex sets side by side: timestep t
     holds every timeline's step t, in timeline order."""
-    merged: list[list] = [
-        [] for _ in range(max((len(steps) for steps in timelines), default=0))]
+    merged: list[tuple[list[int], list[int]]] = [
+        ([], []) for _ in range(max(map(len, timelines), default=0))]
     for steps in timelines:
-        for layer, step in zip(merged, steps):
-            layer.extend(step)
-    return merged
+        for (us, vs), step in zip(merged, steps):
+            us += step.us
+            vs += step.vs
+    return [SwapLayer(us, vs) for us, vs in merged]
 
 
 # ---------------------------------------------------------------------------
 # odd-even transposition
 # ---------------------------------------------------------------------------
 
-def _oet_timesteps(order: list[int], rank_of_token, token_at: dict) -> list[list[SwapEdge]]:
+def _oet_timesteps(order: list[int], rank_of_token, token_at: dict) -> list[SwapLayer]:
     """Odd-even transposition along ``order`` (consecutive vertices must
     be adjacent).  ``rank_of_token(tok)`` gives the position index each
     token must reach.  Mutates ``token_at``; returns swap timesteps."""
@@ -54,12 +56,12 @@ def _oet_timesteps(order: list[int], rank_of_token, token_at: dict) -> list[list
     arr = [rank_of_token(token_at[v]) for v in order]
     # positions whose token has not reached its rank; each swap updates it
     misplaced = sum(r != i for i, r in enumerate(arr))
-    steps: list[list[SwapEdge]] = []
+    steps: list[SwapLayer] = []
     for phase in range(m + 1):
         if not misplaced:
             break
         # the pairs of one phase are disjoint, so each swaps in place
-        step = []
+        us, vs = [], []
         for i in range(phase % 2, m - 1, 2):
             a, b = arr[i], arr[i + 1]
             if a > b:
@@ -67,9 +69,10 @@ def _oet_timesteps(order: list[int], rank_of_token, token_at: dict) -> list[list
                 arr[i], arr[i + 1] = b, a
                 u, v = order[i], order[i + 1]
                 token_at[u], token_at[v] = token_at[v], token_at[u]
-                step.append(SwapEdge(u, v))
-        if step:
-            steps.append(step)
+                us.append(u)
+                vs.append(v)
+        if us:
+            steps.append(SwapLayer(us, vs))
     else:
         raise AssertionError("transposition sort failed to converge")
     return steps
@@ -85,19 +88,21 @@ def route_complete(g: ArchGraph, pi: Permutation) -> Schedule:
     i <-> 1-i (indices mod m)."""
     if len(g.edges) != g.n * (g.n - 1) // 2:
         raise ValueError("graph is not complete")
-    layer1, layer2 = [], []
+    us1, vs1, us2, vs2 = [], [], [], []
     for cyc in pi.cycles():
         m = len(cyc)
         for i in range(1, m):
             j = (m - i) % m
             if i < j:
-                layer1.append(SwapEdge(cyc[i], cyc[j]))
+                us1.append(cyc[i])
+                vs1.append(cyc[j])
         for i in range(m):
             j = (1 - i) % m
             if i < j:
-                layer2.append(SwapEdge(cyc[i], cyc[j]))
-    steps = [s for s in (layer1, layer2) if s]
-    return Schedule(steps)
+                us2.append(cyc[i])
+                vs2.append(cyc[j])
+    layers = (SwapLayer(us1, vs1), SwapLayer(us2, vs2))
+    return Schedule([layer for layer in layers if layer])
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +169,7 @@ def _euler_circuit(start, out_edges: dict) -> list[tuple]:
 
 def _route_tree_rec(vertices: list[int], adj: dict[int, list[int]],
                     token_at: dict[int, int], target: dict[int, int]
-                    ) -> list[list[SwapEdge]]:
+                    ) -> list[SwapLayer]:
     m = len(vertices)
     if m <= 1 or all(target[token_at[v]] == v for v in vertices):
         return []
@@ -215,7 +220,7 @@ def _route_tree_rec(vertices: list[int], adj: dict[int, list[int]],
             rank = dist_to_gate.get(v, 0)
             out_edges.setdefault(a, []).append((a, b, tok, rank))
 
-    steps: list[list[SwapEdge]] = []
+    steps: list[SwapLayer] = []
     if out_edges:
         for edges in out_edges.values():
             edges.sort(key=lambda e: (e[3], e[2]))
@@ -252,10 +257,12 @@ def _route_tree_rec(vertices: list[int], adj: dict[int, list[int]],
             if guard > (m + 5) * (m + 5):
                 raise AssertionError("relay failed to make progress")
             gate_v, expected = pending[0]
-            ops: list[SwapEdge] = []
+            us: list[int] = []
+            vs: list[int] = []
             claimed: set[int] = set()
             if token_at[gate_v] == expected:
-                ops.append(SwapEdge(c, gate_v))
+                us.append(c)
+                vs.append(gate_v)
                 claimed.update((c, gate_v))
                 pending.popleft()
                 queue_of[gate_v].pop(0)
@@ -270,20 +277,19 @@ def _route_tree_rec(vertices: list[int], adj: dict[int, list[int]],
                     if y == gate and tok != queue_of[gate][0]:
                         continue  # don't squat on the gate out of turn
                     claimed.update((x, y))
-                    ops.append(SwapEdge(x, y))
-            for op in ops:
-                u, v = op.u, op.v
+                    us.append(x)
+                    vs.append(y)
+            # the claimed pairs are disjoint, so each swaps in place
+            for u, v in zip(us, vs):
                 token_at[u], token_at[v] = token_at[v], token_at[u]
-            for op in ops:
-                for v in (op.u, op.v):
-                    pos_of[token_at[v]] = v
-            steps.append(ops)
+                pos_of[token_at[u]], pos_of[token_at[v]] = u, v
+            steps.append(SwapLayer(us, vs))
 
         if target[token_at[c]] != c:
             raise AssertionError("relay left a foreign token at the centroid")
 
     # recurse into components, running their timelines in parallel
-    child_steps: list[list[list[SwapEdge]]] = []
+    child_steps: list[list[SwapLayer]] = []
     for cid, verts in enumerate(comps):
         sub_adj = {v: [w for w in adj[v] if w != c] for v in verts}
         for v in verts:
@@ -395,7 +401,7 @@ def route_product(g1: ArchGraph, g2: ArchGraph, pi: Permutation) -> Schedule:
     # and ``dest(token)`` is the token's index in its copy after the
     # phase; at[v] is the token at vertex v.
     at = list(range(n1 * n2))
-    steps: list[list[SwapEdge]] = []
+    steps: list[SwapLayer] = []
     for factor, copies, offset, stride, dest in (
             (g1, n2, 1, n2, inter_row.__getitem__),
             (g2, n1, n2, 1, lambda t: pi(t) % n2),
@@ -406,8 +412,10 @@ def route_product(g1: ArchGraph, g2: ArchGraph, pi: Permutation) -> Schedule:
             toks = [at[v] for v in cells]
             image = [dest(t) for t in toks]
             sub = route_generic(factor, Permutation(tuple(image)))
-            timelines.append([[SwapEdge(cells[op.u], cells[op.v])
-                               for op in step] for step in sub.timesteps])
+            # cells increase with the index, so u < v is kept
+            cell = cells.__getitem__
+            timelines.append([SwapLayer(map(cell, step.us), map(cell, step.vs))
+                              for step in sub.timesteps])
             for t, i in zip(toks, image):
                 at[cells[i]] = t
         steps.extend(_merge_timelines(timelines))
@@ -415,8 +423,8 @@ def route_product(g1: ArchGraph, g2: ArchGraph, pi: Permutation) -> Schedule:
     # replay the emitted swaps: every token must land on its image
     at = list(range(n1 * n2))
     for step in steps:
-        for op in step:
-            at[op.u], at[op.v] = at[op.v], at[op.u]
+        for u, v in zip(step.us, step.vs):
+            at[u], at[v] = at[v], at[u]
     if any(pi(t) != v for v, t in enumerate(at)):
         raise AssertionError("product routing failed to place a token")
     return Schedule(steps)

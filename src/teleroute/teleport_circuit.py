@@ -22,7 +22,7 @@ import numpy as np
 
 from .execute import TokenState, apply_timestep
 from .graphs import ArchGraph
-from .schedule import Schedule, SwapEdge, SwapLocal, TeleRound
+from .schedule import Schedule, SwapEdge, SwapLayer, SwapLocal, TeleRound
 from .stabilizer import Tableau
 
 __all__ = [
@@ -293,13 +293,17 @@ def emit_circuit(g: ArchGraph, schedule: Schedule) -> CliffordCircuit:
     for t, step in enumerate(schedule.timesteps):
         swap_pairs: list[tuple[int, int]] = []
         rounds: list[TeleRound] = []
-        for op in step:
-            if isinstance(op, SwapEdge):
-                swap_pairs.append((slot(op.u, 0), slot(op.v, 0)))
-            elif isinstance(op, SwapLocal):
-                swap_pairs.append((slot(op.v, op.s1), slot(op.v, op.s2)))
-            else:
-                rounds.append(op)
+        if type(step) is SwapLayer:
+            swap_pairs = [(slot(u, 0), slot(v, 0))
+                          for u, v in zip(step.us, step.vs)]
+        else:
+            for op in step:
+                if isinstance(op, SwapEdge):
+                    swap_pairs.append((slot(op.u, 0), slot(op.v, 0)))
+                elif isinstance(op, SwapLocal):
+                    swap_pairs.append((slot(op.v, op.s1), slot(op.v, op.s2)))
+                else:
+                    rounds.append(op)
         if swap_pairs:
             c.layers.extend(_swap_layers(swap_pairs))
         if rounds:

@@ -475,6 +475,10 @@ def test_verify_missing_file(triple, capsys):
     ('{"timesteps": [[{"type": "swap_edge", "u": "a", "v": 1}]]}', "integer"),
     ("[1, 2]", "object"),
     ('{"graph_ref": null}', "timesteps"),
+    ('{"timesteps": [], "graph_ref": 5}', "graph_ref"),
+    ('{"timesteps": [], "graph_ref": 0}', "graph_ref"),
+    ('{"timesteps": [], "graph_ref": []}', "graph_ref"),
+    ('{"timesteps": [], "graph_ref": false}', "graph_ref"),
 ])
 def test_verify_malformed_schedule_is_usage_error(triple, capsys, text,
                                                   needle):
@@ -535,6 +539,28 @@ def test_verify_graph_mismatch(triple, tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(sf), str(other), str(pf))
     assert code == 1
     assert "MISMATCH" in err
+
+
+def _set_graph_ref(sf, ref):
+    doc = json.loads(sf.read_text())
+    doc["graph_ref"] = ref
+    sf.write_text(json.dumps(doc))
+
+
+def test_verify_empty_graph_ref_is_a_mismatch(triple, capsys):
+    sf, gf, pf = triple
+    _set_graph_ref(sf, "")
+    code, _, err = run(capsys, "verify", str(sf), str(gf), str(pf))
+    assert code == 1
+    assert "MISMATCH" in err
+
+
+def test_verify_null_graph_ref_skips_the_check(triple, capsys):
+    sf, gf, pf = triple
+    _set_graph_ref(sf, None)
+    code, _, err = run(capsys, "verify", str(sf), str(gf), str(pf))
+    assert code == 0
+    assert "verified" in err
 
 
 # -- config file ---------------------------------------------------------

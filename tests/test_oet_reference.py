@@ -44,10 +44,13 @@ def ref_oet_timesteps(order, rank_of_token, token_at):
 
 
 def outcome(fn, order, ranks, token_at):
-    """(steps or the failure text, final token_at) of one run on copies."""
+    """(steps as lists of ``SwapEdge`` or the failure text, final
+    token_at) of one run on copies.  The library emits each step as a
+    ``SwapLayer``, which yields its swaps as ``SwapEdge`` objects."""
     token_at = dict(token_at)
     try:
-        result = fn(list(order), ranks.__getitem__, token_at)
+        result = [list(step) for step in
+                  fn(list(order), ranks.__getitem__, token_at)]
     except AssertionError as e:
         result = str(e)
     return result, token_at

@@ -1,6 +1,7 @@
 """Pinned schedule bytes: sha256 of ``Schedule.to_json`` for the sparse
 router and the generic swap router on fixed instances (spanning-tree
-fallbacks, grid and hypercube products, paths, and random trees).
+fallbacks, grid and hypercube products, paths, and random trees, up to
+the 258,559 swaps of path 1024 random).
 
 The routers are deterministic, so a change that means to keep every
 schedule (a faster traversal, a shared helper) must leave these digests
@@ -49,6 +50,17 @@ GENERIC_GRAPHS = {
 }
 
 GENERIC_PERMS = ("random", "reflection")
+
+# the larger swap schedules of the benchmark's full workload, each with
+# the permutation kinds it routes there
+LARGE_GRAPHS = {
+    "path-384": ("path", {"n": 384}, ("reflection",)),
+    "path-1024": ("path", {"n": 1024}, ("random",)),
+    "butterfly-6": ("butterfly", {"r": 6}, ("random", "reflection")),
+    "wheel-255": ("wheel", {"n": 255}, ("random", "reflection")),
+    "ladder-8": ("ladder", {"n": 8}, ("random", "reflection")),
+    "grid-32x32": ("grid", {"n": 32, "d": 2}, ("random",)),
+}
 
 GOLDEN = {
     "sparse/butterfly-5/k2":
@@ -147,6 +159,24 @@ GOLDEN = {
         "791ef98d49a8eae072d74b8a67037d7f3da908fca3b4bda5ae06a7d6bed7b7f0",
     "generic/wheel-63/reflection":
         "ea6cb37748cd93aa44b166cd14c205b4dde496a28e9dcbcfd1625387020c7faf",
+    "generic/path-384/reflection":
+        "111a67ab77e676289f25b075eebd5afc603885d63294e19e113dae3e944fe072",
+    "generic/path-1024/random":
+        "206469cc8a910cd60c8ab17d04f673c49daa3d69dd629f9e48d7a41e3889b23c",
+    "generic/butterfly-6/random":
+        "74c66c0af887fcd0a2a94af2447844638d5200651e7874cff4f7d5bf4b165fec",
+    "generic/butterfly-6/reflection":
+        "4fa4c2f3fbe4e18070f18a04c3df10639f3659b17180e5be1e5a7b1de07fd68a",
+    "generic/wheel-255/random":
+        "9abacabdc8dfb1f1cfd325ba3f63363eb8a35a45024ce48c55d5aab6af99c9cc",
+    "generic/wheel-255/reflection":
+        "4030a4ee20e26d3382b4da9fa186f6047c525ea4a1bffb2b2810aec4ca48101b",
+    "generic/ladder-8/random":
+        "3a0549ed6c5643e09c5c8df09170852c0ba9ef92bf189af353c1d0bc72a63dd7",
+    "generic/ladder-8/reflection":
+        "57556de47f45fd2f4e0a5f0ee416353437e0a852728f4a88ba8151d56d51db2d",
+    "generic/grid-32x32/random":
+        "f47960ea5617145d90bda5134f57f2a30299e05201634c45e194ec1fd43b3071",
 }
 
 # one digest over the 50 tree schedules, one to_json per line
@@ -196,6 +226,12 @@ def generic_digest(name: str, kind: str) -> str:
     return sha(route_generic(g, generic_perm(g, kind)).to_json())
 
 
+def large_digest(name: str, kind: str) -> str:
+    family, params, _ = LARGE_GRAPHS[name]
+    g = generate_graph(family, **params)
+    return sha(route_generic(g, generic_perm(g, kind)).to_json())
+
+
 def trees_digest() -> str:
     lines = []
     for seed in range(50):
@@ -214,6 +250,13 @@ def test_sparse_route_bytes(name, kind):
 @pytest.mark.parametrize("kind", GENERIC_PERMS)
 def test_route_generic_bytes(name, kind):
     assert generic_digest(name, kind) == GOLDEN[f"generic/{name}/{kind}"]
+
+
+@pytest.mark.parametrize("name, kind", [
+    (name, kind) for name, (_, _, kinds) in LARGE_GRAPHS.items()
+    for kind in kinds])
+def test_route_generic_large_bytes(name, kind):
+    assert large_digest(name, kind) == GOLDEN[f"generic/{name}/{kind}"]
 
 
 def test_route_generic_random_trees_bytes():
