@@ -8,11 +8,21 @@ realizability (edges exist, slots are touched at most once per
 timestep, transfer loads fit in the free ancilla slots), checks that
 every timestep conserves tokens, and reports the permutation a valid
 schedule achieves.
+
+Two kinds of timestep are checked whole, with builtins over endpoint
+lists and paths rather than a Python step per swap or path vertex: a
+:class:`SwapLayer`, and a list holding one :class:`TeleRound` alone
+(the teleport routers give every round a timestep of its own).  When a
+whole check fails, the timestep is checked again primitive by
+primitive, which raises the error; so either way a fault gets the same
+message.
 """
 
 from __future__ import annotations
 
-from operator import contains, itemgetter
+from functools import partial
+from itertools import chain, repeat
+from operator import contains, ge, is_, is_not, itemgetter, sub
 
 from .graphs import ArchGraph, Permutation
 from .schedule import Schedule, SwapEdge, SwapLayer, SwapLocal, TeleRound
@@ -28,6 +38,7 @@ __all__ = [
 
 
 _data = itemgetter(0)   # the data slot of a vertex's slot row
+_present = partial(is_not, None)
 
 
 class ScheduleError(Exception):
@@ -80,10 +91,12 @@ class TokenState:
 
 
 def _check_op(g: ArchGraph, op, t: int) -> dict[int, int] | None:
-    """Static checks of a primitive other than a :class:`SwapEdge`
-    (which :func:`apply_timestep` checks inline) against the graph.
-    For a round, returns its per-vertex load map (see
-    :meth:`TeleRound.loads`)."""
+    """Static checks of a :class:`SwapLocal` or a :class:`TeleRound`
+    against the graph, one path vertex at a time; the primitive-by-
+    primitive path of :func:`apply_timestep` calls it (a
+    :class:`SwapEdge` is checked inline there, and a whole layer or a
+    lone round that fits never comes here).  For a round, returns its
+    per-vertex load map (see :meth:`TeleRound.loads`)."""
     if isinstance(op, SwapLocal):
         if not 0 <= op.v < g.n:
             _fail(t, op, "vertex out of range")
@@ -129,6 +142,46 @@ def _layer_fits(g: ArchGraph, layer: SwapLayer) -> bool:
             and len({*us, *vs}) == 2 * len(us))
 
 
+def _round_fits(g: ArchGraph, slots, rnd: TeleRound) -> bool:
+    """Whether a round alone in its timestep passes every check that
+    :func:`_check_op` and :func:`_apply_tele_round`'s free-slot check
+    make: path vertices in range, path steps on edges, no load over the
+    budget and enough empty ancillas for the halves parked at each
+    vertex.  Each check is a builtin pass over a path or over the
+    round's vertices."""
+    n, adj = g.n, g._adj
+    paths = [tr.path for tr in rnd.transfers]
+    for p in paths:
+        try:
+            q = sorted(p)   # sorting ints compares faster than min(), max()
+            if (q[0] < 0 or q[-1] >= n
+                    or not all(map(contains, itemgetter(*p)(adj), p[1:]))):
+                return False
+        except TypeError:   # a vertex that is not an int
+            return False
+    verts = list(chain.from_iterable(paths))
+    if len(set(verts)) == len(verts):
+        # on disjoint paths no vertex holds more than 2w halves, w = 2
+        # for a swap; a row's free ancillas are its empty slots, less
+        # one if the data slot is empty
+        most = 4 if any(tr.kind == "swap" for tr in rnd.transfers) else 2
+        empty = map(list.count, itemgetter(*verts)(slots), repeat(None))
+        if min(empty) - 1 >= most:
+            return True
+    # no vertex has more free ancillas than the budget, so a load over
+    # the budget fails here too
+    loads = rnd.loads()
+    rows = itemgetter(*loads)(slots)
+    free = map(sub, map(list.count, rows, repeat(None)),
+               map(is_, map(_data, rows), repeat(None)))
+    return all(map(ge, free, loads.values()))
+
+
+def _data_tokens(rows) -> list[int]:
+    """The tokens in the data slots of the given rows, sorted."""
+    return sorted(filter(_present, map(_data, rows)))
+
+
 def apply_timestep(g: ArchGraph, state: TokenState, ops, t: int = 0):
     """Apply one timestep's primitives simultaneously, in place.
 
@@ -138,16 +191,24 @@ def apply_timestep(g: ArchGraph, state: TokenState, ops, t: int = 0):
     every vertex on its paths), or if the step does not conserve
     tokens.  Only the slots the primitives write can change, so the
     conservation check compares the tokens in those slots before and
-    after the step; the cost is linear in the size of the timestep.  A
-    layer is checked whole, with no object per swap, before any slot
-    changes; a layer that fails is checked again as its ``SwapEdge``
-    objects, so the error names the same primitive either way.
+    after the step; the cost is linear in the size of the timestep.
+
+    Two kinds of timestep are checked whole before any slot changes: a
+    layer, with no object per swap, and a list holding one round alone,
+    with no Python step per path vertex.  Either one, if a whole check
+    fails, is checked again primitive by primitive (a layer as its
+    ``SwapEdge`` objects), so the error names the same primitive, with
+    the same text, either way.
     """
     if type(ops) is SwapLayer:
         if _layer_fits(g, ops):
             _apply_swap_layer(state, ops, t)
             return
         ops = list(ops)
+    elif (type(ops) is list and len(ops) == 1 and type(ops[0]) is TeleRound
+          and _round_fits(g, state.slots, ops[0])):
+        _apply_lone_round(state, ops[0], t)
+        return
     # a SwapEdge/SwapLocal claims the (v, s) slots it writes; a round
     # claims (v, None), all of v, for each vertex on its paths.  ``users``
     # maps a vertex to the first primitive claiming any of its slots.
@@ -223,8 +284,23 @@ def _apply_swap_layer(state: TokenState, layer: SwapLayer, t: int):
         raise ScheduleError(f"timestep {t}: tokens not conserved")
 
 
+def _apply_lone_round(state: TokenState, rnd: TeleRound, t: int):
+    """Apply a round that :func:`_round_fits` accepted, then check that
+    its endpoints' data slots hold the tokens they held before.  Its
+    free ancillas are checked already, so none is left to check."""
+    ends = itemgetter(*{v for tr in rnd.transfers
+                        for v in (tr.path[0], tr.path[-1])})
+    before = _data_tokens(ends(state.slots))
+    _apply_tele_round(state, rnd, t, {})
+    if _data_tokens(ends(state.slots)) != before:
+        raise ScheduleError(f"timestep {t}: tokens not conserved")
+
+
 def _apply_tele_round(state: TokenState, op: TeleRound, t: int,
                       loads: dict[int, int]):
+    """Check a round's transfers against the slots and move its tokens.
+    ``loads`` maps each vertex whose free ancillas are still to be
+    checked to the halves the round parks there."""
     # pair halves live in ancilla slots, so slots holding parked tokens
     # are not available to the round
     for v, need in loads.items():
@@ -235,46 +311,45 @@ def _apply_tele_round(state: TokenState, op: TeleRound, t: int,
                          f"for its pair halves but only {free} are empty")
 
     # all transfers in a round act simultaneously: read sources first
-    sources = {}
-    for tr in op.transfers:
-        if tr.source in sources:
-            _fail(t, op, f"vertex {tr.source} is the source of two transfers")
-        sources[tr.source] = tr
-    for tr in op.transfers:
-        if tr.kind == "swap" and tr.dest in sources:
-            _fail(t, op, f"vertex {tr.dest} both swaps and sends")
+    slots = state.slots
+    ends = [(tr.path[0], tr.path[-1], tr.kind == "swap")
+            for tr in op.transfers]
+    sources = set()
+    for src, _, _ in ends:
+        if src in sources:
+            _fail(t, op, f"vertex {src} is the source of two transfers")
+        sources.add(src)
+    for _, dst, swap in ends:
+        if swap and dst in sources:
+            _fail(t, op, f"vertex {dst} both swaps and sends")
 
     outgoing = {}
-    for tr in op.transfers:
-        tok = state.data(tr.source)
+    for src, dst, swap in ends:
+        tok = slots[src][0]
         if tok is None:
-            _fail(t, op, f"transfer source {tr.source} holds no token")
-        outgoing[tr.source] = tok
-        if tr.kind == "swap":
-            back = state.data(tr.dest)
+            _fail(t, op, f"transfer source {src} holds no token")
+        outgoing[src] = tok
+        if swap:
+            back = slots[dst][0]
             if back is None:
-                _fail(t, op, f"swap endpoint {tr.dest} holds no token")
-            outgoing[tr.dest] = back
+                _fail(t, op, f"swap endpoint {dst} holds no token")
+            outgoing[dst] = back
 
     dests_written = set()
-    for tr in op.transfers:
-        if tr.kind == "swap":
-            targets = [(tr.dest, tr.source), (tr.source, tr.dest)]
-        else:
-            targets = [(tr.dest, tr.source)]
-        for dest, src in targets:
+    for src, dst, swap in ends:
+        for dest in (dst, src) if swap else (dst,):
             if dest in dests_written:
                 _fail(t, op, f"two transfers write vertex {dest}")
-            if state.data(dest) is not None and dest not in outgoing:
+            if slots[dest][0] is not None and dest not in outgoing:
                 _fail(t, op, f"destination {dest} is occupied and sends nothing")
             dests_written.add(dest)
     # sources whose token leaves and nothing arrives become empty
     for v in outgoing:
-        state.slots[v][0] = None
-    for tr in op.transfers:
-        state.slots[tr.dest][0] = outgoing[tr.source]
-        if tr.kind == "swap":
-            state.slots[tr.source][0] = outgoing[tr.dest]
+        slots[v][0] = None
+    for src, dst, swap in ends:
+        slots[dst][0] = outgoing[src]
+        if swap:
+            slots[src][0] = outgoing[dst]
 
 
 def apply_schedule(g: ArchGraph, schedule: Schedule,

@@ -147,8 +147,9 @@ class Transfer:
         halves, endpoints one.  A "swap" uses a channel in each
         direction, doubling every load.  This is the one statement of
         the load rule; every other load count derives from it, except
-        ``tele_routing._add_load``, which restates it for the packer's
-        hot loop (a test holds the two equal).
+        :meth:`TeleRound.loads` and ``tele_routing._add_load``, which
+        restate it for the executor's and the packer's hot loops (tests
+        hold them equal to it).
         """
         w = 2 if self.kind == "swap" else 1
         p = self.path
@@ -176,12 +177,19 @@ class TeleRound:
 
     def loads(self) -> dict[int, int]:
         """Pair halves the round parks at each vertex on its paths, in
-        one pass over the transfers (keys are :meth:`vertices`)."""
+        one pass over the transfers (keys are :meth:`vertices`, in
+        order of first appearance).  This is :meth:`Transfer.halves`
+        summed, counted with no tuple per vertex: 2w at every vertex of
+        a path, less w at each end."""
         out: dict[int, int] = {}
         get = out.get
         for t in self.transfers:
-            for v, h in t.halves():
-                out[v] = get(v, 0) + h
+            w = 2 if t.kind == "swap" else 1
+            p, inner = t.path, 2 * w
+            for v in p:
+                out[v] = get(v, 0) + inner
+            out[p[0]] -= w
+            out[p[-1]] -= w
         return out
 
     def load(self, v: int) -> int:
@@ -265,7 +273,8 @@ def _transfer_from_dict(d) -> Transfer:
     if not isinstance(d, dict):
         raise ValueError(f"a transfer must be an object, got {d!r}")
     path = d.get("path")
-    if not isinstance(path, list) or any(type(v) is not int for v in path):
+    # one pass over the entry types; type(True) is bool, so no bools
+    if not isinstance(path, list) or not set(map(type, path)) <= {int}:
         raise ValueError(f"transfer path must be a list of integers, "
                          f"got {path!r}")
     return Transfer(tuple(path), d.get("kind", "move"))

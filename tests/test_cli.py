@@ -452,6 +452,38 @@ def test_verify_tampered_schedule(triple, capsys):
     assert "FAILED" in err
 
 
+_TAMPERED_ROUND = (
+    "FAILED: timestep 0, TeleRound TeleRound(transfers=("
+    "Transfer(path={}, kind='move'), "
+    "Transfer(path=(12, 8, 9, 10, 11), kind='move'), "
+    "Transfer(path=(11, 10, 9, 8), kind='move'), "
+    "Transfer(path=(8, 4, 5), kind='move'){})): {}")
+
+
+@pytest.mark.parametrize("path, extra, message", [
+    # 6-8 is not an edge of the 4x4 grid
+    ([5, 6, 8, 12], None, "path step (6,8) is not an edge"),
+    ([5, 4, 8, 16], None, "vertex 16 out of range"),
+    # vertex 8 already holds 6 pair halves, the budget
+    ([5, 4, 8, 12], [9, 8], "vertex 8 holds 7 pair halves, budget is 6"),
+])
+def test_verify_tampered_round_names_the_fault(triple, capsys, path, extra,
+                                               message):
+    sf, gf, pf = triple
+    doc = json.loads(sf.read_text())
+    (rnd,) = doc["timesteps"][0]
+    assert rnd["transfers"][0]["path"] == [5, 4, 8, 12]
+    rnd["transfers"][0]["path"] = path
+    if extra is not None:
+        rnd["transfers"].append({"kind": "move", "path": extra})
+    sf.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(sf), str(gf), str(pf))
+    assert code == 1
+    assert out == ""
+    more = "" if extra is None else f", Transfer(path={tuple(extra)}, kind='move')"
+    assert err == _TAMPERED_ROUND.format(tuple(path), more, message) + "\n"
+
+
 def test_verify_wrong_permutation(triple, capsys):
     sf, gf, pf = triple
     pi = perm_from_json(pf.read_text())

@@ -24,6 +24,7 @@ from teleroute.schedule import (
     TeleRound,
     Transfer,
     _op_json,
+    op_from_dict,
     op_to_dict,
 )
 
@@ -185,6 +186,28 @@ def test_schedule_from_json_rejects_malformed_documents():
                  '{"timesteps": [], "depth_model": {"hop": 1}}'):
         with pytest.raises(ValueError):
             Schedule.from_json(text)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_transfer_path_entries_must_be_ints(bad, at):
+    path = [0, 1, 2, 3]
+    path[at] = bad
+    d = {"type": "tele_round", "transfers": [{"path": [4, 5]},
+                                             {"path": path}]}
+    msg = f"transfer path must be a list of integers, got {path!r}"
+    with pytest.raises(ValueError) as e:
+        op_from_dict(d)
+    assert str(e.value) == msg
+    with pytest.raises(ValueError) as e:
+        Schedule.from_json(json.dumps({"timesteps": [[d]]}))
+    assert str(e.value) == msg
+
+
+def test_transfer_path_of_ints_parses():
+    d = {"type": "tele_round",
+         "transfers": [{"path": [3, 1, 2], "kind": "swap"}]}
+    assert op_from_dict(d) == TeleRound((Transfer((3, 1, 2), "swap"),))
 
 
 def test_schedule_json_sorts_ops():
