@@ -7,8 +7,8 @@ Vertex expansion here is
 an exact rational computed by exhaustive subset enumeration for small
 graphs.  From it come two routing-time lower bounds (the isoperimetric
 bound ceil(2/c - 1) and the diameter), the diameter-vs-expansion
-inequality, per-vertex horizon profiles, and spectral figures of merit
-(Laplacian algebraic connectivity, degree ratio).
+inequality, and spectral figures of merit (Laplacian algebraic
+connectivity, degree ratio).
 
 Enumeration visits one representative per complement pair {X, V-X} and
 scores the pair by the smaller of the two boundaries: the minimum can
@@ -36,7 +36,6 @@ from .graphs import (
 
 __all__ = [
     "EXACT_EXPANSION_MAX_N",
-    "HorizonProfile",
     "AdvantageBounds",
     "BoundsReport",
     "cut_value",
@@ -45,7 +44,6 @@ __all__ = [
     "family_witness_cut",
     "iso_lower_bound",
     "diam_expansion_rhs",
-    "horizon_profile",
     "spectral",
     "advantage_upper_bounds",
     "bounds_report",
@@ -228,48 +226,6 @@ def diam_expansion_rhs(n: int, c) -> float:
     if n == 2:
         return 2.0
     return 2.0 * math.log2(n / 2) / math.log2(1.0 + c) + 2.0
-
-
-@dataclass(frozen=True)
-class HorizonProfile:
-    """BFS layer profile of one vertex.
-
-    ``circles[k]`` counts vertices at distance exactly k, ``disks[k]``
-    at distance at most k, and ``rho`` is the last radius whose disk
-    still covers at most half the graph.
-    """
-
-    v: int
-    rho: int
-    circles: tuple[int, ...]
-    disks: tuple[int, ...]
-
-
-def horizon_profile(g: ArchGraph, v: int, c=None) -> HorizonProfile:
-    """Layer sizes and horizon of ``v``; with ``c`` given, checks the
-    growth inequality |C(v,k)| >= c*|D(v,k-1)| for k <= rho+1."""
-    n = g.n
-    if n < 2:
-        raise ValueError("horizon needs at least two vertices")
-    dist = bfs_distances(g, v)
-    ecc = max(dist)
-    circles = [0] * (ecc + 1)
-    for d in dist:
-        circles[d] += 1
-    disks = []
-    run = 0
-    for k in circles:
-        run += k
-        disks.append(run)
-    rho = max(k for k in range(ecc + 1) if disks[k] <= n / 2)
-    if c is not None:
-        c = Fraction(c)
-        for k in range(1, rho + 2):
-            if Fraction(circles[k]) < c * disks[k - 1]:
-                raise ValueError(
-                    f"layer {k} of vertex {v} violates the expansion "
-                    f"growth inequality")
-    return HorizonProfile(v, rho, tuple(circles), tuple(disks))
 
 
 # family -> lambda2 from its params (Fiedler, "Algebraic connectivity of

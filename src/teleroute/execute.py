@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain, repeat
-from operator import contains, ge, is_, is_not, itemgetter, sub
+from operator import contains, ge, index, is_, is_not, itemgetter, sub
 
 from .graphs import ArchGraph, Permutation
 from .schedule import Schedule, SwapEdge, SwapLayer, SwapLocal, TeleRound
@@ -95,21 +95,33 @@ def _check_op(g: ArchGraph, op, t: int) -> dict[int, int] | None:
     against the graph, one path vertex at a time; the primitive-by-
     primitive path of :func:`apply_timestep` calls it (a
     :class:`SwapEdge` is checked inline there, and a whole layer or a
-    lone round that fits never comes here).  For a round, returns its
+    lone round that fits never comes here).  A vertex or slot in range
+    that :func:`operator.index` rejects (``1.0``, not ``np.int64``)
+    fails before anything indexes with it.  For a round, returns its
     per-vertex load map (see :meth:`TeleRound.loads`)."""
     if isinstance(op, SwapLocal):
         if not 0 <= op.v < g.n:
             _fail(t, op, "vertex out of range")
         if not (0 <= op.s1 <= g.ancilla_budget and 0 <= op.s2 <= g.ancilla_budget):
             _fail(t, op, "slot out of range")
+        try:
+            index(op.v), index(op.s1), index(op.s2)
+        except TypeError:
+            _fail(t, op, "vertex or slot is not an integer")
     elif isinstance(op, TeleRound):
         for tr in op.transfers:
             for v in tr.path:
                 if not 0 <= v < g.n:
                     _fail(t, op, f"vertex {v} out of range")
-            for a, b in zip(tr.path, tr.path[1:]):
-                if b not in g._adj[a]:
-                    _fail(t, op, f"path step ({a},{b}) is not an edge")
+            # a tuple index takes what index() takes, so every vertex
+            # but the last is checked as it looks up its neighbours
+            try:
+                for a, b in zip(tr.path, tr.path[1:]):
+                    if b not in g._adj[a]:
+                        _fail(t, op, f"path step ({a},{b}) is not an edge")
+                index(tr.path[-1])
+            except TypeError:
+                _fail(t, op, "path vertex is not an integer")
         loads = op.loads()
         for v, load in loads.items():
             if load > g.ancilla_budget:
@@ -352,20 +364,16 @@ def _apply_tele_round(state: TokenState, op: TeleRound, t: int,
             slots[src][0] = outgoing[dst]
 
 
-def apply_schedule(g: ArchGraph, schedule: Schedule,
-                   on_step=None) -> TokenState:
-    """Execute a schedule from the canonical start state.
-
-    ``on_step(t, state)`` is called after each timestep, if given.
-    Raises :class:`ScheduleError` on any malformed or conflicting
-    primitive, naming the timestep and primitive, and on any timestep
-    that does not conserve tokens.
+def apply_schedule(g: ArchGraph, schedule: Schedule) -> TokenState:
+    """Execute a schedule from the canonical start state and return the
+    final state.  Raises :class:`ScheduleError` on any malformed or
+    conflicting primitive, naming the timestep and primitive, and on
+    any timestep that does not conserve tokens; to inspect the state
+    between timesteps, call :func:`apply_timestep` in a loop.
     """
     state = TokenState(g)
     for t, step in enumerate(schedule.timesteps):
         apply_timestep(g, state, step, t)
-        if on_step is not None:
-            on_step(t, state)
     return state
 
 

@@ -169,12 +169,6 @@ class Permutation:
     def support(self) -> tuple[int, ...]:
         return tuple(v for v in range(len(self.image)) if self.image[v] != v)
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for v, w in enumerate(self.image):
-            inv[w] = v
-        return Permutation(tuple(inv))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest element."""
         seen = set()
@@ -288,9 +282,9 @@ def _butterfly(r: int, budget: int) -> ArchGraph:
     return ArchGraph(r * words, tuple(sorted(edges)), budget, labels=labels)
 
 
-def cartesian_product(g1: ArchGraph, g2: ArchGraph,
-                      budget: int | None = None) -> ArchGraph:
-    """Cartesian product; vertex (a, x) maps to index a*|g2| + x."""
+def cartesian_product(g1: ArchGraph, g2: ArchGraph) -> ArchGraph:
+    """Cartesian product with ``g1``'s ancilla budget; vertex (a, x)
+    maps to index a*|g2| + x."""
     n2 = g2.n
     n = g1.n * n2
     edges = []
@@ -303,9 +297,8 @@ def cartesian_product(g1: ArchGraph, g2: ArchGraph,
         l1 = g1.labels or tuple(range(g1.n))
         l2 = g2.labels or tuple(range(g2.n))
         labels = tuple((l1[a], l2[x]) for a in range(g1.n) for x in range(n2))
-    if budget is None:
-        budget = g1.ancilla_budget
-    return ArchGraph(n, tuple(sorted(edges)), budget, labels=labels)
+    return ArchGraph(n, tuple(sorted(edges)), g1.ancilla_budget,
+                     labels=labels)
 
 
 def _grid(n: int, d: int, budget: int) -> ArchGraph:

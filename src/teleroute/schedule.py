@@ -145,19 +145,14 @@ class Transfer:
 
         A path of d edges consumes one pair per edge: interiors hold two
         halves, endpoints one.  A "swap" uses a channel in each
-        direction, doubling every load.  This is the one statement of
-        the load rule; every other load count derives from it, except
-        :meth:`TeleRound.loads` and ``tele_routing._add_load``, which
-        restate it for the executor's and the packer's hot loops (tests
-        hold them equal to it).
+        direction, doubling every load.  Nothing in the package calls
+        this: it is the plain statement of the load rule, and the tests
+        hold :meth:`TeleRound.loads` and ``tele_routing._add_load``, the
+        executor's and the packer's hot-loop counts, equal to it.
         """
         w = 2 if self.kind == "swap" else 1
         p = self.path
         return [(p[0], w), *((v, 2 * w) for v in p[1:-1]), (p[-1], w)]
-
-    def load(self, v: int) -> int:
-        """Pair halves this transfer parks at vertex ``v``."""
-        return next((h for u, h in self.halves() if u == v), 0)
 
 
 @dataclass(frozen=True)
@@ -221,11 +216,6 @@ class DepthModel:
             if type(cost) is not int or cost < least:
                 raise ValueError(f"depth model cost {name!r} must be an "
                                  f"integer >= {least}, got {cost!r}")
-
-    @classmethod
-    def conservative(cls) -> "DepthModel":
-        """Counts local shuffles and charges a full transfer protocol."""
-        return cls(swap_edge=1, swap_local=1, tele_round=3)
 
     def cost(self, op: Op) -> int:
         if isinstance(op, SwapEdge):

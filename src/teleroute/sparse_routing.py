@@ -29,8 +29,7 @@ from .graphs import (
 from .schedule import Schedule, SwapEdge, SwapLayer, SwapLocal
 from .swap_routing import route_tree
 
-__all__ = ["Train", "TokenCluster", "advance_train", "step_clusters",
-           "sparse_route"]
+__all__ = ["Train", "advance_train", "sparse_route"]
 
 
 @dataclass(frozen=True)
@@ -48,19 +47,6 @@ class Train:
     @property
     def tail(self) -> int:
         return self.vertices[0]
-
-
-@dataclass(frozen=True)
-class TokenCluster:
-    """Trains whose tokens span a connected set of vertices."""
-
-    trains: tuple[Train, ...]
-
-    def vertices(self) -> set[int]:
-        out: set[int] = set()
-        for t in self.trains:
-            out.update(t.vertices)
-        return out
 
 
 def _advance_plan(g: ArchGraph, state: TokenState, train: Train,
@@ -118,9 +104,10 @@ def advance_train(g: ArchGraph, state: TokenState,
 
 
 def _regroup(g: ArchGraph, trains: list[Train], r: int,
-             dist: list[int]) -> list[TokenCluster]:
+             dist: list[int]) -> list[tuple[Train, ...]]:
     """Concatenate head-to-tail trains, then group trains into clusters
-    by token adjacency."""
+    (tuples of trains whose tokens span a connected set of vertices) by
+    token adjacency."""
     adj = g._adj  # train vertices are vertices of g
     trains = list(trains)
     changed = True
@@ -160,13 +147,12 @@ def _regroup(g: ArchGraph, trains: list[Train], r: int,
     groups: dict[int, list[Train]] = {}
     for i in range(len(trains)):
         groups.setdefault(find(i), []).append(trains[i])
-    return [TokenCluster(tuple(groups[root]))
-            for root in sorted(groups)]
+    return [tuple(groups[root]) for root in sorted(groups)]
 
 
-def step_clusters(g: ArchGraph, state: TokenState,
-                  clusters: list[TokenCluster], dist: list[int]
-                  ) -> tuple[TokenState, list[list], list[TokenCluster]]:
+def _step_clusters(g: ArchGraph, state: TokenState,
+                   clusters: list[tuple[Train, ...]], dist: list[int]
+                   ) -> tuple[list[list], list[tuple[Train, ...]]]:
     """One gathering round toward the centre r, given ``dist``, the BFS
     distances to r (``bfs_distances(g, r)``; r is where it is 0).  In
     every cluster the train with head closest to r advances one vertex
@@ -174,15 +160,15 @@ def step_clusters(g: ArchGraph, state: TokenState,
     adjacent merge and head-to-tail trains concatenate.  Lower-index
     clusters win vertex conflicts.  A head moves to its
     :func:`next_hop` over ``dist``, so trains follow lexicographically
-    smallest shortest paths to r."""
+    smallest shortest paths to r.  Applies the five timesteps to
+    ``state`` and returns them with the regrouped clusters."""
     r = dist.index(0)
     batch: list[list] = [[], [], [], [], []]
     claimed: set[int] = set()
     new_trains: list[Train] = []
     for cluster in clusters:
         chosen = None
-        for train in sorted(cluster.trains,
-                            key=lambda t: (dist[t.head], t.head)):
+        for train in sorted(cluster, key=lambda t: (dist[t.head], t.head)):
             if dist[train.head] == 0:
                 continue
             nxt = next_hop(g, dist, train.head)
@@ -194,7 +180,7 @@ def step_clusters(g: ArchGraph, state: TokenState,
             chosen = (train, nxt, footprint)
             break
         if chosen is None:
-            new_trains.extend(cluster.trains)
+            new_trains.extend(cluster)
             continue
         train, nxt, footprint = chosen
         claimed |= footprint
@@ -202,10 +188,10 @@ def step_clusters(g: ArchGraph, state: TokenState,
         for t in range(5):
             batch[t].extend(plan[t])
         new_trains.append(Train(train.vertices[1:] + (nxt,), r))
-        new_trains.extend(t for t in cluster.trains if t is not train)
+        new_trains.extend(t for t in cluster if t is not train)
     for ops in batch:
         apply_timestep(g, state, ops)
-    return state, batch, _regroup(g, new_trains, r, dist)
+    return batch, _regroup(g, new_trains, r, dist)
 
 
 def sparse_route(g: ArchGraph, pi: Permutation) -> Schedule:
@@ -243,7 +229,7 @@ def sparse_route(g: ArchGraph, pi: Permutation) -> Schedule:
         rounds += 1
         if rounds > cap:
             raise AssertionError("gathering failed to converge")
-        state, batch, clusters = step_clusters(g, state, clusters, dist)
+        batch, clusters = _step_clusters(g, state, clusters, dist)
         forward.extend(batch)
 
     # phase 2: tree-route the gathered tokens among themselves

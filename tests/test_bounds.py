@@ -1,4 +1,4 @@
-"""Expansion, lower bounds, horizon profiles, spectral figures."""
+"""Expansion, lower bounds, spectral figures."""
 
 import itertools
 import math
@@ -18,7 +18,6 @@ from teleroute.bounds import (
     cut_value,
     diam_expansion_rhs,
     family_witness_cut,
-    horizon_profile,
     iso_lower_bound,
     spectral,
     vertex_expansion_bounds,
@@ -136,13 +135,6 @@ def test_cut_value_rejects_non_vertices(cut, bad):
         cut_value(g, cut)
 
 
-@pytest.mark.parametrize("bad", [-1, 5])
-def test_horizon_profile_rejects_non_vertices(bad):
-    g = generate_graph("path", n=5)
-    with pytest.raises(ValueError, match=rf"^vertex {bad} is not in range\(5\)$"):
-        horizon_profile(g, bad)
-
-
 # ---------------------------------------------------------------------------
 # interval bounds and witness cuts
 # ---------------------------------------------------------------------------
@@ -220,42 +212,6 @@ def test_diameter_bound_holds_on_families():
         g = generate_graph(kind, **params)
         c, _ = vertex_expansion_exact(g)
         assert diameter(g) <= diam_expansion_rhs(g.n, c) + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# horizon profiles
-# ---------------------------------------------------------------------------
-
-def test_horizon_path_endpoint():
-    g = generate_graph("path", n=7)
-    prof = horizon_profile(g, 0)
-    assert prof.rho == 2
-    assert prof.circles == (1, 1, 1, 1, 1, 1, 1)
-    assert prof.disks == (1, 2, 3, 4, 5, 6, 7)
-    assert prof.disks[2] <= 3.5 < prof.disks[3]
-
-
-def test_horizon_complete():
-    g = generate_graph("complete", n=4)
-    for v in range(4):
-        assert horizon_profile(g, v).rho == 0
-
-
-def test_horizon_range_and_growth():
-    for kind, params in SMALL_FAMILIES:
-        g = generate_graph(kind, **params)
-        c, _ = vertex_expansion_exact(g)
-        diam = diameter(g)
-        for v in range(g.n):
-            prof = horizon_profile(g, v, c=c)  # growth check must not raise
-            assert 0 <= prof.rho <= diam - 1
-            assert prof.disks[-1] == g.n
-            # disks grow geometrically up to the horizon
-            for k in range(prof.rho + 1):
-                assert prof.disks[k] >= (1 + c) ** k - 1e-9
-            assert prof.disks[prof.rho] <= g.n / 2
-            if prof.rho + 1 < len(prof.disks):
-                assert prof.disks[prof.rho + 1] > g.n / 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,37 @@
 """Every name a module exports exists: ``__all__`` lists no stale entry
-left behind by a deletion, and ``from module import *`` succeeds."""
+left behind by a deletion, and ``from module import *`` succeeds.  And
+every exported name is reached from outside the tests: some module of
+the package, a demo, the benchmark or the acceptance criteria uses it."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import teleroute
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(teleroute.__path__))
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path(teleroute.__file__).resolve().parent
+
+# exported names that only the tests use, each kept for a reason
+UNREACHED_BUT_KEPT = {
+    # the dict form of one primitive: the tests hold the fast JSON
+    # writer of a schedule to it
+    "op_to_dict",
+    # the lexicographically smallest BFS path: the tests hold the hop
+    # paths of the teleport packer's distance sweep to it
+    "shortest_path",
+    # the expansion-based advantage caps that the planned rounds lower
+    # bound and the router comparison read; tested against the interval
+    # ends of the expansion bounds
+    "advantage_upper_bounds",
+    # builds the product graph that route_product's schedules run on,
+    # which the tests verify them on
+    "cartesian_product",
+}
 
 
 def test_every_module_is_listed():
@@ -31,3 +54,29 @@ def test_all_names_exist_and_import(name):
 def test_next_hop_is_exported():
     from teleroute.graphs import __all__ as names, next_hop
     assert "next_hop" in names and callable(next_hop)
+
+
+def _names_used(paths) -> set[str]:
+    """Every name, attribute and import alias in the given files."""
+    used: set[str] = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update(node.name.split("."))
+                used.add(node.asname or node.name)
+    return used
+
+
+def test_every_export_is_reached_outside_the_tests():
+    users = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    users += [*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py"),
+              ROOT / "tests" / "test_acceptance.py"]
+    used = _names_used(users)
+    unreached = {x for name in MODULES
+                 for x in importlib.import_module(f"teleroute.{name}").__all__
+                 if x not in used}
+    assert unreached == UNREACHED_BUT_KEPT

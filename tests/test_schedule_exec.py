@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,11 +49,9 @@ def test_op_normalization():
 
 def test_transfer_load():
     t = Transfer((0, 1, 2, 3))
-    assert t.load(0) == 1 and t.load(3) == 1
-    assert t.load(1) == 2 and t.load(2) == 2
-    assert t.load(9) == 0
+    assert t.halves() == [(0, 1), (1, 2), (2, 2), (3, 1)]
     s = Transfer((0, 1, 2), kind="swap")
-    assert s.load(0) == 2 and s.load(1) == 4 and s.load(2) == 2
+    assert s.halves() == [(0, 2), (1, 4), (2, 2)]
     rnd = TeleRound((Transfer((0, 1, 2)), Transfer((3, 1, 4))))
     assert rnd.load(1) == 4
     assert rnd.incidence(1) == 2 and rnd.incidence(0) == 1
@@ -61,7 +60,7 @@ def test_transfer_load():
 def test_depth_model():
     m = DepthModel()
     assert (m.swap_edge, m.swap_local, m.tele_round) == (1, 0, 1)
-    c = DepthModel.conservative()
+    c = DepthModel(1, 1, 3)
     assert (c.swap_edge, c.swap_local, c.tele_round) == (1, 1, 3)
     sched = Schedule([
         [SwapEdge(0, 1), SwapLocal(2, 0, 1)],   # max(1, 0) = 1
@@ -112,10 +111,10 @@ def test_schedule_json_matches_dumped_dict_form():
          SwapLocal(5, 2, 0), SwapEdge(7, 6)],
         [],
         [SwapEdge(1, 0), SwapLocal(2, 1, 3)],
-    ], DepthModel.conservative())
+    ], DepthModel(1, 1, 3))
     doc = {
         "graph_ref": None,
-        "depth_model": DepthModel.conservative().to_dict(),
+        "depth_model": DepthModel(1, 1, 3).to_dict(),
         "timesteps": [
             sorted((op_to_dict(op) for op in step),
                    key=lambda d: json.dumps(d, sort_keys=True))
@@ -341,6 +340,32 @@ def test_swap_edge_error_messages():
         assert str(err.value) == f"timestep 1, {msg}"
 
 
+@pytest.mark.parametrize("op, msg", [
+    (TeleRound((Transfer((0, 1.0)),)), "path vertex is not an integer"),
+    (TeleRound((Transfer((1.0, 0)),)), "path vertex is not an integer"),
+    (TeleRound((Transfer((0, 1.0, 2), "swap"),)),
+     "path vertex is not an integer"),
+    (SwapLocal(0, 0, 1.0), "vertex or slot is not an integer"),
+    (SwapLocal(0.0, 0, 1), "vertex or slot is not an integer"),
+])
+def test_non_int_vertex_or_slot_names_timestep_and_primitive(op, msg):
+    # in range and on an edge, so only the integer check can catch it
+    g = generate_graph("path", n=4)
+    with pytest.raises(ScheduleError) as err:
+        apply_schedule(g, Schedule([[SwapEdge(2, 3)], [op]]))
+    assert str(err.value) == f"timestep 1, {type(op).__name__} {op}: {msg}"
+
+
+def test_index_ints_still_execute():
+    g = generate_graph("path", n=4)
+    state = TokenState(g)
+    i = np.int64
+    apply_timestep(g, state, [SwapLocal(i(0), 0, i(1)),
+                              TeleRound((Transfer((i(2), i(3)), "swap"),))])
+    assert state.get(0, 1) == 0 and state.data(0) is None
+    assert state.data(2) == 3 and state.data(3) == 2
+
+
 def test_achieved_permutation_rejects_stranded_tokens():
     g = generate_graph("path", n=2)
     final = apply_schedule(g, Schedule([[SwapLocal(0, 0, 1)]]))
@@ -353,15 +378,6 @@ def test_verify_schedule():
     sched = Schedule([[SwapEdge(0, 1)], [SwapEdge(1, 2)]])
     assert verify_schedule(g, sched, Permutation((2, 0, 1)))
     assert not verify_schedule(g, sched, Permutation((1, 0, 2)))
-
-
-def test_on_step_sees_every_timestep():
-    g = generate_graph("path", n=4)
-    seen = []
-    apply_schedule(g, Schedule([[SwapEdge(0, 1)], [], [SwapEdge(2, 3)]]),
-                   on_step=lambda t, st: seen.append((t, st.tokens())))
-    assert [t for t, _ in seen] == [0, 1, 2]
-    assert all(toks == [0, 1, 2, 3] for _, toks in seen)
 
 
 # ---------------------------------------------------------------------------

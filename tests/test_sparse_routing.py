@@ -1,6 +1,8 @@
-"""Sparse-router tests: the five-timestep advance invariant, cluster
-stepping mechanics, error behavior, and end-to-end routing re-executed
-on the token simulator with the 20*(diam+k) timestep cap."""
+"""Sparse-router tests: the five-timestep advance invariant, the
+private cluster step (a cluster is a tuple of trains), error behavior,
+and end-to-end routing re-executed on the token simulator, one
+timestep at a time for conservation, with the 20*(diam+k) timestep
+cap."""
 
 import pytest
 
@@ -15,10 +17,9 @@ from teleroute.graphs import (
 from teleroute.schedule import SwapLocal
 from teleroute.sparse_routing import (
     Train,
-    TokenCluster,
+    _step_clusters,
     advance_train,
     sparse_route,
-    step_clusters,
 )
 
 
@@ -49,6 +50,7 @@ def test_advance_three_token_train():
     assert len(steps) == 5
     assert [len(s) for s in steps] == [1, 2, 2, 1, 2]
     assert train.vertices == (1, 2, 3)
+    assert train.tail == 1 and train.head == 3
     assert [state.locate(t)[0] for t in (0, 1, 2)] == [1, 2, 3]
     # the train's parking slots are all clean again after a full round
     assert all(state.free_slot(v) == 1 for v in (0, 1, 2))
@@ -96,25 +98,24 @@ def test_advance_at_target_raises():
 
 
 # ---------------------------------------------------------------------------
-# step_clusters
+# _step_clusters
 # ---------------------------------------------------------------------------
 
 def test_two_trains_gather_and_concatenate():
     g = generate_graph("path", n=7)
     state = TokenState(g)
     hide(g, state, (1, 2, 3, 4, 5))
-    clusters = [TokenCluster((Train((0,), 3),)),
-                TokenCluster((Train((6,), 3),))]
+    clusters = [(Train((0,), 3),), (Train((6,), 3),)]
     dist = bfs_distances(g, 3)
     rounds = 0
     while len(clusters) > 1:
-        state, batch, clusters = step_clusters(g, state, clusters, dist)
+        batch, clusters = _step_clusters(g, state, clusters, dist)
         assert len(batch) == 5
         rounds += 1
         assert rounds < 10
     assert rounds == 3
     (cluster,) = clusters
-    assert [t.vertices for t in cluster.trains] == [(4, 3)]
+    assert [t.vertices for t in cluster] == [(4, 3)]
     assert state.locate(0) == (3, 0)
     assert state.locate(6) == (4, 0)
 
@@ -123,21 +124,13 @@ def test_lower_index_cluster_wins_vertex_conflicts():
     g = generate_graph("path", n=5)
     state = TokenState(g)
     hide(g, state, (0, 2, 4))
-    clusters = [TokenCluster((Train((1,), 2),)),
-                TokenCluster((Train((3,), 2),))]
-    state, batch, clusters = step_clusters(g, state, clusters,
-                                            bfs_distances(g, 2))
+    clusters = [(Train((1,), 2),), (Train((3,), 2),)]
+    batch, clusters = _step_clusters(g, state, clusters,
+                                     bfs_distances(g, 2))
     # both trains want vertex 2; the first cluster advanced, the other waited
     assert state.locate(1) == (2, 0)
     assert state.locate(3) == (3, 0)
     assert len(clusters) == 1  # now adjacent, merged
-
-
-def test_cluster_vertices_helper():
-    c = TokenCluster((Train((0, 1), 5), Train((3,), 5)))
-    assert c.vertices() == {0, 1, 3}
-    assert c.trains[0].tail == 0
-    assert c.trains[0].head == 1
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +219,10 @@ def test_sparse_budget_one_full_support_ok():
 
 
 def test_sparse_token_conservation_every_timestep():
-    from teleroute.execute import apply_schedule
     g = generate_graph("wheel", n=8)
     pi = generate_permutation("random", g, seed=3, k=4)
     sched = sparse_route(g, pi)
-    counts = []
-
-    def on_step(t, state):
-        counts.append(sorted(state.tokens()))
-
-    apply_schedule(g, sched, on_step=on_step)
-    expected = list(range(g.n))
-    assert all(c == expected for c in counts)
+    state = TokenState(g)
+    for t, step in enumerate(sched.timesteps):
+        apply_timestep(g, state, step, t)
+        assert state.tokens() == list(range(g.n))

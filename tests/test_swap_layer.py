@@ -131,7 +131,7 @@ def test_layer_normalises_and_yields_swap_edges():
         SwapLayer([1], [])
 
 
-MODELS = (DepthModel(), DepthModel.conservative(),
+MODELS = (DepthModel(), DepthModel(1, 1, 3),
           DepthModel(swap_edge=5, swap_local=2, tele_round=7))
 
 

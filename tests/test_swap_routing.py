@@ -12,6 +12,7 @@ from teleroute.graphs import (
     ArchGraph,
     Permutation,
     bfs_distances,
+    cartesian_product,
     generate_graph,
     generate_permutation,
     spanning_tree,
@@ -250,16 +251,7 @@ def test_product_within_one_row():
 def test_product_mixed_factors():
     g1 = generate_graph("complete", n=3)
     g2 = generate_graph("path", n=4)
-    prod_edges = []
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if g1.has_edge(a, b):
-                for x in range(4):
-                    prod_edges.append((a * 4 + x, b * 4 + x))
-    for x in range(3):
-        for a in range(3):
-            prod_edges.append((a * 4 + x, a * 4 + x + 1))
-    prod = ArchGraph(12, tuple(sorted(tuple(sorted(e)) for e in prod_edges)))
+    prod = cartesian_product(g1, g2)
     for seed in range(10):
         pi = shuffled(12, 900 + seed)
         sched = route_product(g1, g2, pi)
