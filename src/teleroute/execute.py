@@ -144,14 +144,19 @@ def _slots_written(op) -> list[tuple[int, int]]:
 
 def _layer_fits(g: ArchGraph, layer: SwapLayer) -> bool:
     """Whether every swap of a layer joins two in-range adjacent
-    vertices and no two swaps share a vertex."""
+    vertices and no two swaps share a vertex.  A ``u`` that is not an
+    int fails the adjacency lookup; a ``v`` such as ``1.0`` passes it
+    and is caught when :func:`_apply_swap_layer` indexes the rows."""
     us, vs = layer.us, layer.vs
     if not us:
         return True
     # u < v, so the smallest u and the largest v bound every endpoint
-    return (min(us) >= 0 and max(vs) < g.n
-            and all(map(contains, map(g._adj.__getitem__, us), vs))
-            and len({*us, *vs}) == 2 * len(us))
+    try:
+        return (min(us) >= 0 and max(vs) < g.n
+                and all(map(contains, map(g._adj.__getitem__, us), vs))
+                and len({*us, *vs}) == 2 * len(us))
+    except TypeError:
+        return False
 
 
 def _round_fits(g: ArchGraph, slots, rnd: TeleRound) -> bool:
@@ -213,8 +218,7 @@ def apply_timestep(g: ArchGraph, state: TokenState, ops, t: int = 0):
     the same text, either way.
     """
     if type(ops) is SwapLayer:
-        if _layer_fits(g, ops):
-            _apply_swap_layer(state, ops, t)
+        if _layer_fits(g, ops) and _apply_swap_layer(state, ops, t):
             return
         ops = list(ops)
     elif (type(ops) is list and len(ops) == 1 and type(ops[0]) is TeleRound
@@ -235,8 +239,14 @@ def apply_timestep(g: ArchGraph, state: TokenState, ops, t: int = 0):
             u, v = op.u, op.v    # u < v
             if u < 0 or v >= n:
                 _fail(t, op, "vertex out of range")
-            if v not in adj[u]:
-                _fail(t, op, "no such edge")
+            # indexing adj checks u as index() would, but 1.0 is in adj[u]
+            # whenever 1 is, so v needs its own check
+            try:
+                if v not in adj[u]:
+                    _fail(t, op, "no such edge")
+                index(v)
+            except TypeError:
+                _fail(t, op, "vertex is not an integer")
             claims = ((u, 0), (v, 0))
         else:
             loads = _check_op(g, op, t)
@@ -279,21 +289,26 @@ def apply_timestep(g: ArchGraph, state: TokenState, ops, t: int = 0):
         raise ScheduleError(f"timestep {t}: tokens not conserved")
 
 
-def _apply_swap_layer(state: TokenState, layer: SwapLayer, t: int):
+def _apply_swap_layer(state: TokenState, layer: SwapLayer, t: int) -> bool:
     """Exchange the data tokens of each pair of a layer that fits.  The
     conservation check needs no sort: the endpoints' data slots must end
     holding their starting tokens with each pair's two exchanged, which
-    is a permutation of them."""
+    is a permutation of them.  Returns False, with no slot changed, if
+    an endpoint is not an int, so the layer is checked swap by swap."""
     us, vs = layer.us, layer.vs
     k = len(us)
     if not k:
-        return
-    rows = itemgetter(*us, *vs)(state.slots)
+        return True
+    try:
+        rows = itemgetter(*us, *vs)(state.slots)
+    except TypeError:
+        return False
     before = list(map(_data, rows))
     for su, sv in zip(rows[:k], rows[k:]):
         su[0], sv[0] = sv[0], su[0]
     if list(map(_data, rows)) != before[k:] + before[:k]:
         raise ScheduleError(f"timestep {t}: tokens not conserved")
+    return True
 
 
 def _apply_lone_round(state: TokenState, rnd: TeleRound, t: int):

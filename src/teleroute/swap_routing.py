@@ -15,6 +15,7 @@ existing edges, and every router assumes the canonical start state
 from __future__ import annotations
 
 from collections import deque
+from operator import eq
 
 from .graphs import (
     ArchGraph,
@@ -32,31 +33,36 @@ __all__ = [
 ]
 
 
-def _merge_timelines(timelines: list[list[SwapLayer]]) -> list[SwapLayer]:
-    """Run schedules on disjoint vertex sets side by side: timestep t
-    holds every timeline's step t, in timeline order."""
-    merged: list[tuple[list[int], list[int]]] = [
-        ([], []) for _ in range(max(map(len, timelines), default=0))]
+Steps = list[tuple[list[int], list[int]]]   # each step's (us, vs)
+
+
+def _merge_timelines(timelines: list[Steps]) -> Steps:
+    """Run schedules on disjoint vertex sets side by side.  Each timeline
+    is a list of steps, each step a pair of endpoint lists ``(us, vs)``;
+    timestep t holds every timeline's step t, in timeline order."""
+    merged: Steps = [([], []) for _ in range(max(map(len, timelines),
+                                                default=0))]
     for steps in timelines:
-        for (us, vs), step in zip(merged, steps):
-            us += step.us
-            vs += step.vs
-    return [SwapLayer(us, vs) for us, vs in merged]
+        for (us, vs), (step_us, step_vs) in zip(merged, steps):
+            us += step_us
+            vs += step_vs
+    return merged
 
 
 # ---------------------------------------------------------------------------
 # odd-even transposition
 # ---------------------------------------------------------------------------
 
-def _oet_timesteps(order: list[int], rank_of_token, token_at: dict) -> list[SwapLayer]:
+def _oet_timesteps(order: list[int], rank_of_token, token_at: dict) -> Steps:
     """Odd-even transposition along ``order`` (consecutive vertices must
     be adjacent).  ``rank_of_token(tok)`` gives the position index each
-    token must reach.  Mutates ``token_at``; returns swap timesteps."""
+    token must reach.  Mutates ``token_at``; returns the swap timesteps
+    as endpoint pairs."""
     m = len(order)
     arr = [rank_of_token(token_at[v]) for v in order]
     # positions whose token has not reached its rank; each swap updates it
     misplaced = sum(r != i for i, r in enumerate(arr))
-    steps: list[SwapLayer] = []
+    steps: Steps = []
     for phase in range(m + 1):
         if not misplaced:
             break
@@ -72,7 +78,7 @@ def _oet_timesteps(order: list[int], rank_of_token, token_at: dict) -> list[Swap
                 us.append(u)
                 vs.append(v)
         if us:
-            steps.append(SwapLayer(us, vs))
+            steps.append((us, vs))
     else:
         raise AssertionError("transposition sort failed to converge")
     return steps
@@ -117,6 +123,11 @@ def route_complete(g: ArchGraph, pi: Permutation) -> Schedule:
 # the component's gate.  A conveyor inside each component advances
 # outgoing tokens toward the gate in consumption order, one
 # vertex-disjoint swap layer per timestep, in parallel with the relay.
+# Each step scans only the live gates, those whose queue still holds a
+# token, in gate order; a gate drops out when its last token crosses,
+# and a one-vertex component never has anything to advance.  Steps are
+# kept as endpoint pairs (us, vs) down the recursion, and route_tree
+# makes each merged timestep a SwapLayer once.
 
 def _subtree_centroid(vertices: list[int], adj: dict[int, list[int]]) -> int:
     n = len(vertices)
@@ -169,7 +180,7 @@ def _euler_circuit(start, out_edges: dict) -> list[tuple]:
 
 def _route_tree_rec(vertices: list[int], adj: dict[int, list[int]],
                     token_at: dict[int, int], target: dict[int, int]
-                    ) -> list[SwapLayer]:
+                    ) -> Steps:
     m = len(vertices)
     if m <= 1 or all(target[token_at[v]] == v for v in vertices):
         return []
@@ -187,12 +198,14 @@ def _route_tree_rec(vertices: list[int], adj: dict[int, list[int]],
         return _oet_timesteps(order, lambda tok: pos[target[tok]], token_at)
 
     c = _subtree_centroid(vertices, adj)
+    CENTER = -1
 
     # one BFS per component of the tree minus c, from its gate (the
-    # neighbor of c): component id, parent toward c, distance to gate
+    # neighbor of c): component id, parent toward c, distance to gate.
+    # comp_of maps c itself to CENTER, so it names every vertex's node.
     gates = list(adj[c])
     comps: list[list[int]] = []
-    comp_of: dict[int, int] = {}
+    comp_of: dict[int, int] = {c: CENTER}
     parent: dict[int, int] = {}
     dist_to_gate: dict[int, int] = {}
     for cid, gate in enumerate(gates):
@@ -200,27 +213,22 @@ def _route_tree_rec(vertices: list[int], adj: dict[int, list[int]],
         comp_of[gate], parent[gate], dist_to_gate[gate] = cid, c, 0
         for v in comp:  # grows as it is read: a FIFO queue
             for w in adj[v]:
-                if w != c and w not in comp_of:
+                if w not in comp_of:
                     comp_of[w], parent[w] = cid, v
                     dist_to_gate[w] = dist_to_gate[v] + 1
                     comp.append(w)
         comps.append(comp)
 
-    CENTER = -1
-
-    def node_of(v: int) -> int:
-        return CENTER if v == c else comp_of[v]
-
     # demand edges, one per token that must change component
     out_edges: dict[int, list[tuple]] = {}
     for v in vertices:
         tok = token_at[v]
-        a, b = node_of(v), node_of(target[tok])
+        a, b = comp_of[v], comp_of[target[tok]]
         if a != b:
             rank = dist_to_gate.get(v, 0)
             out_edges.setdefault(a, []).append((a, b, tok, rank))
 
-    steps: list[SwapLayer] = []
+    steps: Steps = []
     if out_edges:
         for edges in out_edges.values():
             edges.sort(key=lambda e: (e[3], e[2]))
@@ -244,10 +252,15 @@ def _route_tree_rec(vertices: list[int], adj: dict[int, list[int]],
             if entry != CENTER:
                 actions.append((gates[trail[-1][1]], theta_c))
 
-        # conveyor bookkeeping
-        queue_of: dict[int, list[int]] = {}
+        # conveyor bookkeeping: each gate's queue holds the tokens still
+        # to cross there, in relay order, and ``live`` lists (component,
+        # gate, queue) for the live gates
+        queue_of: dict[int, deque[int]] = {}
         for gate_v, tok in actions:
-            queue_of.setdefault(gate_v, []).append(tok)
+            queue_of.setdefault(gate_v, deque()).append(tok)
+        live = [(cid, gate, queue_of[gate])
+                for cid, gate in enumerate(gates)
+                if gate in queue_of and len(comps[cid]) > 1]
         pos_of = {token_at[v]: v for v in vertices}
 
         pending = deque(actions)
@@ -265,35 +278,40 @@ def _route_tree_rec(vertices: list[int], adj: dict[int, list[int]],
                 vs.append(gate_v)
                 claimed.update((c, gate_v))
                 pending.popleft()
-                queue_of[gate_v].pop(0)
-            for gate in gates:
-                for tok in queue_of.get(gate, ()):
+                queue = queue_of[gate_v]
+                queue.popleft()
+                if not queue:
+                    live = [entry for entry in live if entry[2]]
+            for cid, gate, queue in live:
+                head = queue[0]
+                for tok in queue:
                     x = pos_of[tok]
-                    if x == gate or node_of(x) != comp_of[gate]:
+                    if x == gate or x in claimed or comp_of[x] != cid:
                         continue
                     y = parent[x]
-                    if x in claimed or y in claimed:
+                    if y in claimed:
                         continue
-                    if y == gate and tok != queue_of[gate][0]:
+                    if y == gate and tok != head:
                         continue  # don't squat on the gate out of turn
-                    claimed.update((x, y))
+                    claimed.add(x)
+                    claimed.add(y)
                     us.append(x)
                     vs.append(y)
             # the claimed pairs are disjoint, so each swaps in place
             for u, v in zip(us, vs):
                 token_at[u], token_at[v] = token_at[v], token_at[u]
                 pos_of[token_at[u]], pos_of[token_at[v]] = u, v
-            steps.append(SwapLayer(us, vs))
+            steps.append((us, vs))
 
         if target[token_at[c]] != c:
             raise AssertionError("relay left a foreign token at the centroid")
 
     # recurse into components, running their timelines in parallel
-    child_steps: list[list[SwapLayer]] = []
+    child_steps: list[Steps] = []
     for cid, verts in enumerate(comps):
         sub_adj = {v: [w for w in adj[v] if w != c] for v in verts}
         for v in verts:
-            if node_of(target[token_at[v]]) != cid:
+            if comp_of[target[token_at[v]]] != cid:
                 raise AssertionError("token stranded outside its component")
         child_steps.append(_route_tree_rec(verts, sub_adj, token_at, target))
     steps.extend(_merge_timelines(child_steps))
@@ -307,9 +325,9 @@ def route_tree(g: ArchGraph, pi: Permutation) -> Schedule:
         raise ValueError("graph is not a tree")
     adj = {v: list(g._adj[v]) for v in range(g.n)}
     token_at = {v: v for v in range(g.n)}
-    target = {tok: pi(tok) for tok in range(g.n)}
+    target = dict(enumerate(pi.image))
     steps = _route_tree_rec(list(range(g.n)), adj, token_at, target)
-    return Schedule(steps)
+    return Schedule([SwapLayer(us, vs) for us, vs in steps])
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +361,19 @@ def _perfect_matching(left_adj: dict[int, list[int]]) -> dict[int, int]:
 def route_product(g1: ArchGraph, g2: ArchGraph, pi: Permutation) -> Schedule:
     """Route on the Cartesian product of g1 and g2 (vertex (a, x) at
     index a*|g2| + x) in three phases: within g1-copies, within
-    g2-copies, within g1-copies, each copy by :func:`route_generic`;
-    depth <= 2*D1 + D2."""
+    g2-copies, within g1-copies; depth <= 2*D1 + D2.  In each phase
+    :func:`route_generic` routes each distinct copy image once, and the
+    copies with that image share its routing, relabelled onto their
+    own vertices."""
     n1, n2 = g1.n, g2.n
     if pi.n != n1 * n2:
         raise ValueError("permutation size does not match the product")
+    img = pi.image
 
     # tokens per (current column, destination column)
     bucket: dict[tuple[int, int], list[int]] = {}
     for v in range(n1 * n2):
-        bucket.setdefault((v % n2, pi(v) % n2), []).append(v)
+        bucket.setdefault((v % n2, img[v] % n2), []).append(v)
 
     # decompose the n1-regular column-to-column multigraph into n1
     # perfect matchings
@@ -370,62 +391,73 @@ def route_product(g1: ArchGraph, g2: ArchGraph, pi: Permutation) -> Schedule:
             mult[(x, xd)] -= 1
 
     # pair matchings with intermediate rows, preferring rows where the
-    # matched tokens already sit (keeps easy instances shallow)
-    rows_in = {key: {tok // n2 for tok in toks}
-               for key, toks in bucket.items()}
+    # matched tokens already sit (keeps easy instances shallow): token
+    # r*n2 + x starts in row r, and the pair x -> xd of a matching counts
+    # for row r if that token's destination column is xd
+    col = [v % n2 for v in img]
     rows_left = set(range(n1))
-    row_of_matching: dict[int, int] = {}
-    for j, match in enumerate(matchings):
+    row_of_matching: list[int] = []
+    for match in matchings:
+        want = [match[x] for x in range(n2)]
         best_r, best_score = None, -1
         for r in sorted(rows_left):
-            score = sum(r in rows_in[key] for key in match.items())
+            score = sum(map(eq, col[r * n2:(r + 1) * n2], want))
             if score > best_score:
                 best_r, best_score = r, score
-        row_of_matching[j] = best_r
+        row_of_matching.append(best_r)
         rows_left.discard(best_r)
 
-    # assign each token an intermediate row
-    remaining = {key: sorted(toks) for key, toks in bucket.items()}
-    inter_row: dict[int, int] = {}
-    for j, match in enumerate(matchings):
-        r = row_of_matching[j]
+    # assign each token an intermediate row, taking from each bucket
+    # (ascending, as built) the token of the matching's row if it holds
+    # it, else its first; the n1 matchings take every token once
+    inter_row = [0] * (n1 * n2)
+    for r, match in zip(row_of_matching, matchings):
         for x, xd in match.items():
-            toks = remaining[(x, xd)]
-            pick = next((t for t in toks if t // n2 == r), toks[0])
+            toks = bucket[(x, xd)]
+            own = r * n2 + x
+            pick = own if own in toks else toks[0]
             toks.remove(pick)
             inter_row[pick] = r
 
     # three phases: route every g1-copy (a column; tokens change row),
     # then every g2-copy (a row; tokens change column), then every
     # g1-copy again.  Copy c's i-th vertex is c * offset + i * stride,
-    # and ``dest(token)`` is the token's index in its copy after the
-    # phase; at[v] is the token at vertex v.
+    # and ``dest[token]`` is the token's index in its copy after the
+    # phase; at[v] is the token at vertex v.  route_generic is
+    # deterministic, so copies with the same image share one routing,
+    # kept for the phase only.
     at = list(range(n1 * n2))
     steps: list[SwapLayer] = []
     for factor, copies, offset, stride, dest in (
-            (g1, n2, 1, n2, inter_row.__getitem__),
-            (g2, n1, n2, 1, lambda t: pi(t) % n2),
-            (g1, n2, 1, n2, lambda t: pi(t) // n2)):
+            (g1, n2, 1, n2, inter_row),
+            (g2, n1, n2, 1, col),
+            (g1, n2, 1, n2, [v // n2 for v in img])):
+        routed: dict[tuple[int, ...], list[SwapLayer]] = {}
         timelines = []
         for c in range(copies):
-            cells = range(c * offset, c * offset + factor.n * stride, stride)
-            toks = [at[v] for v in cells]
-            image = [dest(t) for t in toks]
-            sub = route_generic(factor, Permutation(tuple(image)))
+            cells = list(range(c * offset, c * offset + factor.n * stride,
+                               stride))
+            toks = list(map(at.__getitem__, cells))
+            image = tuple(map(dest.__getitem__, toks))
+            sub = routed.get(image)
+            if sub is None:
+                sub = routed[image] = route_generic(
+                    factor, Permutation(image)).timesteps
             # cells increase with the index, so u < v is kept
             cell = cells.__getitem__
-            timelines.append([SwapLayer(map(cell, step.us), map(cell, step.vs))
-                              for step in sub.timesteps])
+            timelines.append([(list(map(cell, step.us)),
+                               list(map(cell, step.vs))) for step in sub])
             for t, i in zip(toks, image):
                 at[cells[i]] = t
-        steps.extend(_merge_timelines(timelines))
+        steps += [SwapLayer(us, vs)
+                  for us, vs in _merge_timelines(timelines)]
 
     # replay the emitted swaps: every token must land on its image
     at = list(range(n1 * n2))
     for step in steps:
         for u, v in zip(step.us, step.vs):
             at[u], at[v] = at[v], at[u]
-    if any(pi(t) != v for v, t in enumerate(at)):
+    if any(img[t] != v for v, t in enumerate(at)):
         raise AssertionError("product routing failed to place a token")
     return Schedule(steps)
 

@@ -21,6 +21,7 @@ from teleroute.schedule import (
     DepthModel,
     Schedule,
     SwapEdge,
+    SwapLayer,
     SwapLocal,
     TeleRound,
     Transfer,
@@ -356,6 +357,26 @@ def test_non_int_vertex_or_slot_names_timestep_and_primitive(op, msg):
     assert str(err.value) == f"timestep 1, {type(op).__name__} {op}: {msg}"
 
 
+@pytest.mark.parametrize("step", [
+    [SwapEdge(0, 1.0)],
+    SwapLayer([0], [1.0]),
+    [SwapEdge(0.0, 1)],
+    SwapLayer([0.0], [1]),
+    SwapLayer([2, 0], [3, 1.0]),
+], ids=["edge-v", "layer-v", "edge-u", "layer-u", "layer-second"])
+def test_non_int_swap_endpoint_names_timestep_and_primitive(step):
+    # 1.0 == 1 is in adj[0], so only the integer check can catch it;
+    # a layer is re-checked swap by swap, before any slot changes
+    g = generate_graph("path", n=4)
+    state = TokenState(g)
+    bad = [op for op in step if 1.0 in (op.u, op.v) and 0.0 in (op.u, op.v)]
+    with pytest.raises(ScheduleError) as err:
+        apply_timestep(g, state, step, 1)
+    assert str(err.value) == (f"timestep 1, SwapEdge {bad[0]}: "
+                              "vertex is not an integer")
+    assert [state.data(v) for v in range(4)] == [0, 1, 2, 3]
+
+
 def test_index_ints_still_execute():
     g = generate_graph("path", n=4)
     state = TokenState(g)
@@ -364,6 +385,8 @@ def test_index_ints_still_execute():
                               TeleRound((Transfer((i(2), i(3)), "swap"),))])
     assert state.get(0, 1) == 0 and state.data(0) is None
     assert state.data(2) == 3 and state.data(3) == 2
+    apply_timestep(g, state, SwapLayer([i(1)], [i(2)]))
+    assert state.data(1) == 3 and state.data(2) == 1
 
 
 def test_achieved_permutation_rejects_stranded_tokens():

@@ -60,6 +60,7 @@ LARGE_GRAPHS = {
     "wheel-255": ("wheel", {"n": 255}, ("random", "reflection")),
     "ladder-8": ("ladder", {"n": 8}, ("random", "reflection")),
     "grid-32x32": ("grid", {"n": 32, "d": 2}, ("random",)),
+    "hypercube-10": ("hypercube", {"d": 10}, ("random", "reflection")),
 }
 
 GOLDEN = {
@@ -177,6 +178,10 @@ GOLDEN = {
         "57556de47f45fd2f4e0a5f0ee416353437e0a852728f4a88ba8151d56d51db2d",
     "generic/grid-32x32/random":
         "f47960ea5617145d90bda5134f57f2a30299e05201634c45e194ec1fd43b3071",
+    "generic/hypercube-10/random":
+        "0239f6c7ac26641b2f703e0465db59bd74dcf49be874a839ea6081f71e8f8507",
+    "generic/hypercube-10/reflection":
+        "a9741770c7dfa88f2cd5c4f92571d6b24ae46b7fb09b0d9bf22aef9e0d45611c",
 }
 
 # one digest over the 50 tree schedules, one to_json per line

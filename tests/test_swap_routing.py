@@ -259,29 +259,36 @@ def test_product_mixed_factors():
         assert sched.depth() <= 2 * 2 + 4
 
 
-@pytest.mark.parametrize("victim", [0, 5, 11])  # one copy in each phase
-def test_product_self_check_replays_emitted_swaps(monkeypatch, victim):
-    # drop the last layer of one copy's sub-schedule: the copy's tokens
-    # no longer reach the image it was given, and only a replay of the
-    # emitted swaps can notice
+@pytest.mark.parametrize("phase", [0, 1, 2])
+def test_product_self_check_replays_emitted_swaps(monkeypatch, phase):
+    # drop the last layer of the sub-schedule routed for one image in
+    # the given phase: every copy with that image now misses it, and
+    # only a replay of the emitted swaps can notice.  On path(2) x
+    # path(4), phases 0 and 2 route the four 2-vertex columns and phase
+    # 1 the two 4-vertex rows.
     routed = swap_routing.route_generic
-    calls = []
+    images: list[list[tuple[int, ...]]] = [[], [], []]
+    corrupted = []
 
     def corrupt(g, pi):
+        k = 1 if g.n == 4 else 2 if images[1] else 0
+        images[k].append(pi.image)
         sched = routed(g, pi)
-        calls.append(sched)
-        if len(calls) - 1 == victim:
-            assert sched.timesteps
+        if k == phase and not corrupted and sched.timesteps:
+            corrupted.append(pi.image)
             return Schedule(sched.timesteps[:-1])
         return sched
 
     monkeypatch.setattr(swap_routing, "route_generic", corrupt)
-    p4 = generate_graph("path", n=4)
-    pi = generate_permutation("random", generate_graph("grid", n=4, d=2),
-                              seed=1)
+    p2, p4 = generate_graph("path", n=2), generate_graph("path", n=4)
     with pytest.raises(AssertionError, match="failed to place a token"):
-        route_product(p4, p4, pi)
-    assert len(calls) == 12  # 4 copies in each of the three phases
+        route_product(p2, p4, shuffled(8, 0))
+    assert corrupted
+    # the copies' images per phase are (0,1) (1,0) (0,1) (0,1), then
+    # (0,3,1,2) (0,1,3,2), then (1,0) (1,0) (0,1) (0,1): one routing
+    # per distinct image, 6 calls where one per copy would make 10
+    assert [sorted(ims) for ims in images] == [
+        [(0, 1), (1, 0)], [(0, 1, 3, 2), (0, 3, 1, 2)], [(0, 1), (1, 0)]]
 
 
 @pytest.mark.parametrize("kind,params,factors", [
