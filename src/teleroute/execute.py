@@ -9,11 +9,14 @@ timestep, transfer loads fit in the free ancilla slots), checks that
 every timestep conserves tokens, and reports the permutation a valid
 schedule achieves.
 
-Two kinds of timestep are checked whole, with builtins over endpoint
-lists and paths rather than a Python step per swap or path vertex: a
-:class:`SwapLayer`, and a list holding one :class:`TeleRound` alone
-(the teleport routers give every round a timestep of its own).  When a
-whole check fails, the timestep is checked again primitive by
+Five kinds of timestep are checked whole, with no call, claim map or
+sort per primitive: a :class:`SwapLayer` and a list of
+:class:`SwapEdge` only (int endpoints in range, on edges, no vertex
+twice), a list of :class:`SwapLocal` only (int vertex and slots in
+range, no slot twice), each in one loop over its swaps; a list holding
+one :class:`TeleRound` alone (the teleport routers give every round a
+timestep of its own), with a builtin pass per path; and an empty list.
+When a whole check fails, the timestep is checked again primitive by
 primitive, which raises the error; so either way a fault gets the same
 message.
 """
@@ -94,8 +97,8 @@ def _check_op(g: ArchGraph, op, t: int) -> dict[int, int] | None:
     """Static checks of a :class:`SwapLocal` or a :class:`TeleRound`
     against the graph, one path vertex at a time; the primitive-by-
     primitive path of :func:`apply_timestep` calls it (a
-    :class:`SwapEdge` is checked inline there, and a whole layer or a
-    lone round that fits never comes here).  A vertex or slot in range
+    :class:`SwapEdge` is checked inline there, and a timestep that
+    passes its whole check never comes here).  A vertex or slot in range
     that :func:`operator.index` rejects (``1.0``, not ``np.int64``)
     fails before anything indexes with it.  For a round, returns its
     per-vertex load map (see :meth:`TeleRound.loads`)."""
@@ -142,21 +145,38 @@ def _slots_written(op) -> list[tuple[int, int]]:
     return list({(v, 0) for tr in op.transfers for v in (tr.source, tr.dest)})
 
 
-def _layer_fits(g: ArchGraph, layer: SwapLayer) -> bool:
-    """Whether every swap of a layer joins two in-range adjacent
-    vertices and no two swaps share a vertex.  A ``u`` that is not an
-    int fails the adjacency lookup; a ``v`` such as ``1.0`` passes it
-    and is caught when :func:`_apply_swap_layer` indexes the rows."""
-    us, vs = layer.us, layer.vs
-    if not us:
-        return True
-    # u < v, so the smallest u and the largest v bound every endpoint
-    try:
-        return (min(us) >= 0 and max(vs) < g.n
-                and all(map(contains, map(g._adj.__getitem__, us), vs))
-                and len({*us, *vs}) == 2 * len(us))
-    except TypeError:
-        return False
+def _layer_fits(g: ArchGraph, us: list, vs: list) -> bool:
+    """Whether every swap ``(us[i], vs[i])`` of a layer joins two int
+    vertices in range that are adjacent, and no two swaps share a
+    vertex.  An endpoint that is not an exact int (a bool, a numpy int,
+    ``1.0``) fails, and the layer is checked swap by swap."""
+    n, adj = g.n, g._adj
+    for u, v in zip(us, vs):
+        # u < v, so 0 <= u and v < n put both in range
+        if not (type(u) is int and type(v) is int and 0 <= u and v < n
+                and v in adj[u]):
+            return False
+    return len({*us, *vs}) == 2 * len(us)
+
+
+def _locals_fit(g: ArchGraph, ops: list) -> bool:
+    """Whether every op of a list is a :class:`SwapLocal` with an int
+    vertex and int slots in range, and no two claim the same (vertex,
+    slot).  As for a layer, anything but an exact int fails, and the
+    list is checked primitive by primitive."""
+    n, top = g.n, g.ancilla_budget
+    cells = set()
+    for op in ops:
+        if type(op) is not SwapLocal:
+            return False
+        v, s1, s2 = op.v, op.s1, op.s2
+        # s1 < s2, so 0 <= s1 and s2 <= top put both in range
+        if not (type(v) is int and type(s1) is int and type(s2) is int
+                and 0 <= v < n and 0 <= s1 and s2 <= top):
+            return False
+        cells.add((v, s1))
+        cells.add((v, s2))
+    return len(cells) == 2 * len(ops)
 
 
 def _round_fits(g: ArchGraph, slots, rnd: TeleRound) -> bool:
@@ -210,25 +230,42 @@ def apply_timestep(g: ArchGraph, state: TokenState, ops, t: int = 0):
     conservation check compares the tokens in those slots before and
     after the step; the cost is linear in the size of the timestep.
 
-    Two kinds of timestep are checked whole before any slot changes: a
-    layer, with no object per swap, and a list holding one round alone,
-    with no Python step per path vertex.  Either one, if a whole check
-    fails, is checked again primitive by primitive (a layer as its
-    ``SwapEdge`` objects), so the error names the same primitive, with
-    the same text, either way.
+    Five kinds of timestep are checked whole before any slot changes: a
+    layer, with no object per swap; a list holding one round alone, with
+    no Python step per path vertex; a list of local swaps only and a
+    list of edge swaps only, with no claim map; and an empty list.  Any
+    of them, if a whole check fails, is checked again primitive by
+    primitive (a layer as its ``SwapEdge`` objects), so the error names
+    the same primitive, with the same text, either way.
     """
     if type(ops) is SwapLayer:
-        if _layer_fits(g, ops) and _apply_swap_layer(state, ops, t):
+        if _layer_fits(g, ops.us, ops.vs):
+            _apply_swap_layer(state, ops.us, ops.vs, t)
             return
         ops = list(ops)
-    elif (type(ops) is list and len(ops) == 1 and type(ops[0]) is TeleRound
-          and _round_fits(g, state.slots, ops[0])):
-        _apply_lone_round(state, ops[0], t)
-        return
+    elif type(ops) is list:
+        if not ops:
+            return
+        # the first op's type picks the whole check, so a lone round
+        # pays no pass over the list
+        kind = type(ops[0])
+        if kind is TeleRound:
+            if len(ops) == 1 and _round_fits(g, state.slots, ops[0]):
+                _apply_lone_round(state, ops[0], t)
+                return
+        elif kind is SwapLocal:
+            if _locals_fit(g, ops):
+                _apply_locals(state, ops, t)
+                return
+        elif kind is SwapEdge and all(map(is_, map(type, ops),
+                                          repeat(SwapEdge))):
+            us, vs = [op.u for op in ops], [op.v for op in ops]
+            if _layer_fits(g, us, vs):
+                _apply_swap_layer(state, us, vs, t)
+                return
     # a SwapEdge/SwapLocal claims the (v, s) slots it writes; a round
     # claims (v, None), all of v, for each vertex on its paths.  ``users``
     # maps a vertex to the first primitive claiming any of its slots.
-    # Edge swaps, nearly every op of a swap schedule, are checked here.
     n, adj = g.n, g._adj
     taken: dict[tuple[int, int | None], object] = {}
     users: dict[int, object] = {}
@@ -289,26 +326,41 @@ def apply_timestep(g: ArchGraph, state: TokenState, ops, t: int = 0):
         raise ScheduleError(f"timestep {t}: tokens not conserved")
 
 
-def _apply_swap_layer(state: TokenState, layer: SwapLayer, t: int) -> bool:
-    """Exchange the data tokens of each pair of a layer that fits.  The
-    conservation check needs no sort: the endpoints' data slots must end
-    holding their starting tokens with each pair's two exchanged, which
-    is a permutation of them.  Returns False, with no slot changed, if
-    an endpoint is not an int, so the layer is checked swap by swap."""
-    us, vs = layer.us, layer.vs
-    k = len(us)
-    if not k:
-        return True
-    try:
-        rows = itemgetter(*us, *vs)(state.slots)
-    except TypeError:
-        return False
-    before = list(map(_data, rows))
-    for su, sv in zip(rows[:k], rows[k:]):
+def _apply_swap_layer(state: TokenState, us: list, vs: list, t: int):
+    """Exchange the data tokens of each pair ``(us[i], vs[i])`` of a
+    layer that :func:`_layer_fits` accepted, then check that the
+    endpoints' data slots hold their starting tokens with each pair's
+    two exchanged, which conserves them with no sort."""
+    slots = state.slots
+    before = []
+    for u, v in zip(us, vs):
+        su, sv = slots[u], slots[v]
+        before += su[0], sv[0]
         su[0], sv[0] = sv[0], su[0]
-    if list(map(_data, rows)) != before[k:] + before[:k]:
+    after = []
+    for u, v in zip(us, vs):
+        after += slots[v][0], slots[u][0]
+    if after != before:
         raise ScheduleError(f"timestep {t}: tokens not conserved")
-    return True
+
+
+def _apply_locals(state: TokenState, ops: list, t: int):
+    """Exchange the two slots of each local swap of a list that
+    :func:`_locals_fit` accepted, then check, as for a layer, that the
+    swapped slots hold their starting tokens, each swap's two
+    exchanged."""
+    slots = state.slots
+    before = []
+    for op in ops:
+        row, s1, s2 = slots[op.v], op.s1, op.s2
+        before += row[s1], row[s2]
+        row[s1], row[s2] = row[s2], row[s1]
+    after = []
+    for op in ops:
+        row = slots[op.v]
+        after += row[op.s2], row[op.s1]
+    if after != before:
+        raise ScheduleError(f"timestep {t}: tokens not conserved")
 
 
 def _apply_lone_round(state: TokenState, rnd: TeleRound, t: int):

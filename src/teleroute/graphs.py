@@ -20,7 +20,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, count, product
+from itertools import chain, count, product, repeat
 
 import numpy as np
 
@@ -55,6 +55,30 @@ DEFAULT_ANCILLA_BUDGET = 6
 # core types
 # ---------------------------------------------------------------------------
 
+def _canonical_adjacency(edges, n: int) -> list[list[int]] | None:
+    """The neighbour lists of ``edges`` if it is already the tuple
+    :class:`ArchGraph` keeps: int pairs ``(u, v)`` with
+    ``0 <= u < v < n``, strictly increasing.  Otherwise None; an entry
+    that is not an exact int (a bool, a numpy int) does not count.
+    Sorted edges list each vertex's smaller neighbours in increasing
+    order, then its larger ones, so no list needs a sort."""
+    if type(edges) is not tuple or type(n) is not int:
+        return None
+    adj = [[] for _ in range(n)]
+    prev = (0, 0)   # below every pair with 0 <= u < v
+    for e in edges:
+        if type(e) is not tuple or len(e) != 2:
+            return None
+        u, v = e
+        if not (type(u) is int and type(v) is int and 0 <= u < v < n
+                and prev < e):
+            return None
+        adj[u].append(v)
+        adj[v].append(u)
+        prev = e
+    return adj
+
+
 @dataclass(frozen=True)
 class ArchGraph:
     """An interaction graph with per-vertex ancilla capacity.
@@ -64,7 +88,8 @@ class ArchGraph:
     n : int
         Number of vertices.
     edges : tuple of (int, int)
-        Undirected edges, normalized to ``u < v``, sorted.
+        Undirected edges, normalized to ``u < v``, sorted.  A tuple of
+        int pairs already in that form is kept as given.
     ancilla_budget : int
         Ancilla slots available at every vertex.
     labels : tuple or None
@@ -91,26 +116,29 @@ class ArchGraph:
             raise ValueError("graph needs at least one vertex")
         if self.ancilla_budget < 0:
             raise ValueError("ancilla_budget must be >= 0")
-        norm = []
-        seen = set()
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            norm.append(e)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
+        adj = _canonical_adjacency(self.edges, self.n)
+        if adj is None:
+            norm = []
+            seen = set()
+            for u, v in self.edges:
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                if not (0 <= u < self.n and 0 <= v < self.n):
+                    raise ValueError(f"edge ({u},{v}) out of range")
+                e = (u, v) if u < v else (v, u)
+                if e in seen:
+                    raise ValueError(f"duplicate edge {e}")
+                seen.add(e)
+                norm.append(e)
+            object.__setattr__(self, "edges", tuple(sorted(norm)))
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("labels length must equal n")
-        adj = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
+        if adj is None:   # the normalized edges are sorted too
+            adj = [[] for _ in range(self.n)]
+            for u, v in self.edges:
+                adj[u].append(v)
+                adj[v].append(u)
+        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
         if -1 in bfs_distances(self, 0):
             raise ValueError("graph must be connected")
 
@@ -224,10 +252,10 @@ def _wheel(n: int, budget: int) -> ArchGraph:
     if n < 3:
         raise ValueError("wheel needs rim size n >= 3")
     hub = n
-    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     edges += [(i, hub) for i in range(n)]
     labels = tuple(list(range(n)) + ["hub"])
-    return ArchGraph(n + 1, tuple(edges), budget, labels=labels)
+    return ArchGraph(n + 1, tuple(sorted(edges)), budget, labels=labels)
 
 
 def _ladder(n: int, budget: int) -> ArchGraph:
@@ -247,7 +275,7 @@ def _ladder(n: int, budget: int) -> ArchGraph:
         r = (u + 1).bit_length()
         labels.append((r, u + 2 - 2 ** (r - 1)))
         # u's later layer-mates and all of layer r + 1 (indices < 2^(r+1) - 1)
-        edges += [(u, v) for v in range(u + 1, min(2 ** (r + 1) - 1, size))]
+        edges += zip(repeat(u), range(u + 1, min(2 ** (r + 1) - 1, size)))
     return ArchGraph(size, tuple(edges), budget, labels=tuple(labels))
 
 
@@ -311,7 +339,7 @@ def _grid(n: int, d: int, budget: int) -> ArchGraph:
     edges = [(v, v + n ** k) for k in range(d) for v in range(size)
              if v // n ** k % n < n - 1]
     labels = tuple(product(range(n), repeat=d))
-    return ArchGraph(size, tuple(edges), budget, labels=labels)
+    return ArchGraph(size, tuple(sorted(edges)), budget, labels=labels)
 
 
 # kind -> (builder, required params, optional params); a family's first
@@ -724,18 +752,24 @@ def _label_to_json(lab):
 
 def graph_to_json(g: ArchGraph) -> str:
     """Canonical JSON: {"n", "edges" (sorted, u < v), "ancilla_budget",
-    "labels" (optional)}."""
-    doc = {
-        "n": g.n,
-        "edges": [[u, v] for u, v in g.edges],
-        "ancilla_budget": g.ancilla_budget,
-    }
+    "labels" (optional)}.  Int edges are formatted by one ``%`` over
+    the flattened pairs, to the text ``json.dumps`` gives them."""
+    doc = {"n": g.n}
     if g.labels is not None:
         doc["labels"] = [_label_to_json(l) for l in g.labels]
     if g.family is not None:
         doc["family"] = g.family
         doc["params"] = {k: v for k, v in g.params}
-    return json.dumps(doc, sort_keys=True)
+    flat = tuple(chain.from_iterable(g.edges))
+    if set(map(type, flat)) <= {int}:
+        edges = "[%s]" % ", ".join(("[%d, %d]",) * len(g.edges)) % flat
+    else:
+        edges = json.dumps([[u, v] for u, v in g.edges])
+    # the prefix writes the two keys that sort first; a new key in doc
+    # must sort after them, or the text is no longer canonical
+    assert min(doc) > "edges", f"{min(doc)!r} sorts before 'edges'"
+    return (f'{{"ancilla_budget": {json.dumps(g.ancilla_budget)}, '
+            f'"edges": {edges}, {json.dumps(doc, sort_keys=True)[1:]}')
 
 
 def graph_from_json(text: str) -> ArchGraph:

@@ -264,15 +264,21 @@ def _tree_hops(g: ArchGraph, budget: int):
     The s-t path is unique, so the BFS returns it when its interiors
     are admitted and None otherwise.  A BFS tree rooted at vertex 0
     gives every vertex's parent and depth, and ``free`` climbs from s
-    and t to their lowest common ancestor.
+    and t to their lowest common ancestor, once per (s, t): the sort key
+    and every later ``hop`` share the path.
     """
     depth = bfs_distances(g, 0)
     parent = [0] * g.n
     for p, c in spanning_tree(g, 0):
         parent[c] = p
     cap = budget - 2
+    paths: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def free(s, t):
+        path = paths.get((s, t))
+        if path is not None:
+            return path
+        key = s, t
         up, down = [s], [t]
         while depth[s] > depth[t]:
             s = parent[s]
@@ -284,13 +290,14 @@ def _tree_hops(g: ArchGraph, budget: int):
             s, t = parent[s], parent[t]
             up.append(s)
             down.append(t)
-        return tuple(up + down[-2::-1])
+        path = paths[key] = tuple(up + down[-2::-1])
+        return path
 
     def hop(s, t, load):
         if load[s] >= budget or load[t] >= budget:
             return None
         path = free(s, t)
-        if all(load[v] <= cap for v in path[1:-1]):
+        if len(path) == 2 or max(map(load.__getitem__, path[1:-1])) <= cap:
             return path
         return None
 

@@ -9,10 +9,19 @@ optional round and several swap primitives sharing the timestep (some
 on non-edges, out of range or clashing on a slot), the executor must
 accept exactly the timesteps the reference accepts, report the first
 fault the reference finds, and leave the same slots behind.
+
+Timesteps of one kind only (local swaps, edge swaps, or nothing), which
+the executor checks whole, are drawn valid and with one fault each: a
+vertex or slot out of range, a slot or vertex used twice, a non-edge,
+or an entry of type float, bool or ``np.int64``.  There the executor
+must also match a frozen copy of the primitive-by-primitive swap path,
+error text included.
 """
 
+from operator import index
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,7 +118,17 @@ def reference_fault(g: ArchGraph, op) -> str | None:
         if any(reference_load(g, op.transfers, v) > budget
                for v in range(n)):
             return "budget"
+        return None
+    # a float entry is refused (bools and numpy ints act as their ints)
+    if float in map(type, _fields(op)):
+        return "not an integer"
     return None
+
+
+def _fields(op) -> tuple:
+    if isinstance(op, SwapEdge):
+        return op.u, op.v
+    return op.v, op.s1, op.s2
 
 
 def reference_cells(g: ArchGraph, op) -> set:
@@ -262,3 +281,148 @@ def test_executor_rejects_a_round_that_loses_a_token(scenario):
         elif not accepted:
             with pytest.raises(ScheduleError):
                 apply_timestep(g, state, ops, 1)
+
+
+# -- timesteps of one kind ---------------------------------------------------
+
+
+def _fail(t, op, msg):
+    raise ScheduleError(f"timestep {t}, {type(op).__name__} {op}: {msg}")
+
+
+def frozen_swaps(g: ArchGraph, state: TokenState, ops, t: int):
+    """``apply_timestep`` on a list of swaps by the primitive-by-primitive
+    path, as it stood before lists of one kind were checked whole."""
+    n, adj, budget = g.n, g._adj, g.ancilla_budget
+    taken = {}
+    written = []
+    for op in ops:
+        if type(op) is SwapEdge:
+            u, v = op.u, op.v
+            if u < 0 or v >= n:
+                _fail(t, op, "vertex out of range")
+            try:
+                if v not in adj[u]:
+                    _fail(t, op, "no such edge")
+                index(v)
+            except TypeError:
+                _fail(t, op, "vertex is not an integer")
+            claims = [(u, 0), (v, 0)]
+        else:
+            if not 0 <= op.v < n:
+                _fail(t, op, "vertex out of range")
+            if not (0 <= op.s1 <= budget and 0 <= op.s2 <= budget):
+                _fail(t, op, "slot out of range")
+            try:
+                index(op.v), index(op.s1), index(op.s2)
+            except TypeError:
+                _fail(t, op, "vertex or slot is not an integer")
+            claims = [(op.v, op.s1), (op.v, op.s2)]
+        for claim in claims:
+            other = taken.get(claim)
+            if other is not None:
+                _fail(t, op, f"slot {claim} already used by "
+                             f"{type(other).__name__} in this timestep")
+            taken[claim] = op
+        written += claims
+    slots = state.slots
+    before = sorted(tok for v, s in written
+                    if (tok := slots[v][s]) is not None)
+    for op in ops:
+        if type(op) is SwapEdge:
+            slots[op.u][0], slots[op.v][0] = slots[op.v][0], slots[op.u][0]
+        else:
+            row = slots[op.v]
+            row[op.s1], row[op.s2] = row[op.s2], row[op.s1]
+    after = sorted(tok for v, s in written
+                   if (tok := slots[v][s]) is not None)
+    if before != after:
+        raise ScheduleError(f"timestep {t}: tokens not conserved")
+
+
+KIND_FAULTS = {
+    "local": [None, "vertex range", "slot range", "twice", float, bool,
+              np.int64],
+    "edge": [None, "vertex range", "twice", "non-edge", float, bool,
+             np.int64],
+    "empty": [None],
+}
+
+
+@st.composite
+def one_kind_steps(draw):
+    """A graph, slot contents and a timestep of local swaps only, edge
+    swaps only, or nothing.  The swaps are drawn valid and disjoint;
+    then at most one fault goes in: a swap with a vertex or slot out of
+    range or on a non-edge, a copy of a swap or a local swap sharing one
+    slot with another, or one entry of a swap retyped (1 as ``1.0``,
+    ``True`` or ``np.int64(1)``, which leaves every check but the
+    integer check as it was)."""
+    g, slots, _, _ = draw(scenarios())
+    n, budget = g.n, g.ancilla_budget
+    kind = draw(st.sampled_from(["local", "local", "edge", "edge", "empty"]))
+    ops, used = [], set()
+    for _ in range(draw(st.integers(1, 6)) if kind != "empty" else 0):
+        if kind == "local":
+            s1, s2 = draw(st.lists(st.integers(0, budget), min_size=2,
+                                   max_size=2, unique=True))
+            op = SwapLocal(draw(st.integers(0, n - 1)), s1, s2)
+        else:
+            op = SwapEdge(*draw(st.sampled_from(g.edges)))
+        if not reference_cells(g, op) & used:
+            used |= reference_cells(g, op)
+            ops.append(op)
+    fault = draw(st.sampled_from(KIND_FAULTS[kind]))
+    if fault == "vertex range":
+        bad = draw(st.sampled_from([-1, n]))
+        if kind == "local":
+            ops.append(SwapLocal(bad, 0, 1))
+        else:
+            ops.append(SwapEdge(bad, draw(st.integers(0, n - 1))))
+    elif fault == "slot range":
+        ops.append(SwapLocal(draw(st.integers(0, n - 1)),
+                             draw(st.sampled_from([-1, budget + 1])),
+                             draw(st.integers(0, budget))))
+    elif fault == "twice":
+        op = draw(st.sampled_from(ops))
+        if kind == "local" and budget >= 2 and draw(st.booleans()):
+            other = draw(st.sampled_from(
+                [s for s in range(budget + 1) if s not in (op.s1, op.s2)]))
+            op = SwapLocal(op.v, draw(st.sampled_from([op.s1, op.s2])), other)
+        ops.append(op)
+    elif fault == "non-edge":
+        missing = [(a, b) for a in range(n) for b in range(a + 1, n)
+                   if b not in g.neighbors(a)]
+        if missing:
+            ops.append(SwapEdge(*draw(st.sampled_from(missing))))
+    elif fault is not None:
+        i = draw(st.integers(0, len(ops) - 1))
+        fields = list(_fields(ops[i]))
+        j = draw(st.integers(0, len(fields) - 1))
+        if fault is not bool or fields[j] in (0, 1):
+            fields[j] = fault(fields[j])
+            ops[i] = type(ops[i])(*fields)
+    return g, slots, draw(st.permutations(ops))
+
+
+def _outcome(apply, g, slots, ops):
+    state = TokenState(g)
+    state.slots = [row[:] for row in slots]
+    try:
+        apply(g, state, ops, 3)
+    except ScheduleError as e:
+        return str(e)
+    return state.slots
+
+
+@settings(max_examples=400, deadline=None)
+@given(one_kind_steps())
+def test_one_kind_timesteps_match_reference(step):
+    g, slots, ops = step
+    got = _outcome(apply_timestep, g, slots, ops)
+    assert got == _outcome(frozen_swaps, g, slots, ops)
+    expected, reason = reference_timestep(g, slots, ops)
+    if reason is None:
+        assert got == expected
+    else:
+        assert isinstance(got, str) and reason in got

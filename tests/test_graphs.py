@@ -1,5 +1,6 @@
 """Graph families, permutation workloads, and metric queries."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -7,6 +8,7 @@ import re
 import tracemalloc
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,18 +155,102 @@ def test_cartesian_product_matches_nx():
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        ArchGraph(3, ((0, 1),))  # disconnected
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^graph must be connected$"):
+        ArchGraph(3, ((0, 1),))
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 0$"):
         ArchGraph(2, ((0, 0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
         ArchGraph(2, ((0, 1), (1, 0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge \(0,5\) out of range$"):
         ArchGraph(2, ((0, 5),))
     with pytest.raises(ValueError):
         generate_graph("mystery", n=3)
     with pytest.raises(ValueError):
         generate_graph("path")  # missing n
+
+
+def _reference_json(g: ArchGraph) -> str:
+    """graph_to_json as json.dumps of the document, edge by edge."""
+    doc = {"n": g.n, "edges": [[u, v] for u, v in g.edges],
+           "ancilla_budget": g.ancilla_budget}
+    if g.labels is not None:
+        doc["labels"] = [list(l) if isinstance(l, tuple) else l
+                         for l in g.labels]
+    if g.family is not None:
+        doc["family"] = g.family
+        doc["params"] = dict(g.params)
+    return json.dumps(doc, sort_keys=True)
+
+
+def _edge_forms(edges, seed):
+    """The same edge set as a canonical tuple, a list, shuffled, with
+    some pairs flipped, and as lists of lists."""
+    rng = random.Random(seed)
+    shuffled = list(edges)
+    rng.shuffle(shuffled)
+    flipped = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in shuffled]
+    yield "canonical", edges
+    yield "list", list(edges)
+    yield "shuffled", tuple(shuffled)
+    yield "flipped", tuple(flipped)
+    yield "lists", [[u, v] for u, v in flipped]
+
+
+@pytest.mark.parametrize("kind,params", FAMILY_SAMPLES)
+def test_edge_input_forms_build_one_graph(kind, params):
+    """A tuple of canonical int pairs is kept as given; any other form
+    of the same edges is normalized to equal edges, sorted neighbour
+    lists and the same JSON."""
+    g = generate_graph(kind, **params)
+    assert graph_to_json(g) == _reference_json(g)
+    assert ArchGraph(g.n, g.edges).edges is g.edges
+    adj = tuple(tuple(sorted(to_nx(g)[v])) for v in range(g.n))
+    for name, edges in _edge_forms(g.edges, len(g.edges)):
+        h = ArchGraph(g.n, edges, g.ancilla_budget, g.labels)
+        assert (h.edges, h._adj) == (g.edges, adj), name
+        assert graph_to_json(h) == _reference_json(h), name
+
+
+def test_non_int_edges_keep_their_old_outcome():
+    # numpy ints and bools are normalized, not kept: the JSON of numpy
+    # edges fails as json.dumps does, and a bool edge writes true
+    g = ArchGraph(2, ((np.int64(0), np.int64(1)),))
+    assert g._adj == ((1,), (0,))
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        graph_to_json(g)
+    text = graph_to_json(ArchGraph(2, ((False, True),)))
+    assert '"edges": [[false, true]]' in text
+    with pytest.raises(TypeError, match="list indices must be integers"):
+        ArchGraph(2, ((0, 1.0),))
+
+
+# sha256 of graph_to_json for each family at its benchmark size (complete
+# at n = 64), as written before the one-pass edge formatting
+GRAPH_JSON_SHA256 = [
+    ("ladder", {"n": 8},
+     "c85091887f856ed902a427db3cd77876c6d52c442cfa207492cd85cccbb60c99"),
+    ("hypercube", {"d": 10},
+     "09de637344ebaff4af5aa78020b9baabd63a5de7f2615452219c0d0945fe6da2"),
+    ("grid", {"n": 32, "d": 2},
+     "1056ef729c9d737dc05f188976b799e55222b4cc6262edb279e62ec9f7b501d2"),
+    ("butterfly", {"r": 7},
+     "406502021cbc308b5d71b558d593efeaf66e5d131b56b86a17eae2d650b1a040"),
+    ("wheel", {"n": 1023},
+     "a41f985f92b53adbc96ac93923905df12594544bf0b60133c59ebd71d1397eec"),
+    ("path", {"n": 1024},
+     "264bb00e7d2ffe53974edb5b5688500122f45c5e446124bba51442d8245be2a9"),
+    ("complete", {"n": 64},
+     "4134919389b5c10b741c85a5d1188e52c15e418f2aafac595457ae8547091d15"),
+]
+
+
+@pytest.mark.parametrize("kind,params,digest", GRAPH_JSON_SHA256)
+def test_graph_json_golden(kind, params, digest):
+    g = generate_graph(kind, **params)
+    text = graph_to_json(g)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert g.ref_hash() == digest[:16]
+    assert text == json.dumps(json.loads(text), sort_keys=True)
 
 
 def test_family_is_set_only_by_generate_graph():

@@ -16,7 +16,8 @@ sources, occupied destinations, two sends from one source and swap
 destinations that also send.
 
 Verifying greedy teleport schedules must never check a round through
-the per-vertex ``_check_op``: a guard test counts its calls.
+the per-vertex ``_check_op``, nor verifying a sparse schedule any of its
+local swaps: guard tests count its calls.
 """
 
 import pytest
@@ -31,7 +32,8 @@ from teleroute.execute import (
     verify_schedule,
 )
 from teleroute.graphs import ArchGraph, generate_graph, generate_permutation
-from teleroute.schedule import TeleRound, Transfer
+from teleroute.schedule import SwapEdge, SwapLocal, TeleRound, Transfer
+from teleroute.sparse_routing import sparse_route
 from teleroute.tele_routing import greedy_schedule
 
 # -- the frozen round path ---------------------------------------------------
@@ -325,20 +327,9 @@ def test_lone_round_cases(budget, transfers, empty, parked, phrase):
 # -- the guard ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("family, params, perm, locals_", [
-    ("path", {"n": 64}, {"kind": "random", "seed": 1}, True),
-    ("grid", {"n": 8, "d": 2}, {"kind": "reflection"}, False),
-])
-def test_greedy_rounds_never_reach_the_per_vertex_check(monkeypatch, family,
-                                                        params, perm,
-                                                        locals_):
-    """Every round of these schedules is alone in its timestep and
-    valid, so each must pass the whole-round check.  Path 64 random also
-    parks tokens with local swaps, which ``_check_op`` does check: those
-    calls show that the counter sees the executor's calls."""
-    g = generate_graph(family, **params)
-    pi = generate_permutation(g=g, **perm)
-    sched = greedy_schedule(g, pi)
+@pytest.fixture
+def check_op_calls(monkeypatch):
+    """The types of the ops that reach ``execute._check_op``, in order."""
     calls = []
     real = execute._check_op
 
@@ -347,7 +338,42 @@ def test_greedy_rounds_never_reach_the_per_vertex_check(monkeypatch, family,
         return real(g, op, t)
 
     monkeypatch.setattr(execute, "_check_op", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family, params, perm, locals_", [
+    ("path", {"n": 64}, {"kind": "random", "seed": 1}, True),
+    ("grid", {"n": 8, "d": 2}, {"kind": "reflection"}, False),
+])
+def test_greedy_rounds_never_reach_the_per_vertex_check(check_op_calls, family,
+                                                        params, perm,
+                                                        locals_):
+    """Every round of these schedules is alone in its timestep and
+    valid, so each must pass the whole-round check.  Path 64 random also
+    parks tokens with local swaps, whose lists pass the whole check for
+    local swaps.  One faulty local swap afterwards must reach
+    ``_check_op``, which shows that the counter sees the executor's
+    calls."""
+    g = generate_graph(family, **params)
+    pi = generate_permutation(g=g, **perm)
+    sched = greedy_schedule(g, pi)
     assert verify_schedule(g, sched, pi)
-    assert TeleRound not in calls
-    assert bool(calls) == locals_
+    assert check_op_calls == []
     assert any(isinstance(op, TeleRound) for op in sched.ops())
+    assert any(isinstance(op, SwapLocal) for op in sched.ops()) == locals_
+    with pytest.raises(ScheduleError, match="vertex out of range"):
+        apply_timestep(g, TokenState(g), [SwapLocal(g.n, 0, 1)])
+    assert check_op_calls == [SwapLocal]
+
+
+def test_sparse_schedules_never_reach_the_per_vertex_check(check_op_calls):
+    """A bench-shaped sparse schedule (path 256, a random 32-cycle)
+    holds only lists of local swaps, lists of edge swaps, layers and
+    empty timesteps, all valid: none may be checked op by op, while
+    routing or while verifying."""
+    g = generate_graph("path", n=256)
+    pi = generate_permutation("random", g, seed=1, k=32)
+    sched = sparse_route(g, pi)
+    assert verify_schedule(g, sched, pi)
+    assert check_op_calls == []
+    assert {type(op) for op in sched.ops()} == {SwapEdge, SwapLocal}

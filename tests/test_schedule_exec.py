@@ -168,6 +168,20 @@ def test_random_schedule_json_matches_dumped_dict_form(steps, model, ref):
     assert Schedule.from_json(text).to_json() == text
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.lists(swap_locals, min_size=1, max_size=30),
+                          st.lists(swap_edges, min_size=1, max_size=30)),
+                max_size=4))
+def test_one_kind_steps_json_matches_dumped_dict_form(steps):
+    """Lists of local swaps only are formatted inline; the text is
+    still the dumped dict form, as it is for lists of edge swaps only."""
+    doc = {"graph_ref": None, "depth_model": DepthModel().to_dict(),
+           "timesteps": [sorted((op_to_dict(op) for op in step),
+                                key=lambda d: json.dumps(d, sort_keys=True))
+                         for step in steps]}
+    assert Schedule(steps).to_json() == json.dumps(doc, sort_keys=True)
+
+
 def test_schedule_from_json_rejects_malformed_documents():
     for text in ('[1, 2]', '"x"', '{"depth_model": {}}',
                  '{"timesteps": {}}', '{"timesteps": [{}]}',
