@@ -19,13 +19,23 @@ timestep of its own), with a builtin pass per path; and an empty list.
 When a whole check fails, the timestep is checked again primitive by
 primitive, which raises the error; so either way a fault gets the same
 message.
+
+A whole schedule of :class:`SwapLayer` timesteps, which is what every
+swap router emits and what a swap file reads back as, goes further:
+:func:`apply_schedule` checks all its swaps in one pass of numpy array
+operations and applies them to one array of data tokens, with no
+Python step per swap.  If that check fails, the schedule is run again
+timestep by timestep from the start, so a fault gets the same message
+there too.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import contains, ge, index, is_, is_not, itemgetter, sub
+
+import numpy as np
 
 from .graphs import ArchGraph, Permutation
 from .schedule import Schedule, SwapEdge, SwapLayer, SwapLocal, TeleRound
@@ -431,15 +441,78 @@ def _apply_tele_round(state: TokenState, op: TeleRound, t: int,
             slots[src][0] = outgoing[dst]
 
 
+def _apply_layers(g: ArchGraph, layers: list) -> TokenState | None:
+    """The final state of a schedule of :class:`SwapLayer` timesteps
+    only, checked and applied as arrays, or None if a check fails.
+
+    All endpoints go into one numpy array.  It must come out with an
+    integer dtype: a float, a string or an int beyond int64 makes it
+    float or object, and fails.  Bools and numpy ints pass, as they do
+    one timestep at a time, where a swap indexes with them.  Then one
+    pass each checks that every endpoint is in range, that every swap's
+    key ``u*n + v`` is the key of an edge (a ``searchsorted`` into the
+    sorted keys of ``g.edges``) and, over keys ``t*n + v`` of vertex v
+    in timestep t, that no vertex appears twice in a timestep.  Each
+    timestep then swaps the data tokens of its pairs in one int array;
+    its swaps are disjoint, so it conserves them."""
+    n, sizes = g.n, list(map(len, layers))
+    flat: list = []   # every u, then every v
+    for layer in layers:
+        flat += layer.us
+    for layer in layers:
+        flat += layer.vs
+    data = np.arange(n)
+    if flat:
+        ends = np.array(flat)
+        if ends.dtype.kind != "i" or ends.min() < 0 or ends.max() >= n:
+            return None
+        half = len(ends) // 2
+        us, vs = ends[:half], ends[half:]
+        edge_keys = np.array(list(chain.from_iterable(g.edges)),
+                             dtype=np.int64)
+        edge_keys = edge_keys[0::2] * n + edge_keys[1::2]
+        keys = us * n + vs
+        at = np.searchsorted(edge_keys, keys)
+        if (at == len(edge_keys)).any() or (edge_keys[at] != keys).any():
+            return None
+        step_of = np.repeat(np.arange(len(layers)) * n, sizes)
+        seen = np.concatenate((step_of + us, step_of + vs))
+        seen.sort()
+        if (seen[1:] == seen[:-1]).any():
+            return None
+        bounds = list(accumulate(sizes, initial=0))
+        for a, b in zip(bounds, bounds[1:]):
+            u, v = us[a:b], vs[a:b]
+            data[u], data[v] = data[v], data[u]
+        if not np.array_equal(np.sort(data), np.arange(n)):
+            return None
+    state = TokenState(g)
+    for row, tok in zip(state.slots, data.tolist()):
+        row[0] = tok
+    return state
+
+
 def apply_schedule(g: ArchGraph, schedule: Schedule) -> TokenState:
     """Execute a schedule from the canonical start state and return the
     final state.  Raises :class:`ScheduleError` on any malformed or
     conflicting primitive, naming the timestep and primitive, and on
     any timestep that does not conserve tokens; to inspect the state
     between timesteps, call :func:`apply_timestep` in a loop.
+
+    A schedule whose every timestep is a :class:`SwapLayer`, as every
+    swap router emits and ``Schedule.from_json`` reads a swap file, is
+    checked and applied whole, as arrays (:func:`_apply_layers`).  If
+    that check fails, the schedule is run again timestep by timestep
+    from the start, which raises the error, so a fault gets the same
+    message either way.
     """
+    steps = schedule.timesteps
+    if all(map(is_, map(type, steps), repeat(SwapLayer))):
+        state = _apply_layers(g, steps)
+        if state is not None:
+            return state
     state = TokenState(g)
-    for t, step in enumerate(schedule.timesteps):
+    for t, step in enumerate(steps):
         apply_timestep(g, state, step, t)
     return state
 

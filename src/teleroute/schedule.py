@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from operator import lt
+from itertools import repeat
+from math import inf
+from operator import add, lt
 
 from .graphs import ArchGraph
 
@@ -313,13 +315,30 @@ def _op_json(op: Op) -> str:
     raise TypeError(f"not a primitive: {op!r}")
 
 
-def _step_json(step) -> str:
-    """A timestep's ops as canonical JSON texts, sorted, in a list.  A
-    layer's swaps are formatted inline, to the same text as
-    :func:`_op_json`."""
+class _VertexTexts(dict):
+    """``texts[v]`` is ``fmt % v``, formatted the first time ``v`` is
+    looked up.  Keys that compare equal share one text, which is safe
+    for ``%d``: equal numbers format alike."""
+
+    __slots__ = ("fmt",)
+
+    def __init__(self, fmt: str):
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, v):
+        text = self[v] = self.fmt % v
+        return text
+
+
+def _step_json(step, heads: _VertexTexts, tails: _VertexTexts) -> str:
+    """A timestep's ops as canonical JSON texts, sorted, in a list.  The
+    text of a layer's swap (u, v) is ``heads[u] + tails[v]``, the two
+    halves of what :func:`_op_json` formats for ``SwapEdge(u, v)``, so
+    each vertex is formatted once per schedule."""
     if type(step) is SwapLayer:
-        texts = [f'{{"type": "swap_edge", "u": {u}, "v": {v}}}'
-                 for u, v in zip(step.us, step.vs)]
+        texts = list(map(add, map(heads.__getitem__, step.us),
+                         map(tails.__getitem__, step.vs)))
     else:
         texts = list(map(_op_json, step))
     texts.sort()
@@ -357,10 +376,21 @@ class Schedule:
 
     def depth(self, model: DepthModel | None = None) -> int:
         model = model or self.depth_model
-        # every swap of a layer costs swap_edge
-        return sum((model.swap_edge if step else 0) if type(step) is SwapLayer
-                   else max(map(model.cost, step), default=0)
-                   for step in self.timesteps)
+        # an op's cost by its type, in one builtin pass per step; any
+        # other type (a subclass, a non-primitive) reads as inf, and its
+        # step goes op by op through DepthModel.cost, which raises on
+        # the first non-primitive
+        cost = {SwapEdge: model.swap_edge, SwapLocal: model.swap_local,
+                TeleRound: model.tele_round}.get
+        total = 0
+        for step in self.timesteps:
+            if type(step) is SwapLayer:
+                # every swap of a layer costs swap_edge
+                total += model.swap_edge if step else 0
+                continue
+            most = max(map(cost, map(type, step), repeat(inf)), default=0)
+            total += most if most != inf else max(map(model.cost, step))
+        return total
 
     def num_timesteps(self) -> int:
         return len(self.timesteps)
@@ -375,10 +405,13 @@ class Schedule:
         byte for byte what ``JSONEncoder(sort_keys=True)`` (and so
         ``json.dumps(doc, sort_keys=True)``) gives for the dict form,
         assembled from each op's canonical string (:func:`_op_json`, or
-        its inline form for a :class:`SwapLayer`) so that every op is
-        formatted once."""
+        for a :class:`SwapLayer` its two halves, formatted once per
+        vertex) so that no op is formatted twice."""
         ref = graph.ref_hash() if graph is not None else self.graph_ref
-        steps = ", ".join(_step_json(step) for step in self.timesteps if step)
+        heads = _VertexTexts('{"type": "swap_edge", "u": %d, "v": ')
+        tails = _VertexTexts("%d}")
+        steps = ", ".join(_step_json(step, heads, tails)
+                          for step in self.timesteps if step)
         return (f'{{"depth_model": {_encode(self.depth_model.to_dict())}, '
                 f'"graph_ref": {_encode(ref)}, "timesteps": [{steps}]}}')
 

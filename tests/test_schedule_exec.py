@@ -72,6 +72,24 @@ def test_depth_model():
     assert sched.depth(c) == 1 + 1 + 3
 
 
+def test_depth_costs_each_op_kind_as_the_model_does():
+    """``depth`` looks a cost up once per kind of op; a subclass of a
+    primitive still costs as its base, and a non-primitive raises the
+    error ``DepthModel.cost`` gives for the first one in the step."""
+
+    class Edge(SwapEdge):
+        pass
+
+    c = DepthModel(2, 1, 3)
+    assert Schedule([[Edge(0, 1), SwapLocal(2, 0, 1)], []]).depth(c) == 2
+    bad = [SwapEdge(0, 1), "x", 5]
+    with pytest.raises(TypeError) as expected:
+        max(map(c.cost, bad))
+    with pytest.raises(TypeError) as got:
+        Schedule([[SwapLocal(0, 0, 1)], bad]).depth(c)
+    assert str(got.value) == str(expected.value) == "not a primitive: 'x'"
+
+
 @pytest.mark.parametrize("costs, name", [
     ({"swap_edge": 0}, "swap_edge"),
     ({"swap_edge": -5}, "swap_edge"),

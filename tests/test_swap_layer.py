@@ -13,6 +13,7 @@ with the errors ``op_from_dict`` gives.
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,6 +159,19 @@ def test_layer_depth_and_json_match_objects(data):
     assert all(type(step) is SwapLayer for step in back.timesteps)
     assert [sorted(zip(step.us, step.vs)) for step in back.timesteps] == [
         sorted(zip(step.us, step.vs)) for step in steps if step]
+
+
+@pytest.mark.parametrize("us, vs", [
+    ([True, 2], [3, 4]),
+    ([0, 2.0], [1, 3.5]),
+    ([np.int64(0), -3], [np.int64(1), 7]),
+])
+def test_layer_json_of_odd_endpoints_matches_objects(us, vs):
+    """Endpoints that are not exact ints format as the object form
+    formats them."""
+    layer = SwapLayer(us, vs)
+    assert (Schedule([layer]).to_json()
+            == Schedule([list(layer)]).to_json())
 
 
 @settings(max_examples=100, deadline=None)
