@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -364,10 +365,12 @@ def cmd_verify(ns) -> int:
     if pi.n != g.n:
         raise ValueError(f"permutation is over {pi.n} vertices but the "
                          f"graph has {g.n}")
-    if sched.graph_ref is not None and sched.graph_ref != g.ref_hash():
-        _say(f"MISMATCH: schedule targets graph {sched.graph_ref}, "
-             f"got {g.ref_hash()}")
-        return 1
+    if sched.graph_ref is not None:
+        got = g.ref_hash()
+        if sched.graph_ref != got:
+            _say(f"MISMATCH: schedule targets graph {sched.graph_ref}, "
+                 f"got {got}")
+            return 1
     try:
         final = apply_schedule(g, sched)
         achieved = achieved_permutation(g, final)
@@ -388,7 +391,11 @@ def cmd_verify(ns) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``teleroute`` parser, built once per process: parsing keeps
+    no state in it, and :func:`_merge_config` writes only the namespace
+    (the shared ``config_flags`` table is only read)."""
     top = argparse.ArgumentParser(
         prog="teleroute",
         description="Route qubit permutations with swaps, ancilla trains, "

@@ -580,20 +580,59 @@ def _sweep_levels(g: ArchGraph):
     return row, levels()
 
 
+def _grid_eccentricities(n: int, d: int) -> list[int]:
+    # a Cartesian product's eccentricity is the sum of its factors'
+    ecc, path = [0], [max(x, n - 1 - x) for x in range(n)]
+    for _ in range(d):
+        ecc = [e + p for e in ecc for p in path]
+    return ecc
+
+
+# family -> its eccentricities from its params, in vertex order
+_ECCENTRICITIES = {
+    "path": lambda n: [max(v, n - 1 - v) for v in range(n)],
+    "complete": lambda n: [min(n - 1, 1)] * n,
+    # rim vertices, then the hub
+    "wheel": lambda n: [1 if n == 3 else 2] * n + [1],
+    # layer r holds 2^(r-1) vertices and lies |r - s| from layer s
+    "ladder": lambda n: [max(r - 1, n - r) for r in range(1, n + 1)
+                         for _ in range(2 ** (r - 1))],
+    "hypercube": lambda d: [d] * 2 ** d,
+    "grid": _grid_eccentricities,
+    "butterfly": lambda r: [3 * r // 2] * (r * 2 ** r),
+}
+
+
 def eccentricities(g: ArchGraph) -> list[int]:
     """BFS eccentricity of every vertex.
 
-    On a tree (n - 1 edges) three BFS sweeps suffice: a is a farthest
-    vertex from vertex 0, b a farthest vertex from a, and
-    ecc(v) = max(d(v, a), d(v, b)).  Both steps follow from the
-    four-point condition of tree metrics,
+    A built-in family takes them in closed form from ``g.params``
+    (``_ECCENTRICITIES``), without a BFS:
+
+    - path n: max(v, n-1-v);
+    - complete n: 1, or 0 when n = 1;
+    - wheel with rim n: 2 on the rim (1 when n = 3), 1 at the hub;
+    - ladder n: max(r-1, n-r) in layer r, the bit length of v + 1;
+    - hypercube d: d;
+    - grid (n, d): the sum of max(x, n-1-x) over v's coordinates;
+    - butterfly r: floor(3r/2), the same at every vertex, since the
+      wrapped butterfly is vertex-transitive.
+
+    The table trusts ``g.family`` as the routers and ``bounds`` do:
+    only :func:`generate_graph` sets it, and :func:`graph_from_json`
+    rejects a file whose edges its family does not rebuild.
+
+    A graph with no family that is a tree (n - 1 edges) takes three
+    BFS sweeps: a is a farthest vertex from vertex 0, b a farthest
+    vertex from a, and ecc(v) = max(d(v, a), d(v, b)).  Both steps
+    follow from the four-point condition of tree metrics,
     d(v, w) + d(p, q) <= max(d(v, p) + d(w, q), d(v, q) + d(w, p)).
     With (p, q) a diametral pair and w = a, v = 0 (so d(0, p), d(0, q)
     <= d(0, a)), it gives D <= max(d(a, p), d(a, q)) <= ecc(a), so a-b
     is a diameter.  With (p, q) = (a, b), every distance from a or b is
     at most D = d(a, b), so d(v, w) <= max(d(v, a), d(v, b)) for every w.
 
-    Every other graph takes the all-sources word sweep that
+    Any other graph takes the all-sources word sweep that
     :func:`distance_rows` also runs (see ``_sweep_levels``): a
     source's eccentricity is the last level at which it reached a new
     vertex.  There are D + 1 levels, so the sweep costs O(D·m·n/64)
@@ -601,6 +640,9 @@ def eccentricities(g: ArchGraph) -> list[int]:
     at small diameter.  Paths and brooms, where it grows like n³, are
     trees and never reach it.
     """
+    closed = _ECCENTRICITIES.get(g.family)
+    if closed is not None:
+        return closed(**g.param_dict)
     if len(g.edges) == g.n - 1:
         far = bfs_distances(g, 0)
         da = bfs_distances(g, far.index(max(far)))
@@ -670,12 +712,18 @@ def distance_rows(g: ArchGraph) -> DistanceRows:
 
 
 def diameter(g: ArchGraph) -> int:
-    """Largest BFS eccentricity over all sources."""
+    """Largest BFS eccentricity over all sources, read off
+    :func:`eccentricities`: for a built-in family, the closed forms of
+    ``_ECCENTRICITIES``, which trust ``g.family`` to describe its
+    edges."""
     return max(eccentricities(g))
 
 
 def graph_center(g: ArchGraph) -> int:
-    """Lowest-index vertex of minimum eccentricity."""
+    """Lowest-index vertex of minimum eccentricity, read off
+    :func:`eccentricities`: for a built-in family, the closed forms of
+    ``_ECCENTRICITIES``, which trust ``g.family`` to describe its
+    edges."""
     ecc = eccentricities(g)
     return ecc.index(min(ecc))
 

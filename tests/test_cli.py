@@ -12,6 +12,7 @@ from teleroute.cli import main, perm_from_json, perm_to_json
 from teleroute.graphs import (
     FAMILY_PARAMS,
     PERMUTATION_PARAMS,
+    ArchGraph,
     Permutation,
     generate_graph,
     generate_permutation,
@@ -563,14 +564,24 @@ def test_verify_malformed_permutation_is_usage_error(triple, capsys, text,
     assert needle in lines[0]
 
 
-def test_verify_graph_mismatch(triple, tmp_path, capsys):
+def test_verify_graph_mismatch(triple, tmp_path, capsys, monkeypatch):
     sf, _, pf = triple
     other = tmp_path / "other.json"
     run(capsys, "graph", "--family", "grid", "--n", "4", "--d", "2",
         "--budget", "4", "-o", str(other))
+    hashed = []
+    real = ArchGraph.ref_hash
+
+    def counted(g):
+        hashed.append(real(g))
+        return hashed[-1]
+
+    monkeypatch.setattr(ArchGraph, "ref_hash", counted)
     code, _, err = run(capsys, "verify", str(sf), str(other), str(pf))
     assert code == 1
-    assert "MISMATCH" in err
+    want = json.loads(sf.read_text())["graph_ref"]
+    assert len(hashed) == 1   # serialised and hashed once
+    assert err == f"MISMATCH: schedule targets graph {want}, got {hashed[0]}\n"
 
 
 def _set_graph_ref(sf, ref):
@@ -666,6 +677,30 @@ def test_config_sets_store_true_flags(tmp_path, capsys):
     cfg.write_text(json.dumps({"family": "path", "n": 4, "dot": 1}))
     code, _, err = run(capsys, "graph", "--config", str(cfg))
     assert code == 2 and "true or false" in err
+
+
+def test_config_does_not_outlive_its_call(tmp_path, capsys, monkeypatch):
+    # main reuses one parser, so a value a config file sets must stay in
+    # that call's namespace
+    merged = []
+    real = cli._merge_config
+
+    def recorded(ns):
+        real(ns)
+        merged.append(ns)
+
+    monkeypatch.setattr(cli, "_merge_config", recorded)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3}))
+    argv = ["route", "--model", "sparse", "--family", "path", "--n", "8",
+            "--perm", "random"]
+    parser = cli._build_parser()
+    assert run(capsys, *argv, "--config", str(cfg))[0] == 0
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "['seed']" in err
+    assert [(ns.config, ns.seed) for ns in merged] == [(str(cfg), 3),
+                                                      (None, None)]
+    assert cli._build_parser() is parser
 
 
 def test_perm_json_roundtrip():
