@@ -2,8 +2,10 @@
 
 First the headline comparison: the endpoint exchange on a path needs a
 linear number of swap layers but only one teleportation round.  Then a
-relay chain is compiled to Clifford gates and checked on stabilizer
-states across every measurement branch.
+relay chain is compiled to Clifford gates and checked as a map: a
+reference qubit Bell-paired with the source must end Bell-paired with
+the destination, on every measurement branch up to 5 hops and on 20
+seeded branches beyond.
 """
 
 from teleroute.graphs import generate_graph, generate_permutation
@@ -21,7 +23,7 @@ def main():
               f"advantage {adv.ratio}")
 
     print()
-    print("gate-level check of the relay chain (all measurement branches)")
+    print("gate-level check of the relay chain as a map (Choi state)")
     for d in (1, 4, 16, 64):
         circuit = emit_teleport_circuit(d)
         ok = verify_teleportation(circuit, d)

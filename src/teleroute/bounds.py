@@ -228,17 +228,45 @@ def diam_expansion_rhs(n: int, c) -> float:
     return 2.0 * math.log2(n / 2) / math.log2(1.0 + c) + 2.0
 
 
+def _ladder_lambda2(n: int) -> float:
+    # layer r holds m_r = 2^(r-1) vertices; see _LAMBDA2
+    m = [0] + [2 ** r for r in range(n)] + [0]
+    off = [-math.sqrt(m[r] * m[r + 1]) for r in range(1, n)]
+    quot = (np.diag([float(m[r - 1] + m[r + 1]) for r in range(1, n + 1)])
+            + np.diag(off, 1) + np.diag(off, -1))
+    return float(np.linalg.eigvalsh(quot)[1])
+
+
 # family -> lambda2 from its params (Fiedler, "Algebraic connectivity of
 # graphs", 1973): the path's spectrum is 4·sin²(πk/2n), k < n; a
 # Cartesian product's lambda2 is its factors' least (grid = path^d,
 # hypercube = K2^d); joining the hub to the rim cycle (4·sin²(πk/n))
 # adds 1 to each nonzero rim eigenvalue and the eigenvalue n + 1.
+#
+# Butterfly r: XOR by any word is an automorphism, so the characters
+# χ_s(w) = (-1)^(s·w) split the Laplacian into r×r blocks 4I − A_s over
+# the levels, A_s the level cycle whose link i → i+1 weighs
+# 1 + χ_s(2^i) ∈ {0, 2}.  s = 0 keeps every link (least nonzero
+# eigenvalue 8·sin²(π/r)); one set bit cuts one link and leaves a
+# weight-2 path on r levels, least eigenvalue 4 − 4·cos(π/(r+1)) =
+# 8·sin²(π/(2r+2)), and more bits only cut it shorter.  At r = 2 the
+# doubled links merge (K_{4,4} less a perfect matching) and λ2 = 2 still.
+#
+# Ladder n: a vector summing to zero inside one layer r, zero elsewhere,
+# has eigenvalue m_{r-1} + m_r + m_{r+1} (m_r = 2^(r-1), m_0 = m_{n+1}
+# = 0), at least 6 from n = 3 on.  The rest of the spectrum is that of
+# the layer quotient, symmetrised to diagonal m_{r-1} + m_{r+1} and
+# off-diagonal −√(m_r·m_{r+1}), whose least eigenvalue is 0.  The root
+# has degree 2, so λ2 <= 2 (Fiedler, for n >= 3) and the quotient's
+# second eigenvalue is λ2; at n = 2 (K3) both give 3.
 _LAMBDA2 = {
     "path": lambda n: 4 * math.sin(math.pi / (2 * n)) ** 2,
     "grid": lambda n, d: 4 * math.sin(math.pi / (2 * n)) ** 2,
     "hypercube": lambda d: 2.0,
     "complete": lambda n: float(n),
     "wheel": lambda n: min(1 + 4 * math.sin(math.pi / n) ** 2, n + 1.0),
+    "butterfly": lambda r: 8 * math.sin(math.pi / (2 * r + 2)) ** 2,
+    "ladder": _ladder_lambda2,
 }
 
 
@@ -251,11 +279,12 @@ def spectral(g: ArchGraph) -> tuple[float, Fraction, float]:
     - path n and grid (n, d): 4·sin²(π/2n);
     - hypercube: 2;
     - complete n: n;
-    - wheel with rim n: min(1 + 4·sin²(π/n), n + 1).
+    - wheel with rim n: min(1 + 4·sin²(π/n), n + 1);
+    - butterfly r: 8·sin²(π/(2r+2));
+    - ladder n: the second eigenvalue of its n×n layer quotient.
 
-    Butterfly, ladder and graphs without a family build the dense
-    Laplacian and take its whole spectrum from a symmetric eigensolver,
-    O(N³).
+    Graphs without a family build the dense Laplacian and take its
+    whole spectrum from a symmetric eigensolver, O(N³).
     """
     n = g.n
     if n < 2:

@@ -23,7 +23,8 @@ picture.  What each operation costs:
 * a determined measurement, or ``stabilized_sign``, multiplies the k
   stabilizers flagged by the destabilizers in one vectorized product
   over a q x k gather.  It needs no scratch row and leaves the tableau
-  untouched.
+  untouched.  A Pauli string on several qubits flags the XOR of their
+  anticommuting rows and costs the same product.
 
 The X/Z bit matrices evolve independently of measurement outcomes;
 only the sign column depends on them.  A tableau therefore carries a
@@ -250,22 +251,38 @@ class Tableau:
         self._r[p] = out
         return self._out(self._r[p])
 
-    def stabilized_sign(self, a: int, pauli: str = "Z"):
+    def stabilized_sign(self, a, pauli: str = "Z"):
         """+1/-1 when the state is stabilized by +/- that Pauli on
         qubit ``a`` (per sign column when batched); None when the
-        measurement would be random.  Reads the tableau, never
-        changes it."""
-        if pauli not in ("X", "Y", "Z"):
-            raise ValueError(f"unknown Pauli {pauli!r}")
-        self._check(a)
-        # the rows that anticommute with the Pauli: X bit for Z, Z bit
-        # for X, exactly one of them for Y
-        if pauli == "Z":
-            anti = self._x[a]
-        elif pauli == "X":
-            anti = self._z[a]
+        measurement would be random.  ``a`` may also be a tuple of
+        distinct qubits with one letter of ``pauli`` each, as in
+        ``stabilized_sign((0, 5), "XX")`` for X_0 X_5.  Reads the
+        tableau, never changes it."""
+        if isinstance(a, tuple):
+            qubits, letters = a, tuple(pauli)
+            if not qubits:
+                raise ValueError("a Pauli string needs at least one qubit")
+            if len(letters) != len(qubits):
+                raise ValueError(f"{len(qubits)} qubits {qubits} but "
+                                 f"{len(letters)} Pauli letters {pauli!r}")
+            if len(set(qubits)) != len(qubits):
+                raise ValueError(f"repeated qubit in {qubits}")
         else:
-            anti = self._x[a] ^ self._z[a]
+            qubits, letters = (a,), (pauli,)
+        # the rows that anticommute with the Pauli: per qubit, X bit for
+        # Z, Z bit for X, exactly one of them for Y; XORed over qubits
+        anti = None
+        for b, p in zip(qubits, letters):
+            if p not in ("X", "Y", "Z"):
+                raise ValueError(f"unknown Pauli {p!r}")
+            self._check(b)
+            if p == "Z":
+                row = self._x[b]
+            elif p == "X":
+                row = self._z[b]
+            else:
+                row = self._x[b] ^ self._z[b]
+            anti = row if anti is None else anti ^ row
         if anti[self.q:].any():
             return None
         out = self._product_sign(anti[:self.q])

@@ -221,27 +221,25 @@ def emit_teleport_circuit(d: int) -> CliffordCircuit:
     return c
 
 
-_PREPS = (
-    ("Z", 1, ()),
-    ("Z", -1, ("x",)),
-    ("X", 1, ("h",)),
-    ("X", -1, ("h", "z")),
-    ("Y", 1, ("h", "s")),
-    ("Y", -1, ("h", "s", "z")),
-)
-
-
 def verify_teleportation(circuit: CliffordCircuit, d: int) -> bool:
-    """True iff the circuit teleports every Pauli eigenstate from
-    qubit 0 to qubit 2d unchanged on every branch tried.
+    """True iff the circuit teleports qubit 0 to qubit 2d as the
+    identity map on every branch tried.
 
-    Each of the six eigenstates is prepared on the source and the
-    circuit run with forced measurement outcomes: exhaustively over all
-    branch vectors when there are at most 10 random measurements, else
-    over 20 random vectors from seed 0.  All branch vectors of one
-    state ride a single batched tableau pass.  The destination must end
-    up stabilized by the same signed Pauli every time.
+    One batched run checks the map through its Choi state (Aaronson and
+    Gottesman, quant-ph/0406196): a reference qubit, appended as qubit
+    ``circuit.num_qubits``, starts Bell-paired with qubit 0, and must
+    end Bell-paired with qubit 2d, stabilized by +X_ref X_2d and by
+    +Z_ref Z_2d.  A state with both stabilizers holds that Bell pair in
+    product with the other qubits, so the branch's map is the identity
+    on every input, not only on the six Pauli eigenstates.
+    Measurement outcomes are forced, one branch vector per sign column:
+    every vector when there are at most 10 random measurements, else 20
+    random vectors from seed 0.  ``circuit`` must be a d-hop chain on
+    2d + 1 qubits.
     """
+    if d < 1 or circuit.num_qubits != 2 * d + 1:
+        raise ValueError(f"a relay chain of d >= 1 hops has 2d + 1 qubits; "
+                         f"got d = {d} and {circuit.num_qubits} qubits")
     bits = 2 * d
     if bits <= 10:
         vectors = np.array(list(itertools.product((0, 1), repeat=bits)),
@@ -250,13 +248,14 @@ def verify_teleportation(circuit: CliffordCircuit, d: int) -> bool:
         rng = random.Random(0)
         vectors = np.array([[rng.randrange(2) for _ in range(20)]
                             for _ in range(bits)], dtype=np.uint8)
-    for pauli, sign, prep in _PREPS:
-        tab = Tableau(circuit.num_qubits, batch=vectors.shape[1])
-        for kind in prep:
-            getattr(tab, _METHODS[kind])(0)
-        tab, _ = circuit.run(tab, forced=vectors)
-        got = tab.stabilized_sign(2 * d, pauli)
-        if got is None or not np.all(got == sign):
+    ref = circuit.num_qubits
+    tab = Tableau(ref + 1, batch=vectors.shape[1])
+    tab.h(ref)
+    tab.cnot(ref, 0)
+    tab, _ = circuit.run(tab, forced=vectors)
+    for pauli in ("XX", "ZZ"):
+        got = tab.stabilized_sign((ref, 2 * d), pauli)
+        if got is None or not np.all(got == 1):
             return False
     return True
 

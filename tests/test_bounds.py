@@ -270,6 +270,17 @@ def test_spectral_closed_forms_match_dense_reference(kind):
             assert abs(lam2 - ref) <= 1e-9 * max(1.0, ref), params
 
 
+@pytest.mark.parametrize("kind, params", (
+    [("butterfly", {"r": r}) for r in range(2, 8)]
+    + [("ladder", {"n": n}) for n in range(2, 9)]),
+    ids=lambda p: p if isinstance(p, str) else str(next(iter(p.values()))))
+def test_butterfly_and_ladder_lambda2_match_dense_solver(kind, params):
+    g = generate_graph(kind, **params)
+    bare = ArchGraph(g.n, g.edges, labels=g.labels)
+    assert bare.family is None
+    assert abs(spectral(g)[0] - spectral(bare)[0]) <= 1e-9
+
+
 def test_spectral_familyless_path_takes_dense_solver():
     g = ArchGraph(50, tuple((i, i + 1) for i in range(49)))
     assert g.family is None

@@ -179,13 +179,25 @@ def random_measurements(c, tab):
     return len(fed)
 
 
-def run_token_oracle(g, sched, marked, coherent=()):
+def branch_vectors(bits):
+    """One column per branch: all of them up to 16 random
+    measurements, else 64 seeded ones."""
+    if bits <= 16:
+        return np.array(list(itertools.product((0, 1), repeat=bits)),
+                        dtype=np.uint8).T
+    rng = random.Random(0)
+    return np.array([[rng.randrange(2) for _ in range(64)]
+                     for _ in range(bits)], dtype=np.uint8)
+
+
+def run_token_oracle(g, sched, marked, coherent=(), circuit=None):
     """Execute the exported circuit and check every token's marker
     lands on its destination data qubit with ancillas reset, on every
     measurement branch when there are at most 16 random measurements,
-    else on 64 seeded branches, all in one batched tableau pass."""
+    else on 64 seeded branches, all in one batched tableau pass.
+    ``circuit`` stands in for ``emit_circuit(g, sched)`` when given."""
     final = apply_schedule(g, sched)
-    c = emit_circuit(g, sched)
+    c = emit_circuit(g, sched) if circuit is None else circuit
     width = 1 + g.ancilla_budget
 
     def prepared(batch):
@@ -196,14 +208,7 @@ def run_token_oracle(g, sched, marked, coherent=()):
             tab.h(v * width)
         return tab
 
-    bits = random_measurements(c, prepared(1))
-    if bits <= 16:
-        vectors = np.array(list(itertools.product((0, 1), repeat=bits)),
-                           dtype=np.uint8).T
-    else:
-        rng = random.Random(0)
-        vectors = np.array([[rng.randrange(2) for _ in range(64)]
-                            for _ in range(bits)], dtype=np.uint8)
+    vectors = branch_vectors(random_measurements(c, prepared(1)))
     tab, _ = c.run(prepared(vectors.shape[1]), forced=vectors)
 
     def holds(q, pauli, want):
@@ -220,6 +225,63 @@ def run_token_oracle(g, sched, marked, coherent=()):
         for s in range(1, g.ancilla_budget + 1):
             assert holds(v * width + s, "Z", 1)
     return c
+
+
+def run_choi_oracle(g, sched, circuit=None):
+    """Check the exported circuit as a map through its Choi state: a
+    reference qubit per token, Bell-paired with the token's data qubit
+    before the circuit, must end Bell-paired with the data qubit of the
+    vertex the token reaches (+XX and +ZZ), with every ancilla back in
+    +Z, on the branches ``run_token_oracle`` tries.  ``circuit``
+    stands in for ``emit_circuit(g, sched)`` when given."""
+    final = apply_schedule(g, sched)
+    c = emit_circuit(g, sched) if circuit is None else circuit
+    width = 1 + g.ancilla_budget
+    ref = c.num_qubits          # token u's reference is qubit ref + u
+
+    def prepared(batch):
+        tab = Tableau(ref + g.n, batch=batch)
+        for u in range(g.n):
+            tab.h(ref + u)
+            tab.cnot(ref + u, u * width)
+        return tab
+
+    vectors = branch_vectors(random_measurements(c, prepared(1)))
+    tab, _ = c.run(prepared(vectors.shape[1]), forced=vectors)
+
+    def holds(qubits, pauli):
+        got = tab.stabilized_sign(qubits, pauli)
+        return got is not None and bool(np.all(got == 1))
+
+    for w in range(g.n):
+        pair = (ref + final.data(w), w * width)
+        assert holds(pair, "XX") and holds(pair, "ZZ"), w
+    for v in range(g.n):
+        for s in range(1, g.ancilla_budget + 1):
+            assert holds((v * width + s,), "Z")
+
+
+def test_choi_oracle_catches_wrong_maps():
+    g = generate_graph("path", n=5)
+    sched = greedy_schedule(g, Permutation((2, 1, 4, 3, 0)))
+    c = emit_circuit(g, sched)
+    width = 1 + g.ancilla_budget
+    # a phase flip on one data qubit: marked tokens in Z cannot see it
+    phase = CliffordCircuit(c.num_qubits, c.layers + [[Gate("z", (0,))]],
+                            c.num_records)
+    run_token_oracle(g, sched, marked={0, 1, 2, 3, 4}, circuit=phase)
+    with pytest.raises(AssertionError):
+        run_choi_oracle(g, sched, circuit=phase)
+    # an S on one data qubit: the map is not the identity either
+    tilt = CliffordCircuit(c.num_qubits,
+                           c.layers + [[Gate("s", (2 * width,))]],
+                           c.num_records)
+    with pytest.raises(AssertionError):
+        run_choi_oracle(g, sched, circuit=tilt)
+    # the delivery swaps dropped: the states stay in ancilla slots
+    stranded = CliffordCircuit(c.num_qubits, c.layers[:-3], c.num_records)
+    with pytest.raises(AssertionError):
+        run_choi_oracle(g, sched, circuit=stranded)
 
 
 def test_empty_schedule():
@@ -248,39 +310,44 @@ def test_swap_local_targets_slots():
 
 def test_swap_circuit_permutes_tokens():
     g = generate_graph("grid", n=3, d=2)
-    pi = generate_permutation("random", g, seed=7)
-    run_token_oracle(g, route_generic(g, pi), marked={0, 4, 8}, coherent={2})
+    sched = route_generic(g, generate_permutation("random", g, seed=7))
+    run_token_oracle(g, sched, marked={0, 4, 8}, coherent={2})
+    run_choi_oracle(g, sched)
 
 
 def test_teleport_round_circuit_permutes_tokens():
     g = generate_graph("path", n=5)
-    pi = Permutation((2, 1, 4, 3, 0))
-    run_token_oracle(g, greedy_schedule(g, pi), marked={0, 2}, coherent={4})
+    sched = greedy_schedule(g, Permutation((2, 1, 4, 3, 0)))
+    run_token_oracle(g, sched, marked={0, 2}, coherent={4})
+    run_choi_oracle(g, sched)
 
 
 def test_chain_schedule_circuit_respects_parked_tokens():
     g = generate_graph("path", n=5, ancilla_budget=2)
-    pi = Permutation((2, 1, 4, 3, 0))
-    run_token_oracle(g, greedy_schedule(g, pi), marked={1, 3})
+    sched = greedy_schedule(g, Permutation((2, 1, 4, 3, 0)))
+    run_token_oracle(g, sched, marked={1, 3})
+    run_choi_oracle(g, sched)
 
 
 def test_wheel_round_circuit():
     g = generate_graph("wheel", n=8)
-    pi = generate_permutation("wheel", g, l=2)
-    run_token_oracle(g, greedy_schedule(g, pi), marked={0, 3, 5})
+    sched = greedy_schedule(g, generate_permutation("wheel", g, l=2))
+    run_token_oracle(g, sched, marked={0, 3, 5})
+    run_choi_oracle(g, sched)
 
 
 def test_relay_round_circuit():
     g = generate_graph("ladder", n=4)
-    pi = generate_permutation("random", g, seed=3)
-    run_token_oracle(g, ladder_schedule(g, pi), marked={1, 6, 10},
-                     coherent={0})
+    sched = ladder_schedule(g, generate_permutation("random", g, seed=3))
+    run_token_oracle(g, sched, marked={1, 6, 10}, coherent={0})
+    run_choi_oracle(g, sched)
 
 
 def test_swap_kind_transfer_circuit():
     g = generate_graph("path", n=5)
-    rnd = TeleRound((Transfer((0, 1, 2, 3, 4), kind="swap"),))
-    c = run_token_oracle(g, Schedule([[rnd]]), marked={0})
+    sched = Schedule([[TeleRound((Transfer((0, 1, 2, 3, 4), kind="swap"),))]])
+    c = run_token_oracle(g, sched, marked={0})
+    run_choi_oracle(g, sched)
     assert len(c.layers) == 11
 
 
