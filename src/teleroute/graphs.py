@@ -79,6 +79,21 @@ def _canonical_adjacency(edges, n: int) -> list[list[int]] | None:
     return adj
 
 
+def _adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """The neighbour lists of ``edges``, sorted pairs ``(u, v)`` with
+    ``u < v`` already checked: one walk, in the order
+    :func:`_canonical_adjacency` explains."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(map(tuple, adj))
+
+
+def _text_hash(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 @dataclass(frozen=True)
 class ArchGraph:
     """An interaction graph with per-vertex ancilla capacity.
@@ -102,6 +117,13 @@ class ArchGraph:
         routers and bounds trust it to describe the edges.
     params : tuple
         Generator parameters as a sorted tuple of (name, value) pairs.
+
+    The constructor checks its input: vertex count and budget, each
+    edge, labels and connectivity.  A family graph from
+    :func:`generate_graph` does not pass through it: its builder gives
+    the sorted edges and neighbour lists in closed form, canonical and
+    connected by construction, and only its params and budget are
+    checked.
     """
 
     n: int
@@ -133,12 +155,10 @@ class ArchGraph:
             object.__setattr__(self, "edges", tuple(sorted(norm)))
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("labels length must equal n")
-        if adj is None:   # the normalized edges are sorted too
-            adj = [[] for _ in range(self.n)]
-            for u, v in self.edges:
-                adj[u].append(v)
-                adj[v].append(u)
-        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
+        # the normalized edges are sorted too
+        adj = (_adjacency(self.n, self.edges) if adj is None
+               else tuple(map(tuple, adj)))
+        object.__setattr__(self, "_adj", adj)
         if -1 in bfs_distances(self, 0):
             raise ValueError("graph must be connected")
 
@@ -164,9 +184,11 @@ class ArchGraph:
         return dict(self.params)
 
     def ref_hash(self) -> str:
-        """Stable short hash of the canonical JSON form."""
-        blob = graph_to_json(self).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        """Stable short hash of the canonical JSON form.
+        :func:`graph_from_json` keeps it on a graph it loaded by that
+        text, so the graph is not serialized again."""
+        kept = self.__dict__.get("_ref_hash")
+        return kept if kept is not None else _text_hash(graph_to_json(self))
 
 
 @dataclass(frozen=True)
@@ -233,81 +255,100 @@ class Permutation:
 # graph families
 # ---------------------------------------------------------------------------
 
-def _path(n: int, budget: int) -> ArchGraph:
+# A builder returns ``(n, edges, adj, labels)``: the sorted edges and
+# the neighbour lists :class:`ArchGraph` would derive from them.  Each
+# family is connected by construction.  A closed form slices its
+# vertices from one list ``vs``, so that edges and neighbour lists share
+# their int objects, as they do when the lists are walked off the edges.
+# It makes every row a list before it makes any a tuple: tuples made
+# between one row's temporaries and the next fragment the heap and
+# raise peak RSS.
+
+def _path(n: int):
     if n < 1:
         raise ValueError("path needs n >= 1")
-    edges = tuple((i, i + 1) for i in range(n - 1))
-    return ArchGraph(n, edges, budget)
+    vs = list(range(n))
+    edges = tuple(zip(vs, vs[1:]))
+    adj = ((),) if n == 1 else ((vs[1],), *zip(vs, vs[2:]), (vs[-2],))
+    return n, edges, adj, None
 
 
-def _complete(n: int, budget: int) -> ArchGraph:
+def _complete(n: int):
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
-    edges = tuple((u, v) for u in range(n) for v in range(u + 1, n))
-    return ArchGraph(n, edges, budget)
+    vs = list(range(n))
+    edges = tuple(chain.from_iterable(zip(repeat(u), vs[u + 1:])
+                                      for u in vs))
+    adj = tuple(map(tuple, [vs[:u] + vs[u + 1:] for u in vs]))
+    return n, edges, adj, None
 
 
-def _wheel(n: int, budget: int) -> ArchGraph:
+def _wheel(n: int):
     """Rim cycle 0..n-1 plus a hub (index n) adjacent to every rim vertex."""
     if n < 3:
         raise ValueError("wheel needs rim size n >= 3")
     hub = n
-    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    edges += [(i, hub) for i in range(n)]
-    labels = tuple(list(range(n)) + ["hub"])
-    return ArchGraph(n + 1, tuple(sorted(edges)), budget, labels=labels)
+    edges = ((0, 1), (0, n - 1), (0, hub),
+             *chain.from_iterable(((u, u + 1), (u, hub))
+                                  for u in range(1, n - 1)),
+             (n - 1, hub))
+    return n + 1, edges, _adjacency(n + 1, edges), (*range(n), "hub")
 
 
-def _ladder(n: int, budget: int) -> ArchGraph:
+def _ladder(n: int):
     """Layered complete graph: layer r in 1..n is a clique on 2^(r-1)
     vertices, and consecutive layers are completely joined.
 
     Vertex indices follow the address order: the vertex with 1-based
     address a (binary, leading 1) has index a-1; layer(a) = bit length
-    of a.  Labels are (layer, position-in-layer), both 1-based.
+    of a.  Labels are (layer, position-in-layer), both 1-based.  Layers
+    are contiguous index ranges, so u in layer r neighbours the range
+    from the first vertex of layer r - 1 up to the end of layer r + 1,
+    less u itself.
     """
     if n < 1:
         raise ValueError("ladder needs n >= 1")
     size = 2 ** n - 1
-    labels = []
-    edges = []
-    for u in range(size):
-        r = (u + 1).bit_length()
-        labels.append((r, u + 2 - 2 ** (r - 1)))
-        # u's later layer-mates and all of layer r + 1 (indices < 2^(r+1) - 1)
-        edges += zip(repeat(u), range(u + 1, min(2 ** (r + 1) - 1, size)))
-    return ArchGraph(size, tuple(edges), budget, labels=tuple(labels))
+    vs = list(range(size))
+    labels, edges, adj = [], [], []
+    for r in range(1, n + 1):
+        first, end = 2 ** (r - 1) - 1, 2 ** r - 1   # layer r's indices
+        lo, hi = first >> 1, min(2 * end + 1, size)
+        for u in vs[first:end]:
+            edges += zip(repeat(u), vs[u + 1:hi])
+            adj.append(vs[lo:u] + vs[u + 1:hi])
+        labels += zip(repeat(r), range(1, end - first + 1))
+    return size, tuple(edges), tuple(map(tuple, adj)), tuple(labels)
 
 
-def _hypercube(d: int, budget: int) -> ArchGraph:
+def _hypercube(d: int):
     if d < 1:
         raise ValueError("hypercube needs d >= 1")
     n = 2 ** d
-    edges = [(u, u ^ (1 << b)) for u in range(n) for b in range(d) if u < u ^ (1 << b)]
+    bits = [1 << b for b in range(d)]
+    edges = tuple((u, u | s) for u in range(n) for s in bits if not u & s)
     labels = tuple(format(u, f"0{d}b") for u in range(n))
-    return ArchGraph(n, tuple(sorted(edges)), budget, labels=labels)
+    return n, edges, _adjacency(n, edges), labels
 
 
-def _butterfly(r: int, budget: int) -> ArchGraph:
+def _butterfly(r: int):
     """Wrap-around butterfly: vertices (w, i) with w an r-bit word and
     i a level in 0..r-1; (w, i) ~ (v, i+1 mod r) iff v == w or v == w ^ (1<<i).
     """
     if r < 2:
         raise ValueError("butterfly needs r >= 2")
     words = 2 ** r
-
-    def idx(w: int, i: int) -> int:
-        return i * words + w
-
-    edges = set()
+    edges = set()   # at r = 2 the two level pairs coincide
     for i in range(r):
-        j = (i + 1) % r
+        # (w, i) has index i * words + w
+        base, up = i * words, (i + 1) % r * words
         for w in range(words):
             for v in (w, w ^ (1 << i)):
-                a, b = idx(w, i), idx(v, j)
+                a, b = base + w, up + v
                 edges.add((a, b) if a < b else (b, a))
+    edges = tuple(sorted(edges))
     labels = tuple((w, i) for i in range(r) for w in range(words))
-    return ArchGraph(r * words, tuple(sorted(edges)), budget, labels=labels)
+    return r * words, edges, _adjacency(r * words, edges), labels
 
 
 def cartesian_product(g1: ArchGraph, g2: ArchGraph) -> ArchGraph:
@@ -329,17 +370,19 @@ def cartesian_product(g1: ArchGraph, g2: ArchGraph) -> ArchGraph:
                      labels=labels)
 
 
-def _grid(n: int, d: int, budget: int) -> ArchGraph:
+def _grid(n: int, d: int):
     """d-fold Cartesian power of the n-vertex path; labels are coordinate
     tuples in row-major order (first coordinate most significant)."""
     if n < 1 or d < 1:
         raise ValueError("grid needs n >= 1 and d >= 1")
     size = n ** d
-    # v's coordinate of weight n^k steps by +1 unless it is already n - 1
-    edges = [(v, v + n ** k) for k in range(d) for v in range(size)
-             if v // n ** k % n < n - 1]
+    # v's coordinate of weight s steps by +1 unless it is already n - 1;
+    # v's larger neighbours come in increasing s, so the edges are sorted
+    strides = [n ** k for k in range(d)]
+    edges = tuple((v, v + s) for v in range(size) for s in strides
+                  if v // s % n < n - 1)
     labels = tuple(product(range(n), repeat=d))
-    return ArchGraph(size, tuple(sorted(edges)), budget, labels=labels)
+    return size, edges, _adjacency(size, edges), labels
 
 
 # kind -> (builder, required params, optional params); a family's first
@@ -383,10 +426,21 @@ def generate_graph(kind: str, ancilla_budget: int = DEFAULT_ANCILLA_BUDGET,
 def _build_family(kind: str, budget: int, params: dict) -> ArchGraph:
     # params is checked before it is spread, so a name like
     # "ancilla_budget" in a file's params is rejected, not a TypeError
-    g = _lookup(_FAMILIES, "graph family", kind, params)(
-        budget=budget, **params)
-    object.__setattr__(g, "family", kind)
-    object.__setattr__(g, "params", tuple(sorted(params.items())))
+    build = _lookup(_FAMILIES, "graph family", kind, params)
+    for name, value in (*params.items(), ("ancilla_budget", budget)):
+        if type(value) is not int:
+            raise ValueError(f"{kind} parameter {name!r} must be an "
+                             f"integer, got {value!r}")
+    if budget < 0:
+        raise ValueError("ancilla_budget must be >= 0")
+    n, edges, adj, labels = build(**params)
+    # the builder's edges and neighbour lists are canonical and connected
+    # by construction, and the checks above cover the rest of ArchGraph's,
+    # so its constructor is skipped
+    g = object.__new__(ArchGraph)
+    vars(g).update(n=n, edges=edges, ancilla_budget=budget, labels=labels,
+                   family=kind, params=tuple(sorted(params.items())),
+                   _adj=adj)
     return g
 
 
@@ -657,6 +711,16 @@ def eccentricities(g: ArchGraph) -> list[int]:
     return ecc.tolist()
 
 
+def _ecc0(g: ArchGraph) -> int:
+    """The eccentricity of vertex 0, which sizes distance work: a
+    family's closed form, or else one BFS (never the all-sources sweep
+    that it sizes)."""
+    closed = _ECCENTRICITIES.get(g.family)
+    if closed is not None:
+        return closed(**g.param_dict)[0]
+    return max(bfs_distances(g, 0))
+
+
 class DistanceRows:
     """BFS distances between all pairs of vertices, bit-sliced: bit b
     of d(v, t) is bit v of row ``row[t]`` in plane b, an n x ceil(n/64)
@@ -699,10 +763,11 @@ def distance_rows(g: ArchGraph) -> DistanceRows:
     L ORs its matrix into the planes of the bits set in L.  Rows are
     unpacked only when asked for.
 
-    The diameter is at most 2·ecc(0), so one BFS sizes the planes
-    before the sweep, with at most one plane to spare."""
+    The diameter is at most 2·ecc(0), so ecc(0) sizes the planes
+    before the sweep, with at most one plane to spare: a family reads
+    it from ``_ECCENTRICITIES``, any other graph takes one BFS."""
     row, levels = _sweep_levels(g)
-    planes = np.zeros(((2 * max(bfs_distances(g, 0))).bit_length(), g.n,
+    planes = np.zeros(((2 * _ecc0(g)).bit_length(), g.n,
                        (g.n + 63) // 64), dtype="<u8")
     for level, nxt in enumerate(levels, 1):
         for b in range(level.bit_length()):
@@ -801,7 +866,9 @@ def _label_to_json(lab):
 def graph_to_json(g: ArchGraph) -> str:
     """Canonical JSON: {"n", "edges" (sorted, u < v), "ancilla_budget",
     "labels" (optional)}.  Int edges are formatted by one ``%`` over
-    the flattened pairs, to the text ``json.dumps`` gives them."""
+    the flattened pairs, to the text ``json.dumps`` gives them; a
+    family graph's edges are ints by construction, so only a graph
+    without a family has its entries' types scanned."""
     doc = {"n": g.n}
     if g.labels is not None:
         doc["labels"] = [_label_to_json(l) for l in g.labels]
@@ -809,7 +876,7 @@ def graph_to_json(g: ArchGraph) -> str:
         doc["family"] = g.family
         doc["params"] = {k: v for k, v in g.params}
     flat = tuple(chain.from_iterable(g.edges))
-    if set(map(type, flat)) <= {int}:
+    if g.family is not None or set(map(type, flat)) <= {int}:
         edges = "[%s]" % ", ".join(("[%d, %d]",) * len(g.edges)) % flat
     else:
         edges = json.dumps([[u, v] for u, v in g.edges])
@@ -824,8 +891,29 @@ def graph_from_json(text: str) -> ArchGraph:
     """Parse :func:`graph_to_json` output.  Raises ValueError on JSON
     that is not a graph document.  A document that names a family is
     built with :func:`generate_graph` and must have exactly that graph's
-    vertices, edges and labels."""
+    vertices, edges and labels.
+
+    A family document is first rebuilt from its ``family``, ``params``
+    and ``ancilla_budget`` alone.  When the text, stripped of
+    surrounding whitespace, is that graph's :func:`graph_to_json`, the
+    rebuilt graph is returned, keeping the text's ``ref_hash``, and the
+    file's edges are not compared pair by pair.  Any other text (edges
+    reordered or flipped, other spacing, a malformed document) is
+    checked key by key as below, with the same errors in the same
+    order."""
     doc = json.loads(text)
+    if (isinstance(doc, dict) and isinstance(doc.get("family"), str)
+            and isinstance(doc.get("params"), dict)):
+        budget = doc.get("ancilla_budget", DEFAULT_ANCILLA_BUDGET)
+        try:
+            g = _build_family(doc["family"], budget, doc["params"])
+        except ValueError:
+            pass   # raised again below, after the checks that come first
+        else:
+            canon = graph_to_json(g)
+            if text.strip() == canon:
+                object.__setattr__(g, "_ref_hash", _text_hash(canon))
+                return g
     if not isinstance(doc, dict):
         raise ValueError(f"a graph must be a JSON object, got "
                          f"{type(doc).__name__}")

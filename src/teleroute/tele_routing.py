@@ -37,6 +37,7 @@ from .execute import TokenState, apply_timestep
 from .graphs import (
     ArchGraph,
     Permutation,
+    _ecc0,
     bfs_distances,
     distance_rows,
     spanning_tree,
@@ -236,10 +237,11 @@ def _dag_hops(g: ArchGraph, budget: int, targets):
     The distances come from one all-sources sweep
     (:func:`distance_rows`), or from one BFS per target when there are
     no more targets than ecc(0): the sweep runs at least ecc(0) levels,
-    and up to N = 1024 a level costs about as much as a BFS.
+    and up to N = 1024 a level costs about as much as a BFS.  A family
+    reads ecc(0) from its closed form; any other graph takes one BFS.
     """
     adj, cap = g._adj, budget - 2
-    if len(targets) <= max(bfs_distances(g, 0)):
+    if len(targets) <= _ecc0(g):
         rows = {t: array("H", bfs_distances(g, t)) for t in targets}
 
         def between(us, vs):

@@ -1,42 +1,58 @@
-"""Closed-form family eccentricities against the BFS they replace.
+"""Closed-form family graphs and eccentricities against the checks and
+BFS they replace.
 
+:func:`generate_graph` builds a family's edges and neighbour lists in
+closed form, skipping :class:`ArchGraph`'s checks, and
 :func:`eccentricities` answers a built-in family from its params alone.
-The oracle is the same graph rebuilt with no family, which takes the
-tree rule or the all-sources word sweep: every eccentricity, the
-centre, the diameter and the ``diam`` permutation must agree, at
+The oracle is the same graph rebuilt with no family by the checked
+constructor, which takes the tree rule or the all-sources word sweep:
+the edges, neighbour lists and labels, every eccentricity, the centre,
+the diameter and the ``diam`` permutation must agree, at
 hypothesis-drawn sizes, at each family's smallest sizes and at every
 size the benchmark builds.
 
-A guard counts ``graphs._sweep_levels`` calls: the sparse router, the
-``diam`` permutation and ``bounds_report`` must not sweep a family
-graph, while the same graph without its family still does.
+Two guards count calls.  The sparse router, the ``diam`` permutation
+and ``bounds_report`` must not run ``graphs._sweep_levels`` on a family
+graph, while the same graph without its family still does.  Building a
+family graph, loading its canonical file and sizing its distance rows
+must run neither the constructor's edge walk
+(``graphs._canonical_adjacency``) nor a BFS from vertex 0, while the
+family-less copy runs each check once.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teleroute import graphs
+from teleroute import graphs, tele_routing
 from teleroute.bounds import bounds_report
 from teleroute.graphs import (
     FAMILY_PARAMS,
     ArchGraph,
     diameter,
+    distance_rows,
     eccentricities,
     generate_graph,
     generate_permutation,
     graph_center,
+    graph_from_json,
+    graph_to_json,
 )
 from teleroute.sparse_routing import sparse_route
 
 
 def plain(g):
-    """``g`` with no family: its eccentricities come from a BFS."""
-    return ArchGraph(g.n, g.edges, labels=g.labels)
+    """``g`` with no family, through every check of the constructor:
+    its eccentricities come from a BFS."""
+    return ArchGraph(g.n, g.edges, g.ancilla_budget, g.labels)
 
 
 def check(g):
     ref = plain(g)
+    # canonical edges are kept as given, and the constructor found them
+    # connected
+    assert ref.edges is g.edges
+    assert (ref._adj, ref.labels) == (g._adj, g.labels)
     assert eccentricities(g) == eccentricities(ref)
     assert graph_center(g) == graph_center(ref)
     assert diameter(g) == diameter(ref)
@@ -135,3 +151,45 @@ def test_a_graph_without_family_still_sweeps(sweeps):
     ref = plain(generate_graph("grid", n=3, d=2))
     eccentricities(ref)
     assert sweeps == [ref]
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """The names of the graph checks called, in order: the
+    constructor's canonical edge walk and every BFS, in ``graphs`` and
+    in ``tele_routing``."""
+    calls = []
+    for mod, name in ((graphs, "_canonical_adjacency"),
+                      (graphs, "bfs_distances"),
+                      (tele_routing, "bfs_distances")):
+        real = getattr(mod, name)
+
+        def counted(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("family, params", GUARDED)
+def test_family_graphs_are_not_checked_again(checks, family, params):
+    g = generate_graph(family, **params)
+    assert graph_from_json(graph_to_json(g) + "\n") == g
+    distance_rows(g)
+    # more targets than ecc(0), so the hops take the distance rows
+    tele_routing._dag_hops(g, g.ancilla_budget, range(g.n))
+    assert checks == []
+
+
+def test_a_graph_without_family_is_checked(checks):
+    g = generate_graph("grid", n=3, d=2)
+    assert checks == []
+    ref = plain(g)
+    assert checks == ["_canonical_adjacency", "bfs_distances"]
+    checks.clear()
+    distance_rows(ref)
+    assert checks == ["bfs_distances"]
+    checks.clear()
+    tele_routing._dag_hops(ref, ref.ancilla_budget, range(ref.n))
+    assert checks == ["bfs_distances", "bfs_distances"]

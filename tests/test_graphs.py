@@ -167,6 +167,22 @@ def test_graph_validation():
         generate_graph("mystery", n=3)
     with pytest.raises(ValueError):
         generate_graph("path")  # missing n
+    with pytest.raises(ValueError, match=r"^ancilla_budget must be >= 0$"):
+        generate_graph("path", n=4, ancilla_budget=-1)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n", True), ("n", np.int64(4)), ("n", 3.0), ("n", "4"),
+    ("ancilla_budget", False), ("ancilla_budget", np.int64(2)),
+    ("ancilla_budget", 2.0),
+])
+def test_generate_graph_takes_exact_ints(name, value):
+    # a bool was written to the file as true, which graph_from_json then
+    # rejected; a numpy int built a graph graph_to_json could not write
+    params = {"n": 4, name: value}
+    with pytest.raises(ValueError, match=rf"^path parameter '{name}' must "
+                       rf"be an integer, got {re.escape(repr(value))}$"):
+        generate_graph("path", **params)
 
 
 def _reference_json(g: ArchGraph) -> str:
@@ -591,6 +607,24 @@ def test_json_family_must_build_the_file():
     del doc["family"]
     with pytest.raises(ValueError, match="without a 'family'"):
         graph_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind,params", FAMILY_SAMPLES)
+def test_json_family_load_paths_agree(kind, params):
+    """A family file whose stripped text is canonical is loaded by that
+    text and keeps its hash; any other form of the same document is
+    checked key by key.  Both give the graph generate_graph builds."""
+    g = generate_graph(kind, **params)
+    text = graph_to_json(g)
+    doc = json.loads(text)
+    doc["edges"] = [[v, u] for u, v in reversed(doc["edges"])]
+    forms = [text, text + "\n", "  " + text + "\n\n",
+             json.dumps(json.loads(text), indent=1), json.dumps(doc)]
+    for form in forms:
+        h = graph_from_json(form)
+        assert h == g and h._adj == g._adj
+        assert h.ref_hash() == g.ref_hash()
+        assert ("_ref_hash" in vars(h)) == (form.strip() == text)
 
 
 def test_json_is_canonical():
