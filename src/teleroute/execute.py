@@ -26,7 +26,8 @@ swap router emits and what a swap file reads back as, goes further:
 operations and applies them to one array of data tokens, with no
 Python step per swap.  If that check fails, the schedule is run again
 timestep by timestep from the start, so a fault gets the same message
-there too.
+there too.  Any other schedule reads a lone round's free ancillas
+from per-vertex counts kept across the schedule, not from slot rows.
 """
 
 from __future__ import annotations
@@ -189,13 +190,16 @@ def _locals_fit(g: ArchGraph, ops: list) -> bool:
     return len(cells) == 2 * len(ops)
 
 
-def _round_fits(g: ArchGraph, slots, rnd: TeleRound) -> bool:
+def _round_fits(g: ArchGraph, slots, rnd: TeleRound,
+                occupied: list[int] | None = None, fullest: int = 0) -> bool:
     """Whether a round alone in its timestep passes every check that
     :func:`_check_op` and :func:`_apply_tele_round`'s free-slot check
     make: path vertices in range, path steps on edges, no load over the
     budget and enough empty ancillas for the halves parked at each
     vertex.  Each check is a builtin pass over a path or over the
-    round's vertices."""
+    round's vertices.  Free ancillas are counted in slot rows, or read
+    from ``occupied``, each vertex's count of occupied ancillas, whose
+    largest entry ``fullest`` passes disjoint paths in one comparison."""
     n, adj = g.n, g._adj
     paths = [tr.path for tr in rnd.transfers]
     for p in paths:
@@ -206,12 +210,22 @@ def _round_fits(g: ArchGraph, slots, rnd: TeleRound) -> bool:
                 return False
         except TypeError:   # a vertex that is not an int
             return False
-    verts = list(chain.from_iterable(paths))
-    if len(set(verts)) == len(verts):
-        # on disjoint paths no vertex holds more than 2w halves, w = 2
-        # for a swap; a row's free ancillas are its empty slots, less
-        # one if the data slot is empty
-        most = 4 if any(tr.kind == "swap" for tr in rnd.transfers) else 2
+    # on disjoint paths no vertex holds more than 2w halves, w = 2 for a
+    # swap; a transfer's path is simple, so one path is disjoint
+    most = 4 if any(tr.kind == "swap" for tr in rnd.transfers) else 2
+    verts = paths[0] if len(paths) == 1 else list(chain.from_iterable(paths))
+    disjoint = len(paths) == 1 or len(set(verts)) == len(verts)
+    if occupied is not None:
+        budget = g.ancilla_budget
+        if disjoint and (budget - fullest >= most or budget - max(
+                itemgetter(*verts)(occupied)) >= most):
+            return True
+        loads = rnd.loads()
+        free = map(sub, repeat(budget), itemgetter(*loads)(occupied))
+        return all(map(ge, free, loads.values()))
+    if disjoint:
+        # a row's free ancillas are its empty slots, less one if the
+        # data slot is empty
         empty = map(list.count, itemgetter(*verts)(slots), repeat(None))
         if min(empty) - 1 >= most:
             return True
@@ -222,6 +236,18 @@ def _round_fits(g: ArchGraph, slots, rnd: TeleRound) -> bool:
     free = map(sub, map(list.count, rows, repeat(None)),
                map(is_, map(_data, rows), repeat(None)))
     return all(map(ge, free, loads.values()))
+
+
+def _recount(occupied: list[int], slots, steps) -> bool:
+    """Recount, in ``occupied``, the occupied ancillas of each vertex a
+    local swap of ``steps`` touched (only local swaps write ancillas);
+    whether there was one."""
+    moved = {op.v for step in steps if type(step) is not SwapLayer
+             for op in step if isinstance(op, SwapLocal)}
+    for v in moved:
+        row = slots[v]
+        occupied[v] = len(row) - row.count(None) - (row[0] is not None)
+    return bool(moved)
 
 
 def _data_tokens(rows) -> list[int]:
@@ -504,7 +530,11 @@ def apply_schedule(g: ArchGraph, schedule: Schedule) -> TokenState:
     checked and applied whole, as arrays (:func:`_apply_layers`).  If
     that check fails, the schedule is run again timestep by timestep
     from the start, which raises the error, so a fault gets the same
-    message either way.
+    message either way.  Any other schedule runs timestep by timestep,
+    keeping each vertex's count of occupied ancillas from the first lone
+    round on, counted at the vertices the local swaps so far touched,
+    for :func:`_round_fits`; a round that fails goes through
+    :func:`apply_timestep`, for the same error.
     """
     steps = schedule.timesteps
     if all(map(is_, map(type, steps), repeat(SwapLayer))):
@@ -512,8 +542,20 @@ def apply_schedule(g: ArchGraph, schedule: Schedule) -> TokenState:
         if state is not None:
             return state
     state = TokenState(g)
+    slots, occupied = state.slots, None
     for t, step in enumerate(steps):
+        if (type(step) is list and len(step) == 1
+                and type(rnd := step[0]) is TeleRound):
+            if occupied is None:   # ancillas start empty
+                occupied, fullest = [0] * g.n, 0
+                if _recount(occupied, slots, steps[:t]):
+                    fullest = max(occupied)
+            if _round_fits(g, slots, rnd, occupied, fullest):
+                _apply_lone_round(state, rnd, t)
+                continue
         apply_timestep(g, state, step, t)
+        if occupied is not None and _recount(occupied, slots, (step,)):
+            fullest = max(occupied)
     return state
 
 

@@ -887,33 +887,47 @@ def graph_to_json(g: ArchGraph) -> str:
             f'"edges": {edges}, {json.dumps(doc, sort_keys=True)[1:]}')
 
 
+def _family_by_text(text: str) -> ArchGraph | None:
+    """The family graph, keeping its ``ref_hash``, whose text is
+    ``text``, or None.  Budget, family and params are read unparsed from
+    the text's head and tail; their graph's text must then be ``text``."""
+    head = '{"ancilla_budget": '
+    try:   # a bytes text raises TypeError
+        fam = text.rfind('], "family": "') + 14
+        at = text.rfind('"params": {') + 11
+        if not (text.startswith(head) and text.endswith("}}")
+                and 14 <= fam < at):
+            return None
+        budget = int(text[len(head):text.index(",")])
+        params = {}
+        for item in filter(None, text[at:-2].split(", ")):
+            name, value = item.split(": ")
+            params[name[1:-1]] = int(value)
+        g = _build_family(text[fam:text.index('"', fam)], budget, params)
+    except (TypeError, ValueError):
+        return None
+    canon = graph_to_json(g)
+    if text != canon:
+        return None
+    object.__setattr__(g, "_ref_hash", _text_hash(canon))
+    return g
+
+
 def graph_from_json(text: str) -> ArchGraph:
     """Parse :func:`graph_to_json` output.  Raises ValueError on JSON
     that is not a graph document.  A document that names a family is
     built with :func:`generate_graph` and must have exactly that graph's
     vertices, edges and labels.
 
-    A family document is first rebuilt from its ``family``, ``params``
-    and ``ancilla_budget`` alone.  When the text, stripped of
-    surrounding whitespace, is that graph's :func:`graph_to_json`, the
-    rebuilt graph is returned, keeping the text's ``ref_hash``, and the
-    file's edges are not compared pair by pair.  Any other text (edges
-    reordered or flipped, other spacing, a malformed document) is
-    checked key by key as below, with the same errors in the same
-    order."""
+    A text that, stripped of surrounding whitespace, is a family graph's
+    :func:`graph_to_json` is matched first, unparsed
+    (:func:`_family_by_text`), and keeps its ``ref_hash``.  Any other
+    text (edges reordered or flipped, other spacing, a malformed
+    document) is parsed and checked key by key as below."""
+    g = _family_by_text(text.strip())
+    if g is not None:
+        return g
     doc = json.loads(text)
-    if (isinstance(doc, dict) and isinstance(doc.get("family"), str)
-            and isinstance(doc.get("params"), dict)):
-        budget = doc.get("ancilla_budget", DEFAULT_ANCILLA_BUDGET)
-        try:
-            g = _build_family(doc["family"], budget, doc["params"])
-        except ValueError:
-            pass   # raised again below, after the checks that come first
-        else:
-            canon = graph_to_json(g)
-            if text.strip() == canon:
-                object.__setattr__(g, "_ref_hash", _text_hash(canon))
-                return g
     if not isinstance(doc, dict):
         raise ValueError(f"a graph must be a JSON object, got "
                          f"{type(doc).__name__}")

@@ -309,16 +309,22 @@ def _op_json(op: Op) -> str:
         return ('{"s1": %d, "s2": %d, "type": "swap_local", "v": %d}'
                 % (op.s1, op.s2, op.v))
     if type(op) is TeleRound:
-        return ('{"transfers": [%s], "type": "tele_round"}' % ", ".join(
-            '{"kind": "%s", "path": [%s]}' % (t.kind, ", ".join(map(str, t.path)))
-            for t in op.transfers))
+        return _round_json(op, "%d".__mod__)
     raise TypeError(f"not a primitive: {op!r}")
+
+
+def _round_json(op: TeleRound, vertex) -> str:
+    """:func:`_op_json` of a round, ``vertex`` formatting each path
+    vertex as ``%d`` does (so a bool writes as 1)."""
+    return ('{"transfers": [%s], "type": "tele_round"}' % ", ".join(
+        '{"kind": "%s", "path": [%s]}'
+        % (t.kind, ", ".join(map(vertex, t.path))) for t in op.transfers))
 
 
 class _VertexTexts(dict):
     """``texts[v]`` is ``fmt % v``, formatted the first time ``v`` is
     looked up.  Keys that compare equal share one text, which is safe
-    for ``%d``: equal numbers format alike."""
+    for ``%d``: equal numbers format alike.  Made per ``to_json`` call."""
 
     __slots__ = ("fmt",)
 
@@ -331,14 +337,19 @@ class _VertexTexts(dict):
         return text
 
 
-def _step_json(step, heads: _VertexTexts, tails: _VertexTexts) -> str:
+def _step_json(step, heads: _VertexTexts, tails: _VertexTexts,
+               vertices: _VertexTexts) -> str:
     """A timestep's ops as canonical JSON texts, sorted, in a list.  The
     text of a layer's swap (u, v) is ``heads[u] + tails[v]``, the two
-    halves of what :func:`_op_json` formats for ``SwapEdge(u, v)``, so
-    each vertex is formatted once per schedule."""
+    halves of what :func:`_op_json` formats for ``SwapEdge(u, v)``, and
+    the path vertices of a round alone in its step (as the teleport
+    routers emit rounds) are ``vertices[v]``, so each vertex is
+    formatted once per schedule."""
     if type(step) is SwapLayer:
         texts = list(map(add, map(heads.__getitem__, step.us),
                          map(tails.__getitem__, step.vs)))
+    elif len(step) == 1 and type(step[0]) is TeleRound:
+        return "[%s]" % _round_json(step[0], vertices.__getitem__)
     else:
         texts = list(map(_op_json, step))
     texts.sort()
@@ -405,12 +416,14 @@ class Schedule:
         byte for byte what ``JSONEncoder(sort_keys=True)`` (and so
         ``json.dumps(doc, sort_keys=True)``) gives for the dict form,
         assembled from each op's canonical string (:func:`_op_json`, or
-        for a :class:`SwapLayer` its two halves, formatted once per
-        vertex) so that no op is formatted twice."""
+        for a :class:`SwapLayer` its two halves, and for a lone round
+        its path vertices, formatted once per vertex by ``%d``, so a
+        bool writes as 1) so that no op is formatted twice."""
         ref = graph.ref_hash() if graph is not None else self.graph_ref
         heads = _VertexTexts('{"type": "swap_edge", "u": %d, "v": ')
         tails = _VertexTexts("%d}")
-        steps = ", ".join(_step_json(step, heads, tails)
+        vertices = _VertexTexts("%d")
+        steps = ", ".join(_step_json(step, heads, tails, vertices)
                           for step in self.timesteps if step)
         return (f'{{"depth_model": {_encode(self.depth_model.to_dict())}, '
                 f'"graph_ref": {_encode(ref)}, "timesteps": [{steps}]}}')

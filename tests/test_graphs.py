@@ -627,6 +627,67 @@ def test_json_family_load_paths_agree(kind, params):
         assert ("_ref_hash" in vars(h)) == (form.strip() == text)
 
 
+@pytest.mark.parametrize("kind,params", FAMILY_SAMPLES)
+@pytest.mark.parametrize("budget", [0, 2, 6, 13])
+def test_canonical_family_text_is_loaded_unparsed(monkeypatch, kind, params,
+                                                  budget):
+    """A canonical family text is matched with no ``json.loads``: the
+    budget is read from its head and the family and params from its
+    tail."""
+    g = generate_graph(kind, ancilla_budget=budget, **params)
+    text = graph_to_json(g) + "\n"
+    loads = []
+    monkeypatch.setattr(json, "loads", lambda *a, **k: loads.append(a))
+    h = graph_from_json(text)
+    assert loads == []
+    assert h == g and h._adj == g._adj and vars(h)["_ref_hash"]
+
+
+def _load_outcome(text):
+    try:
+        g = graph_from_json(text)
+    except ValueError as e:
+        return type(e).__name__, str(e)
+    return g, g._adj, "_ref_hash" in vars(g)
+
+
+def _near_canonical_forms(text):
+    """Texts that differ from a canonical family text only where the
+    unparsed reading of its head or tail could be fooled."""
+    at = text.index('"params": ')
+    return [
+        text.replace('"ancilla_budget": 6', '"ancilla_budget": 06'),
+        text.replace('"ancilla_budget": 6', '"ancilla_budget":6'),
+        text.replace('"ancilla_budget": 6', '"ancilla_budget": 6.0'),
+        text.replace('"family": "grid"', '"family": "gr\\u0069d"'),
+        text.replace('"family": "grid"', '"family": "path"'),
+        text[:at] + '"params": {"n": 3, "d": 2}}',
+        text[:at] + '"params": {"d": 2, "n": 3.0}}',
+        text[:at] + '"params": {"d": 2, "n": +3}}',
+        text[:at] + '"params": {"d": 2, "n": 3, "r": 1}}',
+        text[:at] + '"params": {}}',
+        text + " }",
+        text[:-1],
+        text.replace('"edges": [', '"edges": [[0, 1], ', 1),
+        text.replace('], "family"', '], "labels": [], "family"'),
+        text.encode(),
+    ]
+
+
+def test_near_canonical_family_texts_are_parsed(monkeypatch):
+    """Each near miss gives the graph, or the error text, that the
+    key-by-key path gives it, and keeps no hash."""
+    from teleroute import graphs
+
+    text = graph_to_json(generate_graph("grid", n=3, d=2))
+    got = [_load_outcome(form) for form in _near_canonical_forms(text)]
+    monkeypatch.setattr(graphs, "_family_by_text", lambda text: None)
+    want = [_load_outcome(form) for form in _near_canonical_forms(text)]
+    assert got == want
+    assert not any(o[2] for o in got if not isinstance(o[0], str))
+    assert any(not isinstance(o[0], str) for o in got)   # some load
+
+
 def test_json_is_canonical():
     g = generate_graph("path", n=4)
     text = graph_to_json(g)

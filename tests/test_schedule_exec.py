@@ -200,6 +200,57 @@ def test_one_kind_steps_json_matches_dumped_dict_form(steps):
     assert Schedule(steps).to_json() == json.dumps(doc, sort_keys=True)
 
 
+# a small vertex pool, so that vertices recur across rounds and steps
+few = st.integers(-2, 12)
+few_pairs = st.lists(few, min_size=2, max_size=2, unique=True)
+few_rounds = st.lists(
+    st.builds(Transfer, st.lists(few, min_size=2, max_size=7,
+                                 unique=True).map(tuple),
+              st.sampled_from(["move", "swap"])),
+    min_size=1, max_size=4).map(lambda ts: TeleRound(tuple(ts)))
+few_ops = st.one_of(few_rounds, few_rounds,
+                    few_pairs.map(lambda a: SwapEdge(*a)),
+                    st.tuples(few, few_pairs).map(
+                        lambda a: SwapLocal(a[0], *a[1])))
+few_layers = st.lists(few_pairs, max_size=5).map(
+    lambda ps: SwapLayer([u for u, _ in ps], [v for _, v in ps]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.lists(few_rounds, min_size=1, max_size=1),
+                          st.lists(few_ops, max_size=5), few_layers),
+                min_size=1, max_size=8))
+def test_multi_round_schedule_json_matches_dumped_dict_form(steps):
+    """Round path vertices are formatted once per schedule and shared by
+    every round, step and layer endpoint that names them; the text is
+    still the dumped dict form."""
+    doc = {"graph_ref": None, "depth_model": DepthModel().to_dict(),
+           "timesteps": [sorted((op_to_dict(op) for op in step),
+                                key=lambda d: json.dumps(d, sort_keys=True))
+                         for step in steps if step]}
+    assert Schedule(steps).to_json() == json.dumps(doc, sort_keys=True)
+
+
+def test_round_path_vertices_are_written_as_integers():
+    """A bool or numpy-int path vertex is written as ``%d`` writes it, as
+    a swap endpoint is: True as 1, not True; and it shares the text of
+    the int it equals."""
+    sched = Schedule([[TeleRound((Transfer((0, 1)),))],
+                      [TeleRound((Transfer((True, np.int64(2)), "swap"),
+                                  Transfer((np.int32(3), False))))],
+                      [SwapEdge(True, np.int64(3))]])
+    assert sched.to_json() == (
+        '{"depth_model": {"swap_edge": 1, "swap_local": 0, "tele_round": 1}, '
+        '"graph_ref": null, "timesteps": ['
+        '[{"transfers": [{"kind": "move", "path": [0, 1]}], '
+        '"type": "tele_round"}], '
+        '[{"transfers": [{"kind": "swap", "path": [1, 2]}, '
+        '{"kind": "move", "path": [3, 0]}], "type": "tele_round"}], '
+        '[{"type": "swap_edge", "u": 1, "v": 3}]]}')
+    assert Schedule.from_json(sched.to_json()).timesteps[1] == [
+        TeleRound((Transfer((1, 2), "swap"), Transfer((3, 0))))]
+
+
 def test_schedule_from_json_rejects_malformed_documents():
     for text in ('[1, 2]', '"x"', '{"depth_model": {}}',
                  '{"timesteps": {}}', '{"timesteps": [{}]}',
