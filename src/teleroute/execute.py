@@ -9,32 +9,34 @@ timestep, transfer loads fit in the free ancilla slots), checks that
 every timestep conserves tokens, and reports the permutation a valid
 schedule achieves.
 
-Five kinds of timestep are checked whole, with no call, claim map or
-sort per primitive: a :class:`SwapLayer` and a list of
-:class:`SwapEdge` only (int endpoints in range, on edges, no vertex
-twice), a list of :class:`SwapLocal` only (int vertex and slots in
-range, no slot twice), each in one loop over its swaps; a list holding
-one :class:`TeleRound` alone (the teleport routers give every round a
-timestep of its own), with a builtin pass per path; and an empty list.
-When a whole check fails, the timestep is checked again primitive by
-primitive, which raises the error; so either way a fault gets the same
-message.
+Four kinds of timestep are checked whole by :func:`apply_timestep`,
+with no call, claim map or sort per primitive: a :class:`SwapLayer`
+and a list of :class:`SwapEdge` only (int endpoints in range, on edges,
+no vertex twice), a list of :class:`SwapLocal` only (int vertex and
+slots in range, no slot twice), each in one loop over its swaps; and an
+empty list.  When a whole check fails, the timestep is checked again
+primitive by primitive, which raises the error; so either way a fault
+gets the same message.  Any other timestep, one with a round included,
+is checked primitive by primitive.
 
-A whole schedule of :class:`SwapLayer` timesteps, which is what every
-swap router emits and what a swap file reads back as, goes further:
-:func:`apply_schedule` checks all its swaps in one pass of numpy array
-operations and applies them to one array of data tokens, with no
-Python step per swap.  If that check fails, the schedule is run again
-timestep by timestep from the start, so a fault gets the same message
-there too.  Any other schedule reads a lone round's free ancillas
-from per-vertex counts kept across the schedule, not from slot rows.
+:func:`apply_schedule` checks two kinds of schedule whole, with numpy
+array passes: one of :class:`SwapLayer` timesteps only, which is what
+every swap router emits and what a swap file reads back as, and one of
+lone rounds, local-swap lists and empty timesteps, which is what the
+teleport routers emit.  The first applies all its swaps to one array of
+data tokens.  The second moves tokens one round at a time, reads each
+vertex's occupied ancillas, which only local swaps change, from counts
+it keeps at the vertices they touched, and checks the rounds' path
+vertices as arrays (range, edges, loads), a batch of rounds at a time.
+If a whole check fails, the schedule is run again timestep by timestep
+from the start, so a fault gets the same message there too.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from itertools import accumulate, chain, repeat
-from operator import contains, ge, index, is_, is_not, itemgetter, sub
+from operator import add, index, is_, is_not, itemgetter
 
 import numpy as np
 
@@ -111,8 +113,9 @@ def _check_op(g: ArchGraph, op, t: int) -> dict[int, int] | None:
     :class:`SwapEdge` is checked inline there, and a timestep that
     passes its whole check never comes here).  A vertex or slot in range
     that :func:`operator.index` rejects (``1.0``, not ``np.int64``)
-    fails before anything indexes with it.  For a round, returns its
-    per-vertex load map (see :meth:`TeleRound.loads`)."""
+    fails before anything indexes with it; a round holds no such path
+    vertex, since it refuses one when it is built.  For a round,
+    returns its per-vertex load map (see :meth:`TeleRound.loads`)."""
     if isinstance(op, SwapLocal):
         if not 0 <= op.v < g.n:
             _fail(t, op, "vertex out of range")
@@ -123,19 +126,15 @@ def _check_op(g: ArchGraph, op, t: int) -> dict[int, int] | None:
         except TypeError:
             _fail(t, op, "vertex or slot is not an integer")
     elif isinstance(op, TeleRound):
-        for tr in op.transfers:
-            for v in tr.path:
+        verts, offsets = op.verts, op.offsets
+        for lo, hi in zip(offsets, offsets[1:]):
+            path = verts[lo:hi]
+            for v in path:
                 if not 0 <= v < g.n:
                     _fail(t, op, f"vertex {v} out of range")
-            # a tuple index takes what index() takes, so every vertex
-            # but the last is checked as it looks up its neighbours
-            try:
-                for a, b in zip(tr.path, tr.path[1:]):
-                    if b not in g._adj[a]:
-                        _fail(t, op, f"path step ({a},{b}) is not an edge")
-                index(tr.path[-1])
-            except TypeError:
-                _fail(t, op, "path vertex is not an integer")
+            for a, b in zip(path, path[1:]):
+                if b not in g._adj[a]:
+                    _fail(t, op, f"path step ({a},{b}) is not an edge")
         loads = op.loads()
         for v, load in loads.items():
             if load > g.ancilla_budget:
@@ -147,13 +146,20 @@ def _check_op(g: ArchGraph, op, t: int) -> dict[int, int] | None:
     return None
 
 
+def _round_ends(rnd: TeleRound) -> set:
+    """The vertices a round's transfers start or end at."""
+    verts, offsets = rnd.verts, rnd.offsets
+    return set(map(verts.__getitem__,
+                   offsets[:-1] + [b - 1 for b in offsets[1:]]))
+
+
 def _slots_written(op) -> list[tuple[int, int]]:
     """(vertex, slot) pairs whose contents a :class:`SwapLocal` or a
     round can change: a round rewrites only the data slots of its
     transfer endpoints."""
     if isinstance(op, SwapLocal):
         return [(op.v, op.s1), (op.v, op.s2)]
-    return list({(v, 0) for tr in op.transfers for v in (tr.source, tr.dest)})
+    return [(v, 0) for v in _round_ends(op)]
 
 
 def _layer_fits(g: ArchGraph, us: list, vs: list) -> bool:
@@ -190,66 +196,6 @@ def _locals_fit(g: ArchGraph, ops: list) -> bool:
     return len(cells) == 2 * len(ops)
 
 
-def _round_fits(g: ArchGraph, slots, rnd: TeleRound,
-                occupied: list[int] | None = None, fullest: int = 0) -> bool:
-    """Whether a round alone in its timestep passes every check that
-    :func:`_check_op` and :func:`_apply_tele_round`'s free-slot check
-    make: path vertices in range, path steps on edges, no load over the
-    budget and enough empty ancillas for the halves parked at each
-    vertex.  Each check is a builtin pass over a path or over the
-    round's vertices.  Free ancillas are counted in slot rows, or read
-    from ``occupied``, each vertex's count of occupied ancillas, whose
-    largest entry ``fullest`` passes disjoint paths in one comparison."""
-    n, adj = g.n, g._adj
-    paths = [tr.path for tr in rnd.transfers]
-    for p in paths:
-        try:
-            q = sorted(p)   # sorting ints compares faster than min(), max()
-            if (q[0] < 0 or q[-1] >= n
-                    or not all(map(contains, itemgetter(*p)(adj), p[1:]))):
-                return False
-        except TypeError:   # a vertex that is not an int
-            return False
-    # on disjoint paths no vertex holds more than 2w halves, w = 2 for a
-    # swap; a transfer's path is simple, so one path is disjoint
-    most = 4 if any(tr.kind == "swap" for tr in rnd.transfers) else 2
-    verts = paths[0] if len(paths) == 1 else list(chain.from_iterable(paths))
-    disjoint = len(paths) == 1 or len(set(verts)) == len(verts)
-    if occupied is not None:
-        budget = g.ancilla_budget
-        if disjoint and (budget - fullest >= most or budget - max(
-                itemgetter(*verts)(occupied)) >= most):
-            return True
-        loads = rnd.loads()
-        free = map(sub, repeat(budget), itemgetter(*loads)(occupied))
-        return all(map(ge, free, loads.values()))
-    if disjoint:
-        # a row's free ancillas are its empty slots, less one if the
-        # data slot is empty
-        empty = map(list.count, itemgetter(*verts)(slots), repeat(None))
-        if min(empty) - 1 >= most:
-            return True
-    # no vertex has more free ancillas than the budget, so a load over
-    # the budget fails here too
-    loads = rnd.loads()
-    rows = itemgetter(*loads)(slots)
-    free = map(sub, map(list.count, rows, repeat(None)),
-               map(is_, map(_data, rows), repeat(None)))
-    return all(map(ge, free, loads.values()))
-
-
-def _recount(occupied: list[int], slots, steps) -> bool:
-    """Recount, in ``occupied``, the occupied ancillas of each vertex a
-    local swap of ``steps`` touched (only local swaps write ancillas);
-    whether there was one."""
-    moved = {op.v for step in steps if type(step) is not SwapLayer
-             for op in step if isinstance(op, SwapLocal)}
-    for v in moved:
-        row = slots[v]
-        occupied[v] = len(row) - row.count(None) - (row[0] is not None)
-    return bool(moved)
-
-
 def _data_tokens(rows) -> list[int]:
     """The tokens in the data slots of the given rows, sorted."""
     return sorted(filter(_present, map(_data, rows)))
@@ -266,13 +212,14 @@ def apply_timestep(g: ArchGraph, state: TokenState, ops, t: int = 0):
     conservation check compares the tokens in those slots before and
     after the step; the cost is linear in the size of the timestep.
 
-    Five kinds of timestep are checked whole before any slot changes: a
-    layer, with no object per swap; a list holding one round alone, with
-    no Python step per path vertex; a list of local swaps only and a
+    Four kinds of timestep are checked whole before any slot changes: a
+    layer, with no object per swap; a list of local swaps only and a
     list of edge swaps only, with no claim map; and an empty list.  Any
     of them, if a whole check fails, is checked again primitive by
     primitive (a layer as its ``SwapEdge`` objects), so the error names
-    the same primitive, with the same text, either way.
+    the same primitive, with the same text, either way.  A round is
+    checked here primitive by primitive; :func:`apply_schedule` checks
+    a schedule's rounds whole.
     """
     if type(ops) is SwapLayer:
         if _layer_fits(g, ops.us, ops.vs):
@@ -282,14 +229,9 @@ def apply_timestep(g: ArchGraph, state: TokenState, ops, t: int = 0):
     elif type(ops) is list:
         if not ops:
             return
-        # the first op's type picks the whole check, so a lone round
-        # pays no pass over the list
+        # the first op's type picks the whole check
         kind = type(ops[0])
-        if kind is TeleRound:
-            if len(ops) == 1 and _round_fits(g, state.slots, ops[0]):
-                _apply_lone_round(state, ops[0], t)
-                return
-        elif kind is SwapLocal:
+        if kind is SwapLocal:
             if _locals_fit(g, ops):
                 _apply_locals(state, ops, t)
                 return
@@ -399,18 +341,6 @@ def _apply_locals(state: TokenState, ops: list, t: int):
         raise ScheduleError(f"timestep {t}: tokens not conserved")
 
 
-def _apply_lone_round(state: TokenState, rnd: TeleRound, t: int):
-    """Apply a round that :func:`_round_fits` accepted, then check that
-    its endpoints' data slots hold the tokens they held before.  Its
-    free ancillas are checked already, so none is left to check."""
-    ends = itemgetter(*{v for tr in rnd.transfers
-                        for v in (tr.path[0], tr.path[-1])})
-    before = _data_tokens(ends(state.slots))
-    _apply_tele_round(state, rnd, t, {})
-    if _data_tokens(ends(state.slots)) != before:
-        raise ScheduleError(f"timestep {t}: tokens not conserved")
-
-
 def _apply_tele_round(state: TokenState, op: TeleRound, t: int,
                       loads: dict[int, int]):
     """Check a round's transfers against the slots and move its tokens.
@@ -427,8 +357,10 @@ def _apply_tele_round(state: TokenState, op: TeleRound, t: int,
 
     # all transfers in a round act simultaneously: read sources first
     slots = state.slots
-    ends = [(tr.path[0], tr.path[-1], tr.kind == "swap")
-            for tr in op.transfers]
+    verts, offsets = op.verts, op.offsets
+    ends = list(zip(map(verts.__getitem__, offsets[:-1]),
+                    [verts[b - 1] for b in offsets[1:]],
+                    map("swap".__eq__, op.kinds)))
     sources = set()
     for src, _, _ in ends:
         if src in sources:
@@ -467,6 +399,27 @@ def _apply_tele_round(state: TokenState, op: TeleRound, t: int,
             slots[src][0] = outgoing[dst]
 
 
+def _on_edges(g: ArchGraph, us, vs):
+    """Whether each pair ``(us[i], vs[i])`` of int arrays, in range, is
+    an edge, as a bool array.  The neighbour lists of the distinct
+    ``us`` give the edges there, with one table row per such u, or,
+    past 4 MB of table, their keys ``u*n + v``, searched."""
+    n, adj = g.n, g._adj
+    used = np.zeros(n, dtype=bool)
+    used[us] = True
+    rows = np.flatnonzero(used)
+    nbrs = [adj[u] for u in rows.tolist()]
+    sizes = list(map(len, nbrs))
+    cols = np.fromiter(chain.from_iterable(nbrs), np.int64, sum(sizes))
+    if len(rows) * n > 1 << 22:
+        return np.isin(us * n + vs, np.repeat(rows * n, sizes) + cols)
+    row_of = np.zeros(n, dtype=np.int64)
+    row_of[rows] = np.arange(len(rows)) * n
+    table = np.zeros(len(rows) * n, dtype=bool)
+    table[row_of[np.repeat(rows, sizes)] + cols] = True
+    return table[row_of[us] + vs]
+
+
 def _apply_layers(g: ArchGraph, layers: list) -> TokenState | None:
     """The final state of a schedule of :class:`SwapLayer` timesteps
     only, checked and applied as arrays, or None if a check fails.
@@ -475,12 +428,11 @@ def _apply_layers(g: ArchGraph, layers: list) -> TokenState | None:
     integer dtype: a float, a string or an int beyond int64 makes it
     float or object, and fails.  Bools and numpy ints pass, as they do
     one timestep at a time, where a swap indexes with them.  Then one
-    pass each checks that every endpoint is in range, that every swap's
-    key ``u*n + v`` is the key of an edge (a ``searchsorted`` into the
-    sorted keys of ``g.edges``) and, over keys ``t*n + v`` of vertex v
-    in timestep t, that no vertex appears twice in a timestep.  Each
-    timestep then swaps the data tokens of its pairs in one int array;
-    its swaps are disjoint, so it conserves them."""
+    pass each checks that every endpoint is in range, that every swap
+    lies on an edge (:func:`_on_edges`) and, over keys ``t*n + v`` of
+    vertex v in timestep t, that no vertex appears twice in a timestep.
+    Each timestep then swaps the data tokens of its pairs in one int
+    array; its swaps are disjoint, so it conserves them."""
     n, sizes = g.n, list(map(len, layers))
     flat: list = []   # every u, then every v
     for layer in layers:
@@ -494,12 +446,7 @@ def _apply_layers(g: ArchGraph, layers: list) -> TokenState | None:
             return None
         half = len(ends) // 2
         us, vs = ends[:half], ends[half:]
-        edge_keys = np.array(list(chain.from_iterable(g.edges)),
-                             dtype=np.int64)
-        edge_keys = edge_keys[0::2] * n + edge_keys[1::2]
-        keys = us * n + vs
-        at = np.searchsorted(edge_keys, keys)
-        if (at == len(edge_keys)).any() or (edge_keys[at] != keys).any():
+        if not _on_edges(g, us, vs).all():
             return None
         step_of = np.repeat(np.arange(len(layers)) * n, sizes)
         seen = np.concatenate((step_of + us, step_of + vs))
@@ -518,6 +465,137 @@ def _apply_layers(g: ArchGraph, layers: list) -> TokenState | None:
     return state
 
 
+def _rounds_fit(g: ArchGraph, rounds: list) -> bool:
+    """Whether rounds pass every static check of :func:`_check_op`,
+    checked as arrays: all their path vertices, in one array, must be in
+    range and every path step on an edge (:func:`_on_edges`).  A path
+    parks h pair halves at each vertex, 2w inside and w at an end (w = 2
+    for a swap, 1 for a move), and each round's halves at a vertex must
+    not exceed the budget.  A round of one simple path parks its halves
+    at distinct vertices; otherwise one sort of the keys
+    ``(r*n + v)*8 + h``, for vertex v of the r-th round, puts each
+    (round, vertex)'s halves side by side for a sum."""
+    n, budget = g.n, g.ancilla_budget
+    verts, offsets, swaps, round_of = [], [0], [], []
+    for r, rnd in enumerate(rounds):
+        offsets += map(add, rnd.offsets[1:], repeat(len(verts)))
+        verts += rnd.verts
+        swaps += map("swap".__eq__, rnd.kinds)
+        round_of += repeat(r, len(rnd.kinds))
+    try:
+        at = np.array(verts, dtype=np.int64)
+    except OverflowError:
+        return False
+    if at.min() < 0 or at.max() >= n:
+        return False
+    offsets = np.array(offsets)
+    step_ok = _on_edges(g, at[:-1], at[1:])
+    step_ok[offsets[1:-1] - 1] = True   # from one path's end to the next
+    if not step_ok.all():
+        return False
+    sizes = np.diff(offsets)
+    w = np.array(swaps, dtype=np.int64) + 1
+    halves = np.repeat(2 * w, sizes)
+    halves[offsets[:-1]] -= w
+    halves[offsets[1:] - 1] -= w
+    if len(swaps) == len(rounds):
+        return bool(halves.max() <= budget)
+    keys = np.repeat(np.array(round_of, dtype=np.int64) * n, sizes)
+    keys += at
+    keys *= 8
+    keys += halves
+    keys.sort()
+    pairs = keys >> 3
+    lasts = np.append(np.flatnonzero(pairs[1:] != pairs[:-1]), len(keys) - 1)
+    return bool((np.diff(np.cumsum(keys & 7)[lasts], prepend=0)
+                 <= budget).all())
+
+
+def _batches(rounds: list):
+    """Runs of consecutive rounds holding at most 2**16 path vertices in
+    all, or one round that holds more, so that the arrays checking a
+    run stay small."""
+    batch, size = [], 0
+    for rnd in rounds:
+        if batch and size + len(rnd.verts) > 1 << 16:
+            yield batch
+            batch, size = [], 0
+        batch.append(rnd)
+        size += len(rnd.verts)
+    if batch:
+        yield batch
+
+
+def _apply_rounds(g: ArchGraph, steps: list) -> TokenState | None:
+    """The final state of a schedule whose every timestep holds one
+    :class:`TeleRound` alone, :class:`SwapLocal` objects only or
+    nothing, as the teleport routers emit; None if a timestep is of
+    another kind or any check fails.
+
+    One pass moves the tokens: a round through :func:`_apply_tele_round`,
+    with the data tokens at its transfer ends conserved (a round of one
+    move, as the chain fallback emits, by the same rules inline), and a
+    list of local swaps that :func:`_locals_fit` accepts through
+    :func:`_apply_locals`.  Only local swaps write ancillas, so the pass
+    counts the occupied ancillas of each vertex they touch and checks a
+    round's load (:meth:`TeleRound.load`) only where that count is not
+    0 and leaves less room than the round could need.  Then the rounds'
+    static checks, :func:`_rounds_fit`, run on the rounds in batches
+    (whatever the pass did with a vertex out of range)."""
+    for step in steps:
+        if type(step) is not list or step and not (
+                type(step[0]) is SwapLocal
+                or type(step[0]) is TeleRound and len(step) == 1):
+            return None
+    budget = g.ancilla_budget
+    state = TokenState(g)
+    slots = state.slots
+    rounds = []
+    occupied: dict[int, int] = {}   # vertex -> occupied ancillas, if any
+    try:
+        for t, step in enumerate(steps):
+            if not step:
+                continue
+            rnd = step[0]
+            if type(rnd) is TeleRound:
+                rounds.append(rnd)
+                # a transfer parks at most 4 halves at a vertex
+                room = budget - 4 * len(rnd.kinds)
+                for v, c in occupied.items():
+                    if c > room and rnd.load(v) > budget - c:
+                        return None
+                verts, kinds = rnd.verts, rnd.kinds
+                if len(kinds) == 1 and kinds[0] == "move":
+                    # the rules of _apply_tele_round for one move: its
+                    # source holds a token and its destination none
+                    src, dst = slots[verts[0]], slots[verts[-1]]
+                    if src[0] is None or dst[0] is not None:
+                        return None
+                    dst[0], src[0] = src[0], None
+                    continue
+                rows = [slots[v] for v in _round_ends(rnd)]
+                before = _data_tokens(rows)
+                _apply_tele_round(state, rnd, t, {})
+                if _data_tokens(rows) != before:
+                    return None
+                continue
+            if not _locals_fit(g, step):
+                return None
+            _apply_locals(state, step, t)
+            for op in step:
+                row = slots[op.v]
+                c = budget - row.count(None) + (row[0] is None)
+                if c:
+                    occupied[op.v] = c
+                else:
+                    occupied.pop(op.v, None)
+    except (ScheduleError, IndexError):   # IndexError: a vertex >= n
+        return None
+    if not all(_rounds_fit(g, batch) for batch in _batches(rounds)):
+        return None
+    return state
+
+
 def apply_schedule(g: ArchGraph, schedule: Schedule) -> TokenState:
     """Execute a schedule from the canonical start state and return the
     final state.  Raises :class:`ScheduleError` on any malformed or
@@ -525,37 +603,25 @@ def apply_schedule(g: ArchGraph, schedule: Schedule) -> TokenState:
     any timestep that does not conserve tokens; to inspect the state
     between timesteps, call :func:`apply_timestep` in a loop.
 
-    A schedule whose every timestep is a :class:`SwapLayer`, as every
-    swap router emits and ``Schedule.from_json`` reads a swap file, is
-    checked and applied whole, as arrays (:func:`_apply_layers`).  If
-    that check fails, the schedule is run again timestep by timestep
-    from the start, which raises the error, so a fault gets the same
-    message either way.  Any other schedule runs timestep by timestep,
-    keeping each vertex's count of occupied ancillas from the first lone
-    round on, counted at the vertices the local swaps so far touched,
-    for :func:`_round_fits`; a round that fails goes through
-    :func:`apply_timestep`, for the same error.
+    Two kinds of schedule are checked whole, as arrays: one whose every
+    timestep is a :class:`SwapLayer`, as every swap router emits and
+    ``Schedule.from_json`` reads a swap file (:func:`_apply_layers`),
+    and one of lone rounds, local swaps and empty timesteps, as the
+    teleport routers emit (:func:`_apply_rounds`).  If a whole check
+    fails, or the schedule is of neither kind, it is run timestep by
+    timestep from the start, which raises the error, so a fault gets
+    the same message either way.
     """
     steps = schedule.timesteps
     if all(map(is_, map(type, steps), repeat(SwapLayer))):
         state = _apply_layers(g, steps)
-        if state is not None:
-            return state
+    else:
+        state = _apply_rounds(g, steps)
+    if state is not None:
+        return state
     state = TokenState(g)
-    slots, occupied = state.slots, None
     for t, step in enumerate(steps):
-        if (type(step) is list and len(step) == 1
-                and type(rnd := step[0]) is TeleRound):
-            if occupied is None:   # ancillas start empty
-                occupied, fullest = [0] * g.n, 0
-                if _recount(occupied, slots, steps[:t]):
-                    fullest = max(occupied)
-            if _round_fits(g, slots, rnd, occupied, fullest):
-                _apply_lone_round(state, rnd, t)
-                continue
         apply_timestep(g, state, step, t)
-        if occupied is not None and _recount(occupied, slots, (step,)):
-            fullest = max(occupied)
     return state
 
 

@@ -11,12 +11,17 @@ primitives exist:
   the data slot, slots 1..B are ancillas).
 * ``TeleRound(transfers)`` — one round of entanglement-mediated
   transfers; each transfer carries a token along a vertex path, either
-  one-way (``move``) or exchanging the endpoint tokens (``swap``).
+  one-way (``move``) or exchanging the endpoint tokens (``swap``).  A
+  round holds its paths as a layer holds its swaps: one int list of
+  every path's vertices, concatenated, the path offsets and a kind per
+  transfer, and it yields ``Transfer`` objects on demand.
 
 Depth is the sum over timesteps of the most expensive primitive in the
 timestep, under a configurable cost model.  Both forms of a timestep
 give the same depth, the same canonical JSON and, in the executor, the
-same result or the same error.
+same result or the same error.  A vertex that is not an integer is
+refused: by a round when it is built, and by ``to_json`` for a swap
+endpoint, so that ``%d`` never writes a float's integer part.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import repeat
 from math import inf
-from operator import add, lt
+from operator import add, index, lt
 
 from .graphs import ArchGraph
 
@@ -148,52 +153,132 @@ class Transfer:
         A path of d edges consumes one pair per edge: interiors hold two
         halves, endpoints one.  A "swap" uses a channel in each
         direction, doubling every load.  Nothing in the package calls
-        this: it is the plain statement of the load rule, and the tests
-        hold :meth:`TeleRound.loads` and ``tele_routing._add_load``, the
-        executor's and the packer's hot-loop counts, equal to it.
+        this: it is the plain statement of the load rule.  Tests hold
+        to it :meth:`TeleRound.loads` and :meth:`TeleRound.load`, which
+        the executor's per-primitive path reads, the array check of
+        ``execute._rounds_fit``, which sums 2w per path vertex less w
+        at each end, and the packer's ``tele_routing._add_load``.
         """
         w = 2 if self.kind == "swap" else 1
         p = self.path
         return [(p[0], w), *((v, 2 * w) for v in p[1:-1]), (p[-1], w)]
 
 
-@dataclass(frozen=True)
-class TeleRound:
-    transfers: tuple[Transfer, ...]
+_WEIGHTS = {"move": 1, "swap": 2}   # channels per transfer kind
 
-    def __post_init__(self):
-        object.__setattr__(self, "transfers", tuple(self.transfers))
-        if not self.transfers:
+
+class _Transfers:
+    """The transfers of a round as a sequence of :class:`Transfer`
+    objects, each built when it is read (iterating reads them in turn);
+    ``len`` builds none."""
+
+    __slots__ = ("rnd",)
+
+    def __init__(self, rnd: "TeleRound"):
+        self.rnd = rnd
+
+    def __len__(self) -> int:
+        return len(self.rnd.kinds)
+
+    def __getitem__(self, i: int) -> Transfer:
+        r = self.rnd
+        i = range(len(r.kinds))[i]
+        return Transfer(tuple(r.verts[r.offsets[i]:r.offsets[i + 1]]),
+                        r.kinds[i])
+
+
+class TeleRound:
+    """One round of entanglement-mediated transfers, held as a
+    :class:`SwapLayer` holds swaps: ``verts`` is every transfer's path
+    concatenated, in order, transfer i's path is
+    ``verts[offsets[i]:offsets[i + 1]]`` and ``kinds[i]`` its kind.  So
+    the routers, ``Schedule.from_json``, ``to_json`` and the executor
+    read whole lists, with no object per transfer.
+
+    ``TeleRound(transfers)`` takes :class:`Transfer` objects, and
+    ``transfers`` yields them again, each built when it is read.  A path
+    vertex must be an integer (an int, a bool or a numpy int); anything
+    else raises ValueError."""
+
+    __slots__ = ("verts", "offsets", "kinds")
+
+    def __init__(self, transfers):
+        verts, offsets, kinds = [], [0], []
+        for tr in transfers:
+            verts += tr.path
+            offsets.append(len(verts))
+            kinds.append(tr.kind)
+        if not kinds:
             raise ValueError("tele_round needs at least one transfer")
+        # an int, a bool or a numpy int, as operator.index takes them
+        if not set(map(type, verts)) <= {int}:
+            for v in verts:
+                try:
+                    index(v)
+                except TypeError:
+                    raise ValueError(f"transfer path vertex {v!r} is not "
+                                     f"an integer") from None
+        self.verts, self.offsets, self.kinds = verts, offsets, kinds
+
+    @classmethod
+    def from_lists(cls, verts: list, offsets: list[int],
+                   kinds: list[str]) -> "TeleRound":
+        """A round over lists already known to be well formed: simple
+        paths of at least two integer vertices, ``offsets`` starting at
+        0 and ending at ``len(verts)``, kinds "move" or "swap"."""
+        rnd = cls.__new__(cls)
+        rnd.verts, rnd.offsets, rnd.kinds = verts, offsets, kinds
+        return rnd
+
+    @property
+    def transfers(self) -> _Transfers:
+        return _Transfers(self)
+
+    def __eq__(self, other):
+        if type(other) is not TeleRound:
+            return NotImplemented
+        return (self.verts == other.verts and self.offsets == other.offsets
+                and self.kinds == other.kinds)
+
+    def __hash__(self):
+        return hash((tuple(self.verts), tuple(self.offsets),
+                     tuple(self.kinds)))
+
+    def __repr__(self) -> str:
+        return f"TeleRound(transfers={tuple(self.transfers)!r})"
 
     def vertices(self) -> set[int]:
-        out = set()
-        for t in self.transfers:
-            out.update(t.path)
-        return out
+        return set(self.verts)
 
     def loads(self) -> dict[int, int]:
         """Pair halves the round parks at each vertex on its paths, in
-        one pass over the transfers (keys are :meth:`vertices`, in
+        one pass over the path vertices (keys are :meth:`vertices`, in
         order of first appearance).  This is :meth:`Transfer.halves`
-        summed, counted with no tuple per vertex: 2w at every vertex of
-        a path, less w at each end."""
+        summed: 2w at every vertex of a path, less w at each end."""
         out: dict[int, int] = {}
-        get = out.get
-        for t in self.transfers:
-            w = 2 if t.kind == "swap" else 1
-            p, inner = t.path, 2 * w
-            for v in p:
-                out[v] = get(v, 0) + inner
-            out[p[0]] -= w
-            out[p[-1]] -= w
+        get, verts, offs = out.get, self.verts, self.offsets
+        for a, b, kind in zip(offs, offs[1:], self.kinds):
+            w = _WEIGHTS[kind]
+            for v in verts[a:b]:
+                out[v] = get(v, 0) + 2 * w
+            out[verts[a]] -= w
+            out[verts[b - 1]] -= w
         return out
 
     def load(self, v: int) -> int:
-        return self.loads().get(v, 0)
+        """``loads().get(v, 0)``; for a round of one transfer, read off
+        its path with no pass in Python over it."""
+        verts, kinds = self.verts, self.kinds
+        if len(kinds) > 1:
+            return self.loads().get(v, 0)
+        if v not in verts:
+            return 0
+        w = _WEIGHTS[kinds[0]]
+        return w if v == verts[0] or v == verts[-1] else 2 * w
 
     def incidence(self, v: int) -> int:
-        return sum(1 for t in self.transfers if v in t.path)
+        verts, offs = self.verts, self.offsets
+        return sum(v in verts[a:b] for a, b in zip(offs, offs[1:]))
 
 
 Op = SwapEdge | SwapLocal | TeleRound
@@ -247,9 +332,11 @@ def op_to_dict(op: Op) -> dict:
     if isinstance(op, SwapLocal):
         return {"type": "swap_local", "v": op.v, "s1": op.s1, "s2": op.s2}
     if isinstance(op, TeleRound):
+        verts, offs = op.verts, op.offsets
         return {"type": "tele_round",
-                "transfers": [{"path": list(t.path), "kind": t.kind}
-                              for t in op.transfers]}
+                "transfers": [{"path": verts[a:b], "kind": kind}
+                              for a, b, kind in zip(offs, offs[1:],
+                                                    op.kinds)]}
     raise TypeError(f"not a primitive: {op!r}")
 
 
@@ -261,15 +348,28 @@ def _int_field(d: dict, key: str) -> int:
     return x
 
 
-def _transfer_from_dict(d) -> Transfer:
-    if not isinstance(d, dict):
-        raise ValueError(f"a transfer must be an object, got {d!r}")
-    path = d.get("path")
-    # one pass over the entry types; type(True) is bool, so no bools
-    if not isinstance(path, list) or not set(map(type, path)) <= {int}:
-        raise ValueError(f"transfer path must be a list of integers, "
-                         f"got {path!r}")
-    return Transfer(tuple(path), d.get("kind", "move"))
+def _round_from_dicts(transfers: list) -> TeleRound:
+    """The round a JSON list of transfer objects describes, its lists
+    built straight from the parsed paths: one pass over a path's entry
+    types checks that it holds ints only (``type(True)`` is bool, so no
+    bools), one set that it is simple."""
+    verts, offsets, kinds = [], [0], []
+    for d in transfers:
+        if not isinstance(d, dict):
+            raise ValueError(f"a transfer must be an object, got {d!r}")
+        path, kind = d.get("path"), d.get("kind", "move")
+        if not isinstance(path, list) or not set(map(type, path)) <= {int}:
+            raise ValueError(f"transfer path must be a list of integers, "
+                             f"got {path!r}")
+        if (len(path) < 2 or len(set(path)) != len(path)
+                or kind != "move" and kind != "swap"):
+            Transfer(path, kind)   # raises the error
+        verts += path
+        offsets.append(len(verts))
+        kinds.append(kind)
+    if not kinds:
+        raise ValueError("tele_round needs at least one transfer")
+    return TeleRound.from_lists(verts, offsets, kinds)
 
 
 def op_from_dict(d: dict) -> Op:
@@ -288,7 +388,7 @@ def op_from_dict(d: dict) -> Op:
         if not isinstance(transfers, list):
             raise ValueError(f"tele_round field 'transfers' must be a "
                              f"list, got {transfers!r}")
-        return TeleRound(tuple(_transfer_from_dict(t) for t in transfers))
+        return _round_from_dicts(transfers)
     raise ValueError(f"unknown primitive type {kind!r}")
 
 
@@ -297,14 +397,27 @@ def op_from_dict(d: dict) -> Op:
 _encode = json.JSONEncoder(sort_keys=True).encode
 
 
+def _integer(v):
+    """``v`` as :func:`operator.index` takes it; ValueError otherwise, so
+    that ``%d`` never writes a float's integer part."""
+    try:
+        return index(v)
+    except TypeError:
+        raise ValueError(f"vertex {v!r} is not an integer") from None
+
+
 def _op_json(op: Op) -> str:
     """Canonical JSON text of a primitive, which is also its sort key
     within a timestep.  The text is exactly what
     ``JSONEncoder(sort_keys=True)`` gives for :func:`op_to_dict` of the
     op; it is formatted directly, since the fields are integers and a
-    transfer kind is "move" or "swap", none of which needs escaping."""
+    transfer kind is "move" or "swap", none of which needs escaping.
+    A swap endpoint that is not an integer raises ValueError."""
     if type(op) is SwapEdge:
-        return '{"type": "swap_edge", "u": %d, "v": %d}' % (op.u, op.v)
+        u, v = op.u, op.v
+        if type(u) is not int or type(v) is not int:
+            u, v = _integer(u), _integer(v)
+        return '{"type": "swap_edge", "u": %d, "v": %d}' % (u, v)
     if type(op) is SwapLocal:
         return ('{"s1": %d, "s2": %d, "type": "swap_local", "v": %d}'
                 % (op.s1, op.s2, op.v))
@@ -316,15 +429,23 @@ def _op_json(op: Op) -> str:
 def _round_json(op: TeleRound, vertex) -> str:
     """:func:`_op_json` of a round, ``vertex`` formatting each path
     vertex as ``%d`` does (so a bool writes as 1)."""
+    verts, offs = op.verts, op.offsets
+    if len(offs) == 2:   # one transfer: its path is the whole list
+        return ('{"transfers": [{"kind": "%s", "path": [%s]}], '
+                '"type": "tele_round"}'
+                % (op.kinds[0], ", ".join(map(vertex, verts))))
     return ('{"transfers": [%s], "type": "tele_round"}' % ", ".join(
         '{"kind": "%s", "path": [%s]}'
-        % (t.kind, ", ".join(map(vertex, t.path))) for t in op.transfers))
+        % (kind, ", ".join(map(vertex, verts[a:b])))
+        for a, b, kind in zip(offs, offs[1:], op.kinds)))
 
 
 class _VertexTexts(dict):
     """``texts[v]`` is ``fmt % v``, formatted the first time ``v`` is
     looked up.  Keys that compare equal share one text, which is safe
-    for ``%d``: equal numbers format alike.  Made per ``to_json`` call."""
+    for ``%d``: equal numbers format alike.  A key that is not an
+    integer raises ValueError when it is first looked up.  Made per
+    ``to_json`` call."""
 
     __slots__ = ("fmt",)
 
@@ -333,7 +454,7 @@ class _VertexTexts(dict):
         self.fmt = fmt
 
     def __missing__(self, v):
-        text = self[v] = self.fmt % v
+        text = self[v] = self.fmt % (v if type(v) is int else _integer(v))
         return text
 
 
@@ -344,7 +465,7 @@ def _step_json(step, heads: _VertexTexts, tails: _VertexTexts,
     halves of what :func:`_op_json` formats for ``SwapEdge(u, v)``, and
     the path vertices of a round alone in its step (as the teleport
     routers emit rounds) are ``vertices[v]``, so each vertex is
-    formatted once per schedule."""
+    formatted, and checked to be an integer, once per schedule."""
     if type(step) is SwapLayer:
         texts = list(map(add, map(heads.__getitem__, step.us),
                          map(tails.__getitem__, step.vs)))

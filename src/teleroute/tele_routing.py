@@ -48,7 +48,6 @@ from .schedule import (
     SwapEdge,
     SwapLocal,
     TeleRound,
-    Transfer,
 )
 from .sparse_routing import sparse_route
 from .swap_routing import route_generic
@@ -117,24 +116,26 @@ def ladder_schedule(g: ArchGraph, pi: Permutation) -> Schedule:
     if pi.n != g.n:
         raise ValueError("permutation size does not match the graph")
     n = g.param_dict["n"]
-    transfers = []
+    verts, offsets = [], [0]
     for u in range(g.n):
         if pi(u) == u:
             continue
-        path = canonical_path(n, u + 1, pi(u) + 1)
-        transfers.append(Transfer(tuple(a - 1 for a in path)))
-    if not transfers:
+        verts += [a - 1 for a in canonical_path(n, u + 1, pi(u) + 1)]
+        offsets.append(len(verts))
+    if not verts:
         return Schedule([])
-    rnd = TeleRound(tuple(transfers))
-    incidence = Counter(v for tr in transfers for v in tr.path)
-    for v, load in rnd.loads().items():
-        if incidence[v] > 4:
+    # every moving vertex ends two paths (one as source, one as
+    # destination) and every other path vertex none, so the load at v
+    # is twice its incidence less 2 if v moves
+    for v, incidence in Counter(verts).items():
+        if incidence > 4:
             raise RuntimeError(
                 f"canonical paths exceed incidence 4 at vertex {v}")
-        if load > 6:
+        if 2 * incidence - 2 * (pi(v) != v) > 6:
             raise RuntimeError(
                 f"canonical paths exceed load 6 at vertex {v}")
-    return Schedule([[rnd]])
+    moves = ["move"] * (len(offsets) - 1)
+    return Schedule([[TeleRound.from_lists(verts, offsets, moves)]])
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +337,11 @@ def _fit_cycle(hop, cyc: tuple[int, ...],
     return paths
 
 
+def _lone_move(path: tuple[int, ...]) -> TeleRound:
+    """A round of one move along ``path``."""
+    return TeleRound.from_lists(list(path), [0, len(path)], ["move"])
+
+
 def _chain_timesteps(hop, cyc: tuple[int, ...], n: int,
                      budget: int) -> list[list]:
     """Realize one cycle as single-transfer rounds: park one vertex's
@@ -363,9 +369,9 @@ def _chain_timesteps(hop, cyc: tuple[int, ...], n: int,
             if final is not None:
                 park = SwapLocal(rot[0], 0, 1)
                 steps: list[list] = [[park]]
-                steps.extend([TeleRound((Transfer(p),))] for p in paths)
+                steps.extend([_lone_move(p)] for p in paths)
                 steps.append([park])
-                steps.append([TeleRound((Transfer(final),))])
+                steps.append([_lone_move(final)])
                 steps.append([park])
                 return steps
         parked[rot[0]] = 0
@@ -443,7 +449,8 @@ def greedy_schedule(g: ArchGraph, pi: Permutation) -> Schedule:
     # cycles (longest hop >= 2) come before any round is opened
     over = [0] * g.n
     over_inner = [0] * g.n
-    rounds: list[tuple[list[Transfer], list[int]]] = []
+    # per open round: its path vertices, path offsets and load
+    rounds: list[tuple[list[int], list[int], list[int]]] = []
     chained: list[tuple[int, ...]] = []
     for _, cyc, inner in entries:
         blocked = 0
@@ -454,7 +461,7 @@ def greedy_schedule(g: ArchGraph, pi: Permutation) -> Schedule:
         candidates = ((1 << len(rounds)) - 1) & ~blocked
         while candidates:
             r = (candidates & -candidates).bit_length() - 1
-            paths = _fit_cycle(hop, cyc, rounds[r][1])
+            paths = _fit_cycle(hop, cyc, rounds[r][2])
             if paths is not None:
                 break
             candidates &= candidates - 1
@@ -465,19 +472,21 @@ def greedy_schedule(g: ArchGraph, pi: Permutation) -> Schedule:
             if paths is None:
                 chained.append(cyc)
                 continue
-            rounds.append(([], load))
-        transfers, load = rounds[r]
-        transfers.extend(Transfer(p) for p in paths)
+            rounds.append(([], [0], load))
+        verts, offsets, load = rounds[r]
         bit = 1 << r
         for p in paths:
+            verts += p
+            offsets.append(len(verts))
             for v in p:
                 if load[v] > budget - 4:
                     over_inner[v] |= bit
                     if load[v] > budget - 2:
                         over[v] |= bit
 
-    timesteps: list[list] = [[TeleRound(tuple(transfers))]
-                             for transfers, _ in rounds]
+    timesteps: list[list] = [
+        [TeleRound.from_lists(verts, offsets, ["move"] * (len(offsets) - 1))]
+        for verts, offsets, _ in rounds]
     for cyc in chained:
         timesteps.extend(_chain_timesteps(hop, cyc, g.n, budget))
     return Schedule(timesteps)
@@ -523,10 +532,12 @@ def simulate_round_with_swaps(g: ArchGraph, rnd: TeleRound) -> Schedule:
             raise ValueError(f"vertex {src} sends two tokens")
         moves[src] = (dst, path)
 
-    for tr in rnd.transfers:
-        add_move(tr.path[0], tr.path[-1], tr.path)
-        if tr.kind == "swap":
-            add_move(tr.path[-1], tr.path[0], tuple(reversed(tr.path)))
+    verts, offsets = rnd.verts, rnd.offsets
+    for a, b, kind in zip(offsets, offsets[1:], rnd.kinds):
+        path = tuple(verts[a:b])
+        add_move(path[0], path[-1], path)
+        if kind == "swap":
+            add_move(path[-1], path[0], path[::-1])
     image = list(range(n))
     received: set[int] = set()
     for src, (dst, _) in moves.items():

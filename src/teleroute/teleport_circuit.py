@@ -325,13 +325,13 @@ def _emit_rounds(c: CliffordCircuit, g: ArchGraph, rounds: list[TeleRound],
 
     chains, deliver = [], []
     for rnd in rounds:
-        for tr in rnd.transfers:
-            legs = [tr.path] if tr.kind == "move" else [
-                tr.path, tuple(reversed(tr.path))]
-            for path in legs:
-                hops = [(take(u), take(v)) for u, v in zip(path, path[1:])]
-                chains.append((slot(path[0], 0), hops))
-                deliver.append((hops[-1][1], slot(path[-1], 0)))
+        verts, offsets = rnd.verts, rnd.offsets
+        for a, b, kind in zip(offsets, offsets[1:], rnd.kinds):
+            path = verts[a:b]
+            for leg in (path,) if kind == "move" else (path, path[::-1]):
+                hops = [(take(u), take(v)) for u, v in zip(leg, leg[1:])]
+                chains.append((slot(leg[0], 0), hops))
+                deliver.append((hops[-1][1], slot(leg[-1], 0)))
     block, resets, c.num_records = _relay_block(chains, c.num_records)
     c.layers.extend(block[:5])
     c.layers.append(resets)

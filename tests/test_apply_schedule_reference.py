@@ -1,26 +1,25 @@
 """The whole-schedule verifier against stepping ``apply_timestep``.
 
-``apply_schedule`` checks a round alone in its timestep against a count
-of each vertex's occupied ancillas that it keeps across the schedule:
-built at the first lone round, updated after every timestep that holds
-a local swap (a ``SwapLocal`` subclass too), since only local swaps
-write ancillas.  Any round that fails that check is handed to
-``apply_timestep``.  On random small graphs, schedules are drawn
-timestep by timestep from the state they reach, so that most of them
-run many steps before a fault, if any: local swaps that park tokens in
-ancillas and fetch them back (some through a ``SwapLocal`` subclass,
-some in a tuple timestep, some with a slot past the budget or a slot
-used twice), lone rounds
-that move a token into an emptied vertex across parked ones, cycles of
-moves, swap transfers, several transfers on disjoint or overlapping
-paths, paths through vertices -1 and n or off the edges, and timesteps
-that mix a round or an edge swap with local swaps.  ``apply_schedule``
+``apply_schedule`` checks a schedule of lone rounds, local swaps and
+empty timesteps whole: every round's paths as one array, against each
+vertex's occupied ancillas, which change only at local swaps.  Any
+other schedule, and any that fails that check, is run again timestep
+by timestep through ``apply_timestep``.  On random small graphs,
+schedules are drawn timestep by timestep from the state they reach, so
+that most of them run many steps before a fault, if any: local swaps
+that park tokens in ancillas and fetch them back (some through a
+``SwapLocal`` subclass, some in a tuple timestep, some with a slot past
+the budget or a slot used twice), lone rounds that move a token into an
+emptied vertex across parked ones, cycles of moves, swap transfers,
+several transfers on disjoint or overlapping paths, paths through
+vertices -1 and n or off the edges, and timesteps that mix a round or
+an edge swap with local swaps.  ``apply_schedule``
 must leave the same slots as ``apply_timestep`` stepped from a fresh
 ``TokenState``, or raise the same ``ScheduleError`` text.
 
 Verifying chained greedy schedules must never count a slot row: a guard
-records every ``_round_fits`` call made while verifying, and each must
-read the kept counts.
+records every ``_apply_tele_round`` call made while verifying, and none
+may be handed loads to check against slot rows.
 """
 
 import pytest
@@ -273,34 +272,41 @@ def test_parked_tokens_count_against_later_rounds(budget, local, phrase):
 
 
 @pytest.fixture
-def fits_calls(monkeypatch):
-    """Whether each ``_round_fits`` call was given the kept counts."""
+def row_counts(monkeypatch):
+    """For each ``_apply_tele_round`` call, whether it was handed loads
+    to check against free ancillas counted in slot rows."""
     calls = []
-    real = execute._round_fits
+    real = execute._apply_tele_round
 
-    def counted(g, slots, rnd, occupied=None, fullest=0):
-        calls.append(occupied is not None)
-        return real(g, slots, rnd, occupied, fullest)
+    def counted(state, op, t, loads):
+        calls.append(bool(loads))
+        return real(state, op, t, loads)
 
-    monkeypatch.setattr(execute, "_round_fits", counted)
+    monkeypatch.setattr(execute, "_apply_tele_round", counted)
     return calls
 
 
 @pytest.mark.parametrize("budget", [2, 3, 6])
-def test_chained_greedy_rounds_never_count_slot_rows(fits_calls, budget):
+def test_chained_greedy_rounds_never_count_slot_rows(row_counts, budget):
     """Path 64 random chains its cycles, parking tokens with local swaps
-    between rounds.  At budget 2 a parked token leaves too few free
-    ancillas for the one-comparison check, so rounds there also take
-    the per-vertex count and the load comparison, read from the kept
-    counts all the same.  A round stepped alone afterwards counts its
-    slot rows, which shows that the guard sees the executor's calls."""
-    g = generate_graph("path", n=64, ancilla_budget=budget)
-    pi = generate_permutation("random", g, seed=1)
-    sched = greedy_schedule(g, pi)   # the router steps its own rounds
-    assert any(isinstance(op, SwapLocal) for op in sched.ops())
-    fits_calls.clear()
-    assert verify_schedule(g, sched, pi)
-    rounds = sum(isinstance(op, TeleRound) for op in sched.ops())
-    assert fits_calls == [True] * rounds
+    between rounds, and hypercube d=6 random packs one round before its
+    chains.  At budget 2 a parked token leaves a vertex one free
+    ancilla, so there the whole check must read the parked counts to
+    pass the rounds.  Every round but a lone move (which is moved
+    inline) goes through ``_apply_tele_round`` with no load map, its
+    free ancillas checked whole.  A round stepped alone afterwards
+    counts its slot rows, which shows that the guard sees the executor's
+    calls."""
+    for family, params in (("path", {"n": 64}), ("hypercube", {"d": 6})):
+        g = generate_graph(family, ancilla_budget=budget, **params)
+        pi = generate_permutation("random", g, seed=1)
+        sched = greedy_schedule(g, pi)
+        assert any(isinstance(op, SwapLocal) for op in sched.ops())
+        row_counts.clear()
+        assert verify_schedule(g, sched, pi)
+        shared = sum(isinstance(op, TeleRound) and len(op.transfers) > 1
+                     for op in sched.ops())
+        assert row_counts == [False] * shared
+    assert shared
     apply_timestep(g, TokenState(g), [TeleRound((Transfer((0, 1), "swap"),))])
-    assert fits_calls[-1] is False
+    assert row_counts[-1] is True

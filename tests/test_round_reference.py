@@ -285,9 +285,11 @@ def _path_slots(n, budget, parked_at=()):
     (2, [((0, 2), "move")], [2], [], "path step (0,2) is not an edge"),
     (2, [((3, 4), "move")], [], [], "vertex 4 out of range"),
     (2, [((0, -1), "move")], [], [], "vertex -1 out of range"),
-    # a vertex that is not an int fails the per-vertex checks, if any
-    (2, [((0, 1.5), "move")], [], [], "path step (0,1.5) is not an edge"),
-    (2, [((0, "1"), "move")], [], [], "'<=' not supported"),
+    # a vertex that is not an integer is refused when the round is built
+    (2, [((0, 1.5), "move")], [], [],
+     "transfer path vertex 1.5 is not an integer"),
+    (2, [((0, "1"), "move")], [], [],
+     "transfer path vertex '1' is not an integer"),
     # vertex -1 would index vertex 3's neighbours, (2,), from the end
     (2, [((-1, 2), "move")], [2], [], "vertex -1 out of range"),
     (2, [((0, 1), "move")], [0, 1], [], "transfer source 0 holds no token"),
@@ -315,7 +317,11 @@ def test_lone_round_cases(budget, transfers, empty, parked, phrase):
     slots = _path_slots(4, budget, parked)
     for v in empty:
         slots[v][0] = None
-    rnd = TeleRound(tuple(Transfer(p, k) for p, k in transfers))
+    try:
+        rnd = TeleRound(tuple(Transfer(p, k) for p, k in transfers))
+    except ValueError as e:
+        assert str(e) == phrase
+        return
     got = outcome(executor, g, slots, rnd)
     assert got == outcome(frozen, g, slots, rnd)
     if phrase is None:

@@ -1,6 +1,7 @@
 """Schedule serialization, cost models, and token-level execution."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -425,16 +426,27 @@ def test_swap_edge_error_messages():
 
 
 @pytest.mark.parametrize("op, msg", [
-    (TeleRound((Transfer((0, 1.0)),)), "path vertex is not an integer"),
-    (TeleRound((Transfer((1.0, 0)),)), "path vertex is not an integer"),
-    (TeleRound((Transfer((0, 1.0, 2), "swap"),)),
+    (partial(TeleRound, (Transfer((0, 1.0)),)),
      "path vertex is not an integer"),
-    (SwapLocal(0, 0, 1.0), "vertex or slot is not an integer"),
-    (SwapLocal(0.0, 0, 1), "vertex or slot is not an integer"),
+    (partial(TeleRound, (Transfer((1.0, 0)),)),
+     "path vertex is not an integer"),
+    (partial(TeleRound, (Transfer((0, 1.0, 2), "swap"),)),
+     "path vertex is not an integer"),
+    (partial(SwapLocal, 0, 0, 1.0), "vertex or slot is not an integer"),
+    (partial(SwapLocal, 0.0, 0, 1), "vertex or slot is not an integer"),
 ])
 def test_non_int_vertex_or_slot_names_timestep_and_primitive(op, msg):
-    # in range and on an edge, so only the integer check can catch it
+    """A local swap's non-int vertex or slot, in range and on an edge,
+    is caught by the executor's integer check alone.  A round's path
+    vertex 1.0 never gets that far: the round refuses it when it builds
+    its vertex list, with a one-line ValueError that names the vertex."""
     g = generate_graph("path", n=4)
+    if msg.startswith("path"):
+        with pytest.raises(ValueError) as err:
+            op()
+        assert str(err.value) == "transfer path vertex 1.0 is not an integer"
+        return
+    op = op()
     with pytest.raises(ScheduleError) as err:
         apply_schedule(g, Schedule([[SwapEdge(2, 3)], [op]]))
     assert str(err.value) == f"timestep 1, {type(op).__name__} {op}: {msg}"

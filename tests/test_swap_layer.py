@@ -168,10 +168,17 @@ def test_layer_depth_and_json_match_objects(data):
 ])
 def test_layer_json_of_odd_endpoints_matches_objects(us, vs):
     """Endpoints that are not exact ints format as the object form
-    formats them."""
+    formats them, and a float endpoint is refused by both forms alike."""
+    def written(step):
+        try:
+            return Schedule([step]).to_json()
+        except ValueError as e:
+            return f"ValueError: {e}"
+
     layer = SwapLayer(us, vs)
-    assert (Schedule([layer]).to_json()
-            == Schedule([list(layer)]).to_json())
+    assert written(layer) == written(list(layer))
+    assert written(layer).startswith("ValueError") == (float in map(
+        type, us + vs))
 
 
 @settings(max_examples=100, deadline=None)
