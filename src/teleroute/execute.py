@@ -9,34 +9,36 @@ timestep, transfer loads fit in the free ancilla slots), checks that
 every timestep conserves tokens, and reports the permutation a valid
 schedule achieves.
 
-Four kinds of timestep are checked whole by :func:`apply_timestep`,
+Five kinds of timestep are checked whole by :func:`apply_timestep`,
 with no call, claim map or sort per primitive: a :class:`SwapLayer`
 and a list of :class:`SwapEdge` only (int endpoints in range, on edges,
 no vertex twice), a list of :class:`SwapLocal` only (int vertex and
-slots in range, no slot twice), each in one loop over its swaps; and an
-empty list.  When a whole check fails, the timestep is checked again
-primitive by primitive, which raises the error; so either way a fault
-gets the same message.  Any other timestep, one with a round included,
-is checked primitive by primitive.
+slots in range, no slot twice), each in one loop over its swaps; a
+list holding one :class:`TeleRound` alone, with a builtin pass over
+its lists; and an empty list.  When a whole check fails, the timestep
+is checked again primitive by primitive, which raises the error; so
+either way a fault gets the same message.
 
 :func:`apply_schedule` checks two kinds of schedule whole, with numpy
 array passes: one of :class:`SwapLayer` timesteps only, which is what
 every swap router emits and what a swap file reads back as, and one of
 lone rounds, local-swap lists and empty timesteps, which is what the
-teleport routers emit.  The first applies all its swaps to one array of
-data tokens.  The second moves tokens one round at a time, reads each
-vertex's occupied ancillas, which only local swaps change, from counts
-it keeps at the vertices they touched, and checks the rounds' path
-vertices as arrays (range, edges, loads), a batch of rounds at a time.
-If a whole check fails, the schedule is run again timestep by timestep
-from the start, so a fault gets the same message there too.
+teleport routers emit, when its rounds hold more than two path vertices
+per graph vertex (a smaller one is stepped, which costs less).  The
+first applies all its swaps to one array of data tokens.  The second
+moves tokens one round at a time, reads each vertex's occupied
+ancillas, which only local swaps change, from counts it keeps at the
+vertices they touched, and checks the rounds' path vertices as arrays
+(range, edges, loads), a batch of rounds at a time.  If a whole check
+fails, the schedule is run again timestep by timestep from the start,
+so a fault gets the same message there too.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from itertools import accumulate, chain, repeat
-from operator import add, index, is_, is_not, itemgetter
+from operator import add, contains, ge, index, is_, is_not, itemgetter, sub
 
 import numpy as np
 
@@ -149,8 +151,7 @@ def _check_op(g: ArchGraph, op, t: int) -> dict[int, int] | None:
 def _round_ends(rnd: TeleRound) -> set:
     """The vertices a round's transfers start or end at."""
     verts, offsets = rnd.verts, rnd.offsets
-    return set(map(verts.__getitem__,
-                   offsets[:-1] + [b - 1 for b in offsets[1:]]))
+    return {verts[i] for a, b in zip(offsets, offsets[1:]) for i in (a, b - 1)}
 
 
 def _slots_written(op) -> list[tuple[int, int]]:
@@ -212,14 +213,13 @@ def apply_timestep(g: ArchGraph, state: TokenState, ops, t: int = 0):
     conservation check compares the tokens in those slots before and
     after the step; the cost is linear in the size of the timestep.
 
-    Four kinds of timestep are checked whole before any slot changes: a
-    layer, with no object per swap; a list of local swaps only and a
+    Five kinds of timestep are checked whole before any slot changes: a
+    layer, with no object per swap; a list holding one round alone, with
+    no Python step per path vertex; a list of local swaps only and a
     list of edge swaps only, with no claim map; and an empty list.  Any
     of them, if a whole check fails, is checked again primitive by
     primitive (a layer as its ``SwapEdge`` objects), so the error names
-    the same primitive, with the same text, either way.  A round is
-    checked here primitive by primitive; :func:`apply_schedule` checks
-    a schedule's rounds whole.
+    the same primitive, with the same text, either way.
     """
     if type(ops) is SwapLayer:
         if _layer_fits(g, ops.us, ops.vs):
@@ -231,7 +231,11 @@ def apply_timestep(g: ArchGraph, state: TokenState, ops, t: int = 0):
             return
         # the first op's type picks the whole check
         kind = type(ops[0])
-        if kind is SwapLocal:
+        if kind is TeleRound:
+            if len(ops) == 1 and _round_fits(g, state.slots, ops[0]):
+                _apply_lone_round(state, ops[0], t)
+                return
+        elif kind is SwapLocal:
             if _locals_fit(g, ops):
                 _apply_locals(state, ops, t)
                 return
@@ -341,6 +345,45 @@ def _apply_locals(state: TokenState, ops: list, t: int):
         raise ScheduleError(f"timestep {t}: tokens not conserved")
 
 
+def _round_fits(g: ArchGraph, slots, rnd: TeleRound) -> bool:
+    """Whether a round alone in its timestep passes every check that
+    :func:`_check_op` and :func:`_apply_tele_round`'s free-slot check
+    make: path vertices in range, path steps on edges, and enough empty
+    ancillas at each vertex for the halves parked there (so no load
+    over the budget), each a builtin pass over the round's lists."""
+    verts, offsets = rnd.verts, rnd.offsets
+    if min(verts) < 0 or max(verts) >= g.n:
+        return False
+    nbrs = itemgetter(*verts)(g._adj)
+    for a, b in zip(offsets, offsets[1:]):
+        if not all(map(contains, nbrs[a:b - 1], verts[a + 1:b])):
+            return False
+    # a row's free ancillas are its empty slots, less one if the data
+    # slot is empty; on disjoint simple paths no vertex holds more than
+    # 2w halves, w = 2 for a swap
+    if len(set(verts)) == len(verts):
+        most = 4 if "swap" in rnd.kinds else 2
+        if min(map(list.count, itemgetter(*verts)(slots),
+                   repeat(None))) - 1 >= most:
+            return True
+    loads = rnd.loads()
+    rows = itemgetter(*loads)(slots)
+    free = map(sub, map(list.count, rows, repeat(None)),
+               map(is_, map(_data, rows), repeat(None)))
+    return all(map(ge, free, loads.values()))
+
+
+def _apply_lone_round(state: TokenState, rnd: TeleRound, t: int):
+    """Apply a round that :func:`_round_fits` accepted, then check that
+    its endpoints' data slots hold the tokens they held before.  Its
+    free ancillas are checked already, so none is left to check."""
+    rows = [state.slots[v] for v in _round_ends(rnd)]
+    before = _data_tokens(rows)
+    _apply_tele_round(state, rnd, t, {})
+    if _data_tokens(rows) != before:
+        raise ScheduleError(f"timestep {t}: tokens not conserved")
+
+
 def _apply_tele_round(state: TokenState, op: TeleRound, t: int,
                       loads: dict[int, int]):
     """Check a round's transfers against the slots and move its tokens.
@@ -358,9 +401,8 @@ def _apply_tele_round(state: TokenState, op: TeleRound, t: int,
     # all transfers in a round act simultaneously: read sources first
     slots = state.slots
     verts, offsets = op.verts, op.offsets
-    ends = list(zip(map(verts.__getitem__, offsets[:-1]),
-                    [verts[b - 1] for b in offsets[1:]],
-                    map("swap".__eq__, op.kinds)))
+    ends = [(verts[a], verts[b - 1], kind == "swap")
+            for a, b, kind in zip(offsets, offsets[1:], op.kinds)]
     sources = set()
     for src, _, _ in ends:
         if src in sources:
@@ -399,25 +441,25 @@ def _apply_tele_round(state: TokenState, op: TeleRound, t: int,
             slots[src][0] = outgoing[dst]
 
 
-def _on_edges(g: ArchGraph, us, vs):
-    """Whether each pair ``(us[i], vs[i])`` of int arrays, in range, is
-    an edge, as a bool array.  The neighbour lists of the distinct
-    ``us`` give the edges there, with one table row per such u, or,
-    past 4 MB of table, their keys ``u*n + v``, searched."""
+def _on_edges(g: ArchGraph, us, vs) -> bool:
+    """Whether every pair ``(us[i], vs[i])`` of int arrays, in range, is
+    an edge: its key ``u*n + v`` is searched for (``searchsorted``) in
+    the keys of the edges at the distinct ``us``, which come out sorted,
+    as each neighbour list is.  Only the rows of the used ``us`` are
+    read, so a small schedule on a large graph reads few edges."""
     n, adj = g.n, g._adj
     used = np.zeros(n, dtype=bool)
     used[us] = True
     rows = np.flatnonzero(used)
     nbrs = [adj[u] for u in rows.tolist()]
     sizes = list(map(len, nbrs))
-    cols = np.fromiter(chain.from_iterable(nbrs), np.int64, sum(sizes))
-    if len(rows) * n > 1 << 22:
-        return np.isin(us * n + vs, np.repeat(rows * n, sizes) + cols)
-    row_of = np.zeros(n, dtype=np.int64)
-    row_of[rows] = np.arange(len(rows)) * n
-    table = np.zeros(len(rows) * n, dtype=bool)
-    table[row_of[np.repeat(rows, sizes)] + cols] = True
-    return table[row_of[us] + vs]
+    edge_keys = np.repeat(rows * n, sizes)
+    edge_keys += np.fromiter(chain.from_iterable(nbrs), np.int64,
+                             len(edge_keys))
+    keys = us * n + vs
+    at = np.searchsorted(edge_keys, keys)
+    return not ((at == len(edge_keys)).any()
+                or (edge_keys[at] != keys).any())
 
 
 def _apply_layers(g: ArchGraph, layers: list) -> TokenState | None:
@@ -446,7 +488,7 @@ def _apply_layers(g: ArchGraph, layers: list) -> TokenState | None:
             return None
         half = len(ends) // 2
         us, vs = ends[:half], ends[half:]
-        if not _on_edges(g, us, vs).all():
+        if not _on_edges(g, us, vs):
             return None
         step_of = np.repeat(np.arange(len(layers)) * n, sizes)
         seen = np.concatenate((step_of + us, step_of + vs))
@@ -465,15 +507,15 @@ def _apply_layers(g: ArchGraph, layers: list) -> TokenState | None:
     return state
 
 
-def _rounds_fit(g: ArchGraph, rounds: list) -> bool:
+def _rounds_fit_as_arrays(g: ArchGraph, rounds: list) -> bool:
     """Whether rounds pass every static check of :func:`_check_op`,
     checked as arrays: all their path vertices, in one array, must be in
     range and every path step on an edge (:func:`_on_edges`).  A path
     parks h pair halves at each vertex, 2w inside and w at an end (w = 2
     for a swap, 1 for a move), and each round's halves at a vertex must
-    not exceed the budget.  A round of one simple path parks its halves
-    at distinct vertices; otherwise one sort of the keys
-    ``(r*n + v)*8 + h``, for vertex v of the r-th round, puts each
+    not exceed the budget.  A round of one path parks its halves at
+    distinct vertices, since a path is simple; otherwise one sort of the
+    keys ``(r*n + v)*8 + h``, for vertex v of the r-th round, puts each
     (round, vertex)'s halves side by side for a sum."""
     n, budget = g.n, g.ancilla_budget
     verts, offsets, swaps, round_of = [], [0], [], []
@@ -483,15 +525,15 @@ def _rounds_fit(g: ArchGraph, rounds: list) -> bool:
         swaps += map("swap".__eq__, rnd.kinds)
         round_of += repeat(r, len(rnd.kinds))
     try:
-        at = np.array(verts, dtype=np.int64)
+        at = np.fromiter(verts, np.int64, len(verts))
     except OverflowError:
         return False
     if at.min() < 0 or at.max() >= n:
         return False
     offsets = np.array(offsets)
-    step_ok = _on_edges(g, at[:-1], at[1:])
-    step_ok[offsets[1:-1] - 1] = True   # from one path's end to the next
-    if not step_ok.all():
+    inner = np.ones(len(at) - 1, dtype=bool)
+    inner[offsets[1:-1] - 1] = False   # from one path's end to the next
+    if not _on_edges(g, at[:-1][inner], at[1:][inner]):
         return False
     sizes = np.diff(offsets)
     w = np.array(swaps, dtype=np.int64) + 1
@@ -526,27 +568,40 @@ def _batches(rounds: list):
         yield batch
 
 
+# A schedule whose rounds hold at most this many path vertices per graph
+# vertex is stepped: there the array check's fixed cost, some fifty
+# numpy calls and a pass over the neighbour lists it reads, is more than
+# what stepping spends on the rounds (:func:`_round_fits`).
+_ROUNDS_STEPPED_PER_VERTEX = 2
+
+
 def _apply_rounds(g: ArchGraph, steps: list) -> TokenState | None:
     """The final state of a schedule whose every timestep holds one
     :class:`TeleRound` alone, :class:`SwapLocal` objects only or
     nothing, as the teleport routers emit; None if a timestep is of
-    another kind or any check fails.
+    another kind, if its rounds hold too few path vertices for the
+    arrays to pay (``_ROUNDS_STEPPED_PER_VERTEX``), or if any check
+    fails.
 
-    One pass moves the tokens: a round through :func:`_apply_tele_round`,
-    with the data tokens at its transfer ends conserved (a round of one
-    move, as the chain fallback emits, by the same rules inline), and a
-    list of local swaps that :func:`_locals_fit` accepts through
+    One pass moves the tokens: a round through :func:`_apply_tele_round`
+    and a list of local swaps that :func:`_locals_fit` accepts through
     :func:`_apply_locals`.  Only local swaps write ancillas, so the pass
     counts the occupied ancillas of each vertex they touch and checks a
-    round's load (:meth:`TeleRound.load`) only where that count is not
+    round's loads (:meth:`TeleRound.loads`) only where that count is not
     0 and leaves less room than the round could need.  Then the rounds'
-    static checks, :func:`_rounds_fit`, run on the rounds in batches
-    (whatever the pass did with a vertex out of range)."""
+    static checks, :func:`_rounds_fit_as_arrays`, run on the rounds in
+    batches (whatever the pass did with a vertex out of range), and the
+    final slots must hold every token once."""
+    size = 0   # path vertices of the rounds
     for step in steps:
         if type(step) is not list or step and not (
                 type(step[0]) is SwapLocal
                 or type(step[0]) is TeleRound and len(step) == 1):
             return None
+        if step and type(step[0]) is TeleRound:
+            size += len(step[0].verts)
+    if size <= _ROUNDS_STEPPED_PER_VERTEX * g.n:
+        return None
     budget = g.ancilla_budget
     state = TokenState(g)
     slots = state.slots
@@ -561,23 +616,12 @@ def _apply_rounds(g: ArchGraph, steps: list) -> TokenState | None:
                 rounds.append(rnd)
                 # a transfer parks at most 4 halves at a vertex
                 room = budget - 4 * len(rnd.kinds)
-                for v, c in occupied.items():
-                    if c > room and rnd.load(v) > budget - c:
+                tight = [(v, c) for v, c in occupied.items() if c > room]
+                if tight:
+                    loads = rnd.loads()
+                    if any(loads.get(v, 0) > budget - c for v, c in tight):
                         return None
-                verts, kinds = rnd.verts, rnd.kinds
-                if len(kinds) == 1 and kinds[0] == "move":
-                    # the rules of _apply_tele_round for one move: its
-                    # source holds a token and its destination none
-                    src, dst = slots[verts[0]], slots[verts[-1]]
-                    if src[0] is None or dst[0] is not None:
-                        return None
-                    dst[0], src[0] = src[0], None
-                    continue
-                rows = [slots[v] for v in _round_ends(rnd)]
-                before = _data_tokens(rows)
                 _apply_tele_round(state, rnd, t, {})
-                if _data_tokens(rows) != before:
-                    return None
                 continue
             if not _locals_fit(g, step):
                 return None
@@ -591,7 +635,15 @@ def _apply_rounds(g: ArchGraph, steps: list) -> TokenState | None:
                     occupied.pop(op.v, None)
     except (ScheduleError, IndexError):   # IndexError: a vertex >= n
         return None
-    if not all(_rounds_fit(g, batch) for batch in _batches(rounds)):
+    if not all(map(partial(_rounds_fit_as_arrays, g), _batches(rounds))):
+        return None
+    # a round writes data slots only, and local swaps conserve their
+    # tokens, so if every round conserved its tokens, the data slots and
+    # the ancillas of the vertices in ``occupied`` hold each token once
+    tokens = list(filter(_present, map(_data, slots)))
+    for v in occupied:
+        tokens += filter(_present, slots[v][1:])
+    if sorted(tokens) != list(range(g.n)):
         return None
     return state
 
@@ -607,10 +659,11 @@ def apply_schedule(g: ArchGraph, schedule: Schedule) -> TokenState:
     timestep is a :class:`SwapLayer`, as every swap router emits and
     ``Schedule.from_json`` reads a swap file (:func:`_apply_layers`),
     and one of lone rounds, local swaps and empty timesteps, as the
-    teleport routers emit (:func:`_apply_rounds`).  If a whole check
-    fails, or the schedule is of neither kind, it is run timestep by
-    timestep from the start, which raises the error, so a fault gets
-    the same message either way.
+    teleport routers emit (:func:`_apply_rounds`), if its rounds hold
+    enough path vertices.  If a whole check fails, or the schedule is of
+    neither kind or small, it is run timestep by timestep from the
+    start, which raises any error, so a fault gets the same message
+    either way.
     """
     steps = schedule.timesteps
     if all(map(is_, map(type, steps), repeat(SwapLayer))):

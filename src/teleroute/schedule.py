@@ -156,8 +156,8 @@ class Transfer:
         this: it is the plain statement of the load rule.  Tests hold
         to it :meth:`TeleRound.loads` and :meth:`TeleRound.load`, which
         the executor's per-primitive path reads, the array check of
-        ``execute._rounds_fit``, which sums 2w per path vertex less w
-        at each end, and the packer's ``tele_routing._add_load``.
+        ``execute._rounds_fit_as_arrays``, which sums 2w per path vertex
+        less w at each end, and the packer's ``tele_routing._add_load``.
         """
         w = 2 if self.kind == "swap" else 1
         p = self.path
@@ -198,9 +198,11 @@ class TeleRound:
     ``TeleRound(transfers)`` takes :class:`Transfer` objects, and
     ``transfers`` yields them again, each built when it is read.  A path
     vertex must be an integer (an int, a bool or a numpy int); anything
-    else raises ValueError."""
+    else raises ValueError.  As for a layer, the lists are not copied
+    out, so a round is not hashable."""
 
     __slots__ = ("verts", "offsets", "kinds")
+    __hash__ = None
 
     def __init__(self, transfers):
         verts, offsets, kinds = [], [0], []
@@ -221,11 +223,14 @@ class TeleRound:
         self.verts, self.offsets, self.kinds = verts, offsets, kinds
 
     @classmethod
-    def from_lists(cls, verts: list, offsets: list[int],
-                   kinds: list[str]) -> "TeleRound":
-        """A round over lists already known to be well formed: simple
-        paths of at least two integer vertices, ``offsets`` starting at
-        0 and ending at ``len(verts)``, kinds "move" or "swap"."""
+    def _from_lists(cls, verts: list, offsets: list[int],
+                    kinds: list[str]) -> "TeleRound":
+        """A round that takes the given lists, unchecked, for the
+        routers and ``Schedule.from_json``, whose lists are well formed
+        already: simple paths of at least two integer vertices,
+        ``offsets`` starting at 0 and ending at ``len(verts)``, kinds
+        "move" or "swap".  The executor's array check relies on it
+        (:class:`Transfer` refuses a path that is not simple)."""
         rnd = cls.__new__(cls)
         rnd.verts, rnd.offsets, rnd.kinds = verts, offsets, kinds
         return rnd
@@ -239,10 +244,6 @@ class TeleRound:
             return NotImplemented
         return (self.verts == other.verts and self.offsets == other.offsets
                 and self.kinds == other.kinds)
-
-    def __hash__(self):
-        return hash((tuple(self.verts), tuple(self.offsets),
-                     tuple(self.kinds)))
 
     def __repr__(self) -> str:
         return f"TeleRound(transfers={tuple(self.transfers)!r})"
@@ -266,15 +267,7 @@ class TeleRound:
         return out
 
     def load(self, v: int) -> int:
-        """``loads().get(v, 0)``; for a round of one transfer, read off
-        its path with no pass in Python over it."""
-        verts, kinds = self.verts, self.kinds
-        if len(kinds) > 1:
-            return self.loads().get(v, 0)
-        if v not in verts:
-            return 0
-        w = _WEIGHTS[kinds[0]]
-        return w if v == verts[0] or v == verts[-1] else 2 * w
+        return self.loads().get(v, 0)
 
     def incidence(self, v: int) -> int:
         verts, offs = self.verts, self.offsets
@@ -369,7 +362,7 @@ def _round_from_dicts(transfers: list) -> TeleRound:
         kinds.append(kind)
     if not kinds:
         raise ValueError("tele_round needs at least one transfer")
-    return TeleRound.from_lists(verts, offsets, kinds)
+    return TeleRound._from_lists(verts, offsets, kinds)
 
 
 def op_from_dict(d: dict) -> Op:
@@ -430,14 +423,10 @@ def _round_json(op: TeleRound, vertex) -> str:
     """:func:`_op_json` of a round, ``vertex`` formatting each path
     vertex as ``%d`` does (so a bool writes as 1)."""
     verts, offs = op.verts, op.offsets
-    if len(offs) == 2:   # one transfer: its path is the whole list
-        return ('{"transfers": [{"kind": "%s", "path": [%s]}], '
-                '"type": "tele_round"}'
-                % (op.kinds[0], ", ".join(map(vertex, verts))))
-    return ('{"transfers": [%s], "type": "tele_round"}' % ", ".join(
+    return ('{"transfers": [%s], "type": "tele_round"}' % ", ".join([
         '{"kind": "%s", "path": [%s]}'
         % (kind, ", ".join(map(vertex, verts[a:b])))
-        for a, b, kind in zip(offs, offs[1:], op.kinds)))
+        for a, b, kind in zip(offs, offs[1:], op.kinds)]))
 
 
 class _VertexTexts(dict):

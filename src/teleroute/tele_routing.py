@@ -135,7 +135,7 @@ def ladder_schedule(g: ArchGraph, pi: Permutation) -> Schedule:
             raise RuntimeError(
                 f"canonical paths exceed load 6 at vertex {v}")
     moves = ["move"] * (len(offsets) - 1)
-    return Schedule([[TeleRound.from_lists(verts, offsets, moves)]])
+    return Schedule([[TeleRound._from_lists(verts, offsets, moves)]])
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +339,7 @@ def _fit_cycle(hop, cyc: tuple[int, ...],
 
 def _lone_move(path: tuple[int, ...]) -> TeleRound:
     """A round of one move along ``path``."""
-    return TeleRound.from_lists(list(path), [0, len(path)], ["move"])
+    return TeleRound._from_lists(list(path), [0, len(path)], ["move"])
 
 
 def _chain_timesteps(hop, cyc: tuple[int, ...], n: int,
@@ -485,7 +485,8 @@ def greedy_schedule(g: ArchGraph, pi: Permutation) -> Schedule:
                         over[v] |= bit
 
     timesteps: list[list] = [
-        [TeleRound.from_lists(verts, offsets, ["move"] * (len(offsets) - 1))]
+        [TeleRound._from_lists(verts, offsets,
+                               ["move"] * (len(offsets) - 1))]
         for verts, offsets, _ in rounds]
     for cyc in chained:
         timesteps.extend(_chain_timesteps(hop, cyc, g.n, budget))

@@ -1,10 +1,13 @@
 """The whole-schedule verifier against stepping ``apply_timestep``.
 
 ``apply_schedule`` checks a schedule of lone rounds, local swaps and
-empty timesteps whole: every round's paths as one array, against each
+empty timesteps whole, if its rounds hold more than two path vertices
+per graph vertex: every round's paths as one array, against each
 vertex's occupied ancillas, which change only at local swaps.  Any
-other schedule, and any that fails that check, is run again timestep
-by timestep through ``apply_timestep``.  On random small graphs,
+other schedule, and any that fails that check, is run timestep by
+timestep through ``apply_timestep``.  Each case is run both by default
+and with the arrays checking every such schedule, however few its path
+vertices, and both must agree.  On random small graphs,
 schedules are drawn timestep by timestep from the state they reach, so
 that most of them run many steps before a fault, if any: local swaps
 that park tokens in ancillas and fetch them back (some through a
@@ -22,6 +25,8 @@ records every ``_apply_tele_round`` call made while verifying, and none
 may be handed loads to check against slot rows.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +39,12 @@ from teleroute.execute import (
     apply_timestep,
     verify_schedule,
 )
-from teleroute.graphs import ArchGraph, generate_graph, generate_permutation
+from teleroute.graphs import (
+    ArchGraph,
+    Permutation,
+    generate_graph,
+    generate_permutation,
+)
 from teleroute.schedule import (
     Schedule,
     SwapEdge,
@@ -222,10 +232,19 @@ def stepped(g, sched):
 
 
 def whole(g, sched):
-    try:
-        return None, apply_schedule(g, sched).slots
-    except ScheduleError as e:
-        return str(e), None
+    """``apply_schedule``'s result, the same whether a schedule of lone
+    rounds is stepped when its rounds hold few path vertices, as by
+    default, or checked as arrays however few they hold."""
+    def run():
+        try:
+            return None, apply_schedule(g, sched).slots
+        except ScheduleError as e:
+            return str(e), None
+
+    got = run()
+    with mock.patch.object(execute, "_ROUNDS_STEPPED_PER_VERTEX", 0):
+        assert run() == got
+    return got
 
 
 @settings(max_examples=700, deadline=None)
@@ -233,6 +252,30 @@ def whole(g, sched):
 def test_apply_schedule_matches_stepping(case):
     g, sched = case
     assert whole(g, sched) == stepped(g, sched)
+
+
+def test_few_path_vertices_are_stepped_and_many_checked_as_arrays(
+        monkeypatch):
+    """The arrays check a schedule of lone rounds whose rounds hold more
+    than two path vertices per graph vertex; a smaller one is stepped,
+    with the same result.  On path 16, the swap of 0 and 1 is one round
+    of 4 path vertices, reflection 7 rounds of 144."""
+    batches = []
+    real = execute._rounds_fit_as_arrays
+
+    def counted(g, rounds):
+        batches.append(len(rounds))
+        return real(g, rounds)
+
+    monkeypatch.setattr(execute, "_rounds_fit_as_arrays", counted)
+    g = generate_graph("path", n=16)
+    for pi, expected in ((Permutation.from_pairs(16, [(0, 1)]), []),
+                         (generate_permutation("reflection", g), [7])):
+        batches.clear()
+        sched = greedy_schedule(g, pi)
+        assert verify_schedule(g, sched, pi)
+        assert batches == expected
+        assert whole(g, sched) == stepped(g, sched)
 
 
 # -- fixed cases -------------------------------------------------------------
@@ -292,11 +335,10 @@ def test_chained_greedy_rounds_never_count_slot_rows(row_counts, budget):
     between rounds, and hypercube d=6 random packs one round before its
     chains.  At budget 2 a parked token leaves a vertex one free
     ancilla, so there the whole check must read the parked counts to
-    pass the rounds.  Every round but a lone move (which is moved
-    inline) goes through ``_apply_tele_round`` with no load map, its
-    free ancillas checked whole.  A round stepped alone afterwards
-    counts its slot rows, which shows that the guard sees the executor's
-    calls."""
+    pass the rounds.  Every round goes through ``_apply_tele_round``
+    with no load map, its free ancillas checked whole.  A round stepped
+    afterwards beside a local swap counts its slot rows, which shows
+    that the guard sees the executor's calls."""
     for family, params in (("path", {"n": 64}), ("hypercube", {"d": 6})):
         g = generate_graph(family, ancilla_budget=budget, **params)
         pi = generate_permutation("random", g, seed=1)
@@ -304,9 +346,9 @@ def test_chained_greedy_rounds_never_count_slot_rows(row_counts, budget):
         assert any(isinstance(op, SwapLocal) for op in sched.ops())
         row_counts.clear()
         assert verify_schedule(g, sched, pi)
-        shared = sum(isinstance(op, TeleRound) and len(op.transfers) > 1
-                     for op in sched.ops())
-        assert row_counts == [False] * shared
-    assert shared
-    apply_timestep(g, TokenState(g), [TeleRound((Transfer((0, 1), "swap"),))])
+        rounds = sum(isinstance(op, TeleRound) for op in sched.ops())
+        assert row_counts == [False] * rounds
+    assert rounds
+    apply_timestep(g, TokenState(g), [TeleRound((Transfer((0, 1), "swap"),)),
+                                      SwapLocal(5, 1, 2)])
     assert row_counts[-1] is True

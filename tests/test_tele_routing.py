@@ -117,6 +117,8 @@ def test_ladder_random_permutations_single_round():
         for v in rnd.vertices():
             assert rnd.incidence(v) <= 4
             assert rnd.load(v) <= 6
+        # built from lists unchecked; Transfer checks each path is simple
+        assert len(list(rnd.transfers)) == len(rnd.kinds)
         assert verify_schedule(g, sched, pi)
 
 
