@@ -390,13 +390,13 @@ def op_from_dict(d: dict) -> Op:
 _encode = json.JSONEncoder(sort_keys=True).encode
 
 
-def _integer(v):
+def _integer(v, what: str = "vertex"):
     """``v`` as :func:`operator.index` takes it; ValueError otherwise, so
     that ``%d`` never writes a float's integer part."""
     try:
         return index(v)
     except TypeError:
-        raise ValueError(f"vertex {v!r} is not an integer") from None
+        raise ValueError(f"{what} {v!r} is not an integer") from None
 
 
 def _op_json(op: Op) -> str:
@@ -405,15 +405,18 @@ def _op_json(op: Op) -> str:
     ``JSONEncoder(sort_keys=True)`` gives for :func:`op_to_dict` of the
     op; it is formatted directly, since the fields are integers and a
     transfer kind is "move" or "swap", none of which needs escaping.
-    A swap endpoint that is not an integer raises ValueError."""
+    A swap endpoint or slot that is not an integer raises ValueError."""
     if type(op) is SwapEdge:
         u, v = op.u, op.v
         if type(u) is not int or type(v) is not int:
             u, v = _integer(u), _integer(v)
         return '{"type": "swap_edge", "u": %d, "v": %d}' % (u, v)
     if type(op) is SwapLocal:
+        v, s1, s2 = op.v, op.s1, op.s2
+        if type(v) is not int or type(s1) is not int or type(s2) is not int:
+            v, s1, s2 = _integer(v), _integer(s1, "slot"), _integer(s2, "slot")
         return ('{"s1": %d, "s2": %d, "type": "swap_local", "v": %d}'
-                % (op.s1, op.s2, op.v))
+                % (s1, s2, v))
     if type(op) is TeleRound:
         return _round_json(op, "%d".__mod__)
     raise TypeError(f"not a primitive: {op!r}")

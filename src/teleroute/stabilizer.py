@@ -7,31 +7,26 @@ CNOT, X, Z, and Z-basis measurement with seeded or forced outcome
 selection, which is all that routing-circuit verification needs.
 
 The bits are stored qubit-major, as Stim stores them (Gidney,
-arXiv:2103.02202): ``_x[a]`` and ``_z[a]`` are qubit ``a``'s X and Z
-bits of all 2q rows, one uint8 per bit, contiguous; ``_r[i]`` holds row
-i's sign in every column.  ``row_view`` gives the usual row-major
-picture.  What each operation costs:
+arXiv:2103.02202), in Python ints used as bitsets: ``_x[a]`` and
+``_z[a]`` hold qubit ``a``'s X and Z bits, bit i for row i; ``_r[i]``
+holds row i's signs, bit c for sign column c; ``_s[i]`` holds a
+superset of the qubits row i touches, which CNOTs and rowsums only add
+to and which is made exact whenever the row is read as a pivot or a
+product factor, or overwritten.  So an operation costs in proportion
+to the Pauli supports it touches, not to q:
 
-* a gate is a few operations on the contiguous rows of its one or two
-  qubits, O(q) bytes each, plus the sign update;
-* a random measurement gathers the pivot stabilizer's row and writes
-  it over its destabilizer (one strided pass over q bytes each), and
-  multiplies it into the k rows that anticommute with Z_a.  Where the
-  pivot has identity those rows are unchanged and gain no phase, so the
-  rowsum works on the |support| x k submatrix only, with a 16-entry
-  table of the phase function g;
-* a determined measurement, or ``stabilized_sign``, multiplies the k
-  stabilizers flagged by the destabilizers in one vectorized product
-  over a q x k gather.  It needs no scratch row and leaves the tableau
-  untouched.  A Pauli string on several qubits flags the XOR of their
-  anticommuting rows and costs the same product.
+* a gate: a few int operations, and a sign flip per row set in a mask
+  such as ``xa & za``;
+* a random measurement: clear the destabilizer it overwrites over its
+  support, then multiply the pivot into the k rows anticommuting with
+  Z_a, per pivot qubit one XOR of the row mask and a few int operations
+  adding its phase mod 4, bit-sliced, into two row masks;
+* a determined measurement, or ``stabilized_sign``: one product of the
+  flagged stabilizers, popcounts per qubit of their supports.
 
-The X/Z bit matrices evolve independently of measurement outcomes;
-only the sign column depends on them.  A tableau therefore carries a
-``batch`` of sign columns sharing one bit matrix, which lets a caller
-follow every measurement branch of a circuit in a single pass: forced
-outcomes, record values, and ``stabilized_sign`` become per-branch
-vectors when ``batch > 1``.
+The X/Z bits never depend on measurement outcomes, so ``batch`` sign
+columns follow every branch of a circuit in one pass, with per-branch
+forced outcomes, records and ``stabilized_sign`` values.
 """
 
 from __future__ import annotations
@@ -43,279 +38,284 @@ __all__ = ["Tableau"]
 # g(x1, z1, x2, z2) mod 4: the power of i picked up by the Pauli
 # (x1, z1) times the Pauli (x2, z2) on one qubit, at index
 # 8*x1 + 4*z1 + 2*x2 + z2; 3 stands for -1
-_G = np.array([0, 0, 0, 0,        # I * anything
-               0, 0, 1, 3,        # Z * (I, Z, X, Y)
-               0, 3, 0, 1,        # X * (I, Z, X, Y)
-               0, 1, 3, 0],       # Y * (I, Z, X, Y)
-              dtype=np.uint8)
+_G = (0, 0, 0, 0,        # I * anything
+      0, 0, 1, 3,        # Z * (I, Z, X, Y)
+      0, 3, 0, 1,        # X * (I, Z, X, Y)
+      0, 1, 3, 0)        # Y * (I, Z, X, Y)
+
+
+def _ones(m: int):
+    """The set bits of ``m``, highest first."""
+    while m:
+        i = m.bit_length() - 1
+        yield i
+        m ^= 1 << i
+
+
+def _unpack(ints, width: int) -> np.ndarray:
+    """A uint8 matrix whose row j holds bits 0..width-1 of ``ints[j]``."""
+    nbytes = (width + 7) >> 3
+    buf = b"".join([v.to_bytes(nbytes, "little") for v in ints])
+    rows = np.frombuffer(buf, dtype=np.uint8).reshape(len(ints), nbytes)
+    return np.unpackbits(rows, axis=1, bitorder="little")[:, :width]
 
 
 class Tableau:
-    """Stabilizer state of ``q`` qubits, initially |0...0>.
-
-    ``batch`` independent sign columns share the bit matrix; the
-    default single column gives plain scalar semantics.
-    """
+    """Stabilizer state of ``q`` qubits, initially |0...0>, with
+    ``batch`` sign columns (one gives plain scalar semantics)."""
 
     def __init__(self, q: int, batch: int = 1):
         if q < 1:
             raise ValueError("tableau needs at least one qubit")
         if batch < 1:
             raise ValueError("tableau needs at least one sign column")
-        self.q = q
-        self.batch = batch
-        self._x = np.zeros((q, 2 * q), dtype=np.uint8)
-        self._z = np.zeros((q, 2 * q), dtype=np.uint8)
-        self._r = np.zeros((2 * q, batch), dtype=np.uint8)
-        idx = np.arange(q)
-        self._x[idx, idx] = 1          # destabilizer i = X_i
-        self._z[idx, q + idx] = 1      # stabilizer i = Z_i
+        self.q, self.batch, self._full = q, batch, (1 << batch) - 1
+        self._x = [1 << a for a in range(q)]          # destabilizer a = X_a
+        self._z = [1 << (q + a) for a in range(q)]    # stabilizer a = Z_a
+        self._r, self._s = [0] * (2 * q), [1 << a for a in range(q)] * 2
 
     def copy(self) -> "Tableau":
         other = object.__new__(Tableau)
-        other.q = self.q
-        other.batch = self.batch
-        other._x = self._x.copy()
-        other._z = self._z.copy()
-        other._r = self._r.copy()
+        other.__dict__ = {k: v.copy() if type(v) is list else v
+                          for k, v in self.__dict__.items()}
         return other
 
     def row_view(self):
-        """``(x, z, r)`` row-major: ``x[i, a]`` and ``z[i, a]`` are row
-        i's bits on qubit ``a``, ``r[i]`` its sign per column.  These
-        are views: writing to them writes to the tableau."""
-        return self._x.T, self._z.T, self._r
+        """``(x, z, r)`` row-major uint8 copies: ``x[i, a]`` and
+        ``z[i, a]`` are row i's bits on qubit ``a``, ``r[i]`` its sign
+        per column.  Writing to them leaves the tableau unchanged."""
+        rows = 2 * self.q
+        return (_unpack(self._x, rows).T.copy(),
+                _unpack(self._z, rows).T.copy(),
+                _unpack(self._r, self.batch))
 
     def _check(self, a: int):
         if not 0 <= a < self.q:
             raise ValueError(f"qubit {a} out of range")
 
-    def _bits(self, m, what: str):
-        """``m`` checked to be 0/1: an int for a scalar, else a uint8
-        array with one value per sign column."""
+    def _mask(self, m, what: str) -> int:
+        """``m`` checked to be 0/1, a scalar or one value per sign
+        column, as a bitset over the sign columns."""
         if m.__class__ is int and 0 <= m <= 1:
-            return m
+            return self._full if m else 0
         v = np.asarray(m)
         if v.dtype.kind in "biu" and v.shape in ((), (self.batch,)):
             u = v.astype(np.uint8, copy=False)
             # the cast wraps out-of-range values unless v has one byte
             if u.max() <= 1 and (v.dtype.itemsize == 1 or (u == v).all()):
-                return int(u) if u.ndim == 0 else u
+                if u.ndim == 0:
+                    return self._full if u else 0
+                return int.from_bytes(
+                    np.packbits(u, bitorder="little").tobytes(), "little")
         raise ValueError(
             f"{what} must be 0 or 1, as a scalar or one value per "
             f"sign column ({self.batch})")
 
-    def _out(self, vec: np.ndarray):
-        return int(vec[0]) if self.batch == 1 else vec.copy()
+    def _out(self, signs: int):
+        return signs if self.batch == 1 else _unpack([signs], self.batch)[0]
 
-    # -- gates ----------------------------------------------------------
+    def _negate(self, rows: int, signs: int):
+        """XOR ``signs`` into the signs of every row set in ``rows``."""
+        r = self._r
+        while rows and signs:
+            i = rows.bit_length() - 1
+            r[i] ^= signs
+            rows ^= 1 << i
 
     def h(self, a: int):
         self._check(a)
-        xa, za = self._x[a], self._z[a]
-        self._r ^= (xa & za)[:, None]
-        xa ^= za    # swap the two rows in place
-        za ^= xa
-        xa ^= za
+        x, z = self._x, self._z
+        self._negate(x[a] & z[a], self._full)
+        x[a], z[a] = z[a], x[a]
 
     def s(self, a: int):
         self._check(a)
-        xa, za = self._x[a], self._z[a]
-        self._r ^= (xa & za)[:, None]
-        za ^= xa
+        xa = self._x[a]
+        self._negate(xa & self._z[a], self._full)
+        self._z[a] ^= xa
 
     def cnot(self, a: int, b: int):
         self._check(a)
         self._check(b)
         if a == b:
             raise ValueError("cnot needs distinct qubits")
-        xa, za, xb, zb = self._x[a], self._z[a], self._x[b], self._z[b]
-        self._r ^= (xa & zb & (xb ^ za ^ 1))[:, None]
-        xb ^= xa
-        za ^= zb
+        x, z, s = self._x, self._z, self._s
+        xa, za, xb, zb = x[a], z[a], x[b], z[b]
+        self._negate(xa & zb & ~(xb ^ za), self._full)
+        x[b] = xb ^ xa
+        z[a] = za ^ zb
+        # rows that start to touch b (X from a) or a (Z from b)
+        for rows, bit in ((xa & ~(xb | zb), 1 << b),
+                          (zb & ~(xa | za), 1 << a)):
+            while rows:
+                i = rows.bit_length() - 1
+                s[i] |= bit
+                rows ^= 1 << i
 
-    def _flip(self, m, rows: np.ndarray):
-        """XOR ``rows`` into the signs of the columns where the 0/1
-        mask ``m`` is set."""
-        m = self._bits(m, "mask")
-        if m.__class__ is not int:
-            self._r ^= rows[:, None] & m
-        elif m:
-            self._r ^= rows[:, None]
-
-    def x_if(self, a: int, m):
+    def x_if(self, a: int, m=1):
         """Apply X to ``a`` where the 0/1 mask ``m`` is set (scalar or
-        one value per sign column)."""
+        one value per sign column); everywhere by default."""
         self._check(a)
-        self._flip(m, self._z[a])
+        self._negate(self._z[a], self._mask(m, "mask"))
 
-    def z_if(self, a: int, m):
+    def z_if(self, a: int, m=1):
         """Apply Z to ``a`` where the 0/1 mask ``m`` is set."""
         self._check(a)
-        self._flip(m, self._x[a])
+        self._negate(self._x[a], self._mask(m, "mask"))
 
-    def x_gate(self, a: int):
-        self.x_if(a, 1)
+    x_gate, z_gate = x_if, z_if
 
-    def z_gate(self, a: int):
-        self.z_if(a, 1)
-
-    # -- measurement ------------------------------------------------------
-
-    def _product_sign(self, flags: np.ndarray) -> np.ndarray:
+    def _product_sign(self, flags: int) -> int:
         """Sign bits, per column, of the product of the stabilizers
-        q + i for every set ``flags[i]``.
-
-        Stabilizers commute, so the order does not matter; taking them
-        in index order, each row (x_j, z_j) is i^(x_j.z_j) X^x_j Z^z_j.
-        Moving every X^x_l left past the Z^z_j with j < l costs
-        (-1)^(z_j.x_l), so the product is i^e P(X, Z) with X and Z the
-        XOR of all rows and e = sum_j x_j.z_j + 2 sum_l zpre_l.x_l - X.Z,
-        where zpre_l is the XOR of z_j over j < l.  e is even for
-        commuting rows; an odd e means the tableau is broken.
-        """
-        rows = self.q + flags.nonzero()[0]
-        xs = self._x[:, rows]
-        zs = self._z[:, rows]
-        zpre = np.bitwise_xor.accumulate(zs, axis=1)
-        e = (np.count_nonzero(xs & zs)
-             + 2 * np.count_nonzero(zpre[:, :-1] & xs[:, 1:])
-             - np.count_nonzero(np.bitwise_xor.reduce(xs, axis=1)
-                                & np.bitwise_xor.reduce(zs, axis=1)))
+        q + i for every bit i set in ``flags``.  In index order, row j
+        is i^(x_j.z_j) X^x_j Z^z_j, and moving X^x_l left past Z^z_j for
+        j < l costs (-1)^(z_j.x_l): the product is i^e P(X, Z), with X, Z
+        the XOR of the rows and e = sum_j x_j.z_j + 2 sum_{j<l} z_j.x_l
+        - X.Z, counted per qubit by popcounts.  Odd e: a broken tableau."""
+        x, z, r, s = self._x, self._z, self._r, self._s
+        rows = flags << self.q
+        signs = supp = 0
+        for j in _ones(rows):
+            signs ^= r[j]
+            s[j] = exact = sum(1 << b for b in _ones(s[j])
+                               if (x[b] | z[b]) >> j & 1)
+            supp |= exact
+        e = 0
+        for b in _ones(supp):
+            xs, zs = x[b] & rows, z[b] & rows
+            if xs and zs:       # else the qubit adds nothing to e
+                e += (xs & zs).bit_count() - (
+                    xs.bit_count() & zs.bit_count() & 1)
+                for j in _ones(zs):
+                    e += 2 * (xs >> j >> 1).bit_count()
         if e & 1:
             raise AssertionError("tableau rows produced an imaginary sign")
-        return np.bitwise_xor.reduce(self._r[rows], axis=0) ^ ((e >> 1) & 1)
+        return signs ^ self._full if e & 2 else signs
 
     def is_random(self, a: int) -> bool:
-        """True when a Z measurement of ``a`` has an undetermined
-        outcome (some stabilizer anticommutes with Z_a)."""
+        """True when some stabilizer anticommutes with Z_a."""
         self._check(a)
-        return bool(self._x[a, self.q:].any())
+        return bool(self._x[a] >> self.q)
 
     def measure(self, a: int, outcome=None, rng=None):
-        """Measure qubit ``a`` in the Z basis and return the outcome:
-        an int, or one value per sign column when batched.
-
-        Random outcomes take ``outcome`` when forced (scalar or
-        per-column), else draw from ``rng``, else default to 0.  Forcing
-        an outcome on a determined measurement is an error unless it
-        agrees.
-        """
+        """Measure qubit ``a`` in the Z basis and return the outcome,
+        per sign column when batched.  A random outcome is ``outcome``
+        when forced (scalar or per column), else drawn from ``rng``, else
+        0; forcing a determined one is an error unless it agrees."""
         self._check(a)
         if outcome is not None:
-            outcome = self._bits(outcome, "outcome")
-        q = self.q
-        xa = self._x[a]
-        first = int(xa[q:].argmax())
-        if not xa[q + first]:
-            # determined: Z_a is the product of the stabilizers flagged
-            # by destabilizer X-entries
-            out = self._product_sign(xa[:q])
-            if outcome is not None and np.any(outcome != out):
+            outcome = self._mask(outcome, "outcome")
+        q, x, z, r, s = self.q, self._x, self._z, self._r, self._s
+        rows = x[a]
+        if not rows >> q:
+            # determined: Z_a is the product of the flagged stabilizers
+            out = self._product_sign(rows)
+            if outcome is not None and outcome != out:
                 raise ValueError(
                     f"forced outcome contradicts the determined "
                     f"measurement of qubit {a}")
             return self._out(out)
-        p = q + first
-        if outcome is not None:
-            out = outcome
-        elif rng is not None:
-            out = np.array([rng.randrange(2) for _ in range(self.batch)],
-                           dtype=np.uint8)
-        else:
-            out = 0
-        # rowsum: multiply the pivot row p into every row that
-        # anticommutes with Z_a, on the pivot's support only.  p itself
-        # is among them: p * p is the identity with no phase, which
-        # clears p's bits for the new stabilizer +-Z_a.
-        xp = self._x[:, p].copy()
-        zp = self._z[:, p].copy()
-        rp = self._r[p].copy()
-        rows = xa.nonzero()[0]
-        supp = (xp | zp).nonzero()[0][:, None]  # a column: supp x rows
-        xs, zs = xp[supp], zp[supp]
-        x2, z2 = self._x[supp, rows], self._z[supp, rows]
-        # summed in uint8: wrapping mod 256 keeps the value mod 4
-        g = _G.take((xs << 3) + (zs << 2) + (x2 << 1) + z2).sum(
-            axis=0, dtype=np.uint8) & 3
-        if (g[rows.searchsorted(q):] & 1).any():
+        p = (rows >> q & -(rows >> q)).bit_length() - 1 + q
+        if outcome is None:
+            outcome = 0 if rng is None else sum(
+                rng.randrange(2) << c for c in range(self.batch))
+        # the destabilizer paired with p is cleared, to become p below
+        d = p - q
+        bit = 1 << d
+        m = s[d]
+        while m:
+            b = m.bit_length() - 1
+            m ^= 1 << b
+            if x[b] & bit:
+                x[b] ^= bit
+            if z[b] & bit:
+                z[b] ^= bit
+        rows = x[a]
+        # the pivot row p: (qubit, x, z) over its exact support sp
+        pivot = []
+        m = s[p]
+        while m:
+            b = m.bit_length() - 1
+            m ^= 1 << b
+            xb, zb = x[b] >> p & 1, z[b] >> p & 1
+            if xb or zb:
+                pivot.append((b, xb, zb))
+        sp = sum(1 << b for b, _, _ in pivot)
+        # rowsum: multiply the pivot into the rows anticommuting with Z_a
+        # (p * p clears p for +-Z_a) and write it into d; lo + 2 hi sums
+        # g mod 4 per row, ``minus`` marks the rows gaining 3 (see _G)
+        lo = hi = 0
+        both = rows | bit
+        for b, xb, zb in pivot:
+            xr, zr = x[b] & rows, z[b] & rows
+            if xb and zb:           # Y: X rows gain 3, Z rows 1
+                anti, minus = xr ^ zr, xr
+            elif xb:                # X: Z rows gain 3, Y rows 1
+                anti, minus = zr, ~xr
+            else:                   # Z: Y rows gain 3, X rows 1
+                anti, minus = xr, zr
+            hi ^= anti & (lo ^ minus)
+            lo ^= anti
+            if xb:
+                x[b] ^= both
+            if zb:
+                z[b] ^= both
+        if lo >> q:
             raise AssertionError("tableau rows produced an imaginary sign")
-        self._r[rows] ^= (g >> 1)[:, None] ^ rp
-        self._x[supp, rows] = x2 ^ xs
-        self._z[supp, rows] = z2 ^ zs
-        # the old pivot becomes the destabilizer of the new stabilizer
-        self._x[:, p - q] = xp
-        self._z[:, p - q] = zp
-        self._r[p - q] = rp
-        self._z[a, p] = 1
-        self._r[p] = out
-        return self._out(self._r[p])
+        self._negate(hi, self._full)
+        rp = r[p]
+        m = rows
+        while m:
+            i = m.bit_length() - 1
+            r[i] ^= rp
+            s[i] |= sp
+            m ^= 1 << i
+        r[d], s[d] = rp, sp
+        z[a] |= 1 << p
+        r[p], s[p] = outcome, 1 << a
+        return self._out(outcome)
 
     def stabilized_sign(self, a, pauli: str = "Z"):
         """+1/-1 when the state is stabilized by +/- that Pauli on
         qubit ``a`` (per sign column when batched); None when the
         measurement would be random.  ``a`` may also be a tuple of
         distinct qubits with one letter of ``pauli`` each, as in
-        ``stabilized_sign((0, 5), "XX")`` for X_0 X_5.  Reads the
-        tableau, never changes it."""
-        if isinstance(a, tuple):
-            qubits, letters = a, tuple(pauli)
-            if not qubits:
-                raise ValueError("a Pauli string needs at least one qubit")
-            if len(letters) != len(qubits):
-                raise ValueError(f"{len(qubits)} qubits {qubits} but "
-                                 f"{len(letters)} Pauli letters {pauli!r}")
-            if len(set(qubits)) != len(qubits):
-                raise ValueError(f"repeated qubit in {qubits}")
-        else:
-            qubits, letters = (a,), (pauli,)
+        ``stabilized_sign((0, 5), "XX")`` for X_0 X_5.  Read-only."""
+        qubits, letters = ((a, tuple(pauli)) if isinstance(a, tuple)
+                           else ((a,), (pauli,)))
+        if not qubits:
+            raise ValueError("a Pauli string needs at least one qubit")
+        if len(letters) != len(qubits):
+            raise ValueError(f"{len(qubits)} qubits {qubits} but "
+                             f"{len(letters)} Pauli letters {pauli!r}")
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"repeated qubit in {qubits}")
         # the rows that anticommute with the Pauli: per qubit, X bit for
         # Z, Z bit for X, exactly one of them for Y; XORed over qubits
-        anti = None
+        anti = 0
         for b, p in zip(qubits, letters):
             if p not in ("X", "Y", "Z"):
                 raise ValueError(f"unknown Pauli {p!r}")
             self._check(b)
-            if p == "Z":
-                row = self._x[b]
-            elif p == "X":
-                row = self._z[b]
-            else:
-                row = self._x[b] ^ self._z[b]
-            anti = row if anti is None else anti ^ row
-        if anti[self.q:].any():
+            if p != "X":
+                anti ^= self._x[b]
+            if p != "Z":
+                anti ^= self._z[b]
+        if anti >> self.q:
             return None
-        out = self._product_sign(anti[:self.q])
+        out = self._product_sign(anti)
         if self.batch == 1:
-            return -1 if out[0] else 1
-        return 1 - 2 * out.astype(np.int8)
-
-    # -- self-checks ------------------------------------------------------
+            return -1 if out else 1
+        return 1 - 2 * self._out(out).astype(np.int8)
 
     def check_invariants(self):
-        """Raise AssertionError unless rows form a valid tableau: full
-        rank, stabilizers mutually commuting, destabilizer i
-        anticommuting with stabilizer i alone."""
+        """Raise AssertionError unless each kept support covers its row
+        and the rows commute as a tableau's must (destabilizer i
+        anticommutes with stabilizer i alone), which implies full rank."""
         q = self.q
         x, z, _ = self.row_view()
-        sym = (x @ z.T ^ z @ x.T) & 1
-        want = np.zeros((2 * q, 2 * q), dtype=np.uint8)
-        idx = np.arange(q)
-        want[idx, q + idx] = 1
-        want[q + idx, idx] = 1
-        if not np.array_equal(sym, want):
+        if ((x | z) > _unpack(self._s, q)).any():
+            raise AssertionError("a row touches a qubit outside its support")
+        want = np.roll(np.eye(2 * q, dtype=np.uint8), q, axis=1)
+        if not np.array_equal((x @ z.T ^ z @ x.T) & 1, want):
             raise AssertionError("tableau commutation structure broken")
-        m = np.concatenate([x, z], axis=1)
-        rank = 0
-        for col in range(2 * q):
-            rows = m[rank:, col].nonzero()[0]
-            if rows.size == 0:
-                continue
-            pivot = rank + rows[0]
-            m[[rank, pivot]] = m[[pivot, rank]]
-            mask = m[:, col].copy()
-            mask[rank] = 0
-            m[mask.nonzero()[0]] ^= m[rank]
-            rank += 1
-        if rank != 2 * q:
-            raise AssertionError("tableau rows are linearly dependent")

@@ -252,6 +252,20 @@ def test_round_path_vertices_are_written_as_integers():
         TeleRound((Transfer((1, 2), "swap"), Transfer((3, 0))))]
 
 
+@pytest.mark.parametrize("op, what", [
+    (SwapLocal(0, 0, 1.5), "slot 1.5"),
+    (SwapLocal(0, 2.5, 1), "slot 2.5"),
+    (SwapLocal(0.5, 0, 1), "vertex 0.5"),
+])
+def test_to_json_refuses_a_float_swap_local_field(op, what):
+    """A local swap's vertex and slots are checked as a swap endpoint
+    is, not written as a float's integer part."""
+    with pytest.raises(ValueError, match=f"^{what} is not an integer$"):
+        Schedule([[op]]).to_json()
+    assert Schedule([[SwapLocal(np.int64(3), True, 2)]]).to_json().endswith(
+        '[[{"s1": 1, "s2": 2, "type": "swap_local", "v": 3}]]}')
+
+
 def test_schedule_from_json_rejects_malformed_documents():
     for text in ('[1, 2]', '"x"', '{"depth_model": {}}',
                  '{"timesteps": {}}', '{"timesteps": [{}]}',

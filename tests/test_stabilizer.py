@@ -221,9 +221,19 @@ def test_batched_determined_contradiction():
 
 def test_invariants_catch_corruption():
     t = Tableau(3)
-    x, _, _ = t.row_view()
-    x[3] ^= 1  # clobber a stabilizer row through the view
-    with pytest.raises(AssertionError):
+    before = snapshot(t)
+    for part in t.row_view():
+        part ^= 1  # row_view returns copies
+    assert same_state(t, before)
+    t.check_invariants()
+    for a in range(3):
+        t._x[a] ^= 1 << 3  # clobber a stabilizer row in the bitsets
+    t._s[3] = 0b111        # with a support that covers it
+    with pytest.raises(AssertionError, match="commutation"):
+        t.check_invariants()
+    t = Tableau(3)
+    t._s[4] = 0  # a support that misses its row's qubit
+    with pytest.raises(AssertionError, match="support"):
         t.check_invariants()
 
 

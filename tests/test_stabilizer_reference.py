@@ -1,21 +1,25 @@
-"""The qubit-major tableau against the frozen row-major one.
+"""The bitset tableau against the frozen row-major one.
 
 The reference below is how the library first simulated stabilizer
 circuits: X and Z bits stored row-major, every gate a strided column
 update, a random measurement's rowsum over all q qubits and a
 determined measurement built in a scratch row by one rowsum per flagged
-stabilizer.  The library now stores the bits qubit-major, runs the
-rowsum on the pivot row's support only and computes a determined
-outcome as one vectorized product.  Both must return the same outcome
-for every measurement, draw from a seeded rng in the same order, end in
+stabilizer.  The library now keeps each qubit's X and Z bits of all
+rows as one Python int, with a support superset per row: a rowsum
+visits the pivot's support only, and a determined outcome is one
+product formula of popcounts.  Both must return the same outcome for
+every measurement, draw from a seeded rng in the same order, end in
 the same (x, z, r) state and agree on ``stabilized_sign`` for X, Y and
 Z on every qubit.
 
 Random gate sequences cover q = 1..12 with one and three sign columns,
 random and determined measurements, forced outcomes (scalar and per
-column) and seeded draws.  Compiled circuits pin the records of
-``emit_circuit(...).run()`` on grid 3x3 and path 8, and run the relay
-teleportation blocks for d = 1..6 over the batches
+column) and seeded draws; the same sequences check the tableau's
+invariants, supports included, after every measurement.  Compiled
+circuits pin the records of ``emit_circuit(...).run()`` on grid 3x3
+and path 8, compare measurement-heavy teleport circuits on 112..196
+qubits, whose rowsums reuse rows that earlier ones widened, and run
+the relay teleportation blocks for d = 1..6 over the batches
 ``verify_teleportation`` uses.
 """
 
@@ -251,6 +255,26 @@ def test_random_programs_match_reference(program):
     t.check_invariants()
 
 
+@settings(max_examples=150, deadline=None)
+@given(programs())
+def test_invariants_hold_after_every_measurement(program):
+    # kept supports only grow between resets, so check that they still
+    # cover every row, along with the commutation structure
+    q, batch, ops, seed = program
+    t = Tableau(q, batch)
+    rng = random.Random(seed)
+    for kind, *args in ops:
+        if kind != "measure":
+            getattr(t, kind)(*args)
+            continue
+        a, forced = args
+        try:
+            t.measure(a, outcome=forced, rng=rng)
+        except ValueError:
+            assert forced is not None and not t.is_random(a)
+        t.check_invariants()
+
+
 def test_determined_products_of_many_stabilizers():
     # GHZ-like states make a determined measurement multiply many
     # stabilizers, with Y factors that exercise the product's phase
@@ -313,6 +337,36 @@ def test_schedule_circuits_match_reference(family, model):
     ref, ref_records = c.run(ref, rng=random.Random(3))
     assert records == ref_records
     assert_same_state(t, ref)
+    for v in range(g.n):
+        for pauli in "XZ":
+            assert_same_value(t.stabilized_sign(v * width, pauli),
+                              ref.stabilized_sign(v * width, pauli))
+
+
+# teleport schedules whose circuits measure 76..520 times on 112..196
+# qubits; a nontrivial input makes the signs matter
+LARGE = [("path", dict(n=16), 1), ("path", dict(n=24), 2),
+         ("path", dict(n=28), 3), ("grid", dict(n=4, d=2), 1),
+         ("grid", dict(n=4, d=2), 2)]
+
+
+@pytest.mark.parametrize("family, params, seed", LARGE)
+def test_large_teleport_circuits_match_reference(family, params, seed):
+    g = generate_graph(family, **params)
+    pi = generate_permutation("random", g, seed=seed)
+    c = emit_circuit(g, teleport_schedule(g, pi))
+    width = 1 + g.ancilla_budget
+    t, ref = Tableau(c.num_qubits), RefTableau(c.num_qubits)
+    for tab in (t, ref):
+        for v in range(0, g.n, 3):
+            tab.h(v * width)
+        for v in range(1, g.n, 3):
+            tab.x_gate(v * width)
+    t, records = c.run(t, rng=random.Random(seed))
+    ref, ref_records = c.run(ref, rng=random.Random(seed))
+    assert records == ref_records
+    assert_same_state(t, ref)
+    t.check_invariants()
     for v in range(g.n):
         for pauli in "XZ":
             assert_same_value(t.stabilized_sign(v * width, pauli),
