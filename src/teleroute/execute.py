@@ -9,15 +9,16 @@ timestep, transfer loads fit in the free ancilla slots), checks that
 every timestep conserves tokens, and reports the permutation a valid
 schedule achieves.
 
-Five kinds of timestep are checked whole by :func:`apply_timestep`,
+Three kinds of timestep are checked whole by :func:`apply_timestep`,
 with no call, claim map or sort per primitive: a :class:`SwapLayer`
-and a list of :class:`SwapEdge` only (int endpoints in range, on edges,
-no vertex twice), a list of :class:`SwapLocal` only (int vertex and
-slots in range, no slot twice), each in one loop over its swaps; a
-list holding one :class:`TeleRound` alone, with a builtin pass over
-its lists; and an empty list.  When a whole check fails, the timestep
-is checked again primitive by primitive, which raises the error; so
-either way a fault gets the same message.
+(int endpoints in range, on edges, no vertex twice) and a list of
+:class:`SwapLocal` only (int vertex and slots in range, no slot twice),
+each in one loop over its swaps, and an empty layer or list.  Every
+other timestep is checked primitive by primitive: a round, which the
+teleport routers emit alone in its step, and a list holding a
+:class:`SwapEdge`, which only hand-built or JSON input holds.  So is a
+layer or a list of local swaps whose whole check fails, which raises
+the error there; so either way a fault gets the same message.
 
 :func:`apply_schedule` checks two kinds of schedule whole, with numpy
 array passes: one of :class:`SwapLayer` timesteps only, which is what
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import accumulate, chain, repeat
-from operator import add, contains, ge, index, is_, is_not, itemgetter, sub
+from operator import add, index, is_, is_not, itemgetter
 
 import numpy as np
 
@@ -197,11 +198,6 @@ def _locals_fit(g: ArchGraph, ops: list) -> bool:
     return len(cells) == 2 * len(ops)
 
 
-def _data_tokens(rows) -> list[int]:
-    """The tokens in the data slots of the given rows, sorted."""
-    return sorted(filter(_present, map(_data, rows)))
-
-
 def apply_timestep(g: ArchGraph, state: TokenState, ops, t: int = 0):
     """Apply one timestep's primitives simultaneously, in place.
 
@@ -213,15 +209,16 @@ def apply_timestep(g: ArchGraph, state: TokenState, ops, t: int = 0):
     conservation check compares the tokens in those slots before and
     after the step; the cost is linear in the size of the timestep.
 
-    Five kinds of timestep are checked whole before any slot changes: a
-    layer, with no object per swap; a list holding one round alone, with
-    no Python step per path vertex; a list of local swaps only and a
-    list of edge swaps only, with no claim map; and an empty list.  Any
-    of them, if a whole check fails, is checked again primitive by
-    primitive (a layer as its ``SwapEdge`` objects), so the error names
-    the same primitive, with the same text, either way.
+    A layer and a list of local swaps only are checked whole before any
+    slot changes, with no object or claim map per swap, and an empty one
+    returns at once.  Any other timestep, and either of those if its
+    whole check fails, is checked primitive by primitive (a layer as its
+    ``SwapEdge`` objects), so the error names the same primitive, with
+    the same text, either way.
     """
     if type(ops) is SwapLayer:
+        if not ops.us:
+            return
         if _layer_fits(g, ops.us, ops.vs):
             _apply_swap_layer(state, ops.us, ops.vs, t)
             return
@@ -229,22 +226,9 @@ def apply_timestep(g: ArchGraph, state: TokenState, ops, t: int = 0):
     elif type(ops) is list:
         if not ops:
             return
-        # the first op's type picks the whole check
-        kind = type(ops[0])
-        if kind is TeleRound:
-            if len(ops) == 1 and _round_fits(g, state.slots, ops[0]):
-                _apply_lone_round(state, ops[0], t)
-                return
-        elif kind is SwapLocal:
-            if _locals_fit(g, ops):
-                _apply_locals(state, ops, t)
-                return
-        elif kind is SwapEdge and all(map(is_, map(type, ops),
-                                          repeat(SwapEdge))):
-            us, vs = [op.u for op in ops], [op.v for op in ops]
-            if _layer_fits(g, us, vs):
-                _apply_swap_layer(state, us, vs, t)
-                return
+        if type(ops[0]) is SwapLocal and _locals_fit(g, ops):
+            _apply_locals(state, ops, t)
+            return
     # a SwapEdge/SwapLocal claims the (v, s) slots it writes; a round
     # claims (v, None), all of v, for each vertex on its paths.  ``users``
     # maps a vertex to the first primitive claiming any of its slots.
@@ -342,45 +326,6 @@ def _apply_locals(state: TokenState, ops: list, t: int):
         row = slots[op.v]
         after += row[op.s2], row[op.s1]
     if after != before:
-        raise ScheduleError(f"timestep {t}: tokens not conserved")
-
-
-def _round_fits(g: ArchGraph, slots, rnd: TeleRound) -> bool:
-    """Whether a round alone in its timestep passes every check that
-    :func:`_check_op` and :func:`_apply_tele_round`'s free-slot check
-    make: path vertices in range, path steps on edges, and enough empty
-    ancillas at each vertex for the halves parked there (so no load
-    over the budget), each a builtin pass over the round's lists."""
-    verts, offsets = rnd.verts, rnd.offsets
-    if min(verts) < 0 or max(verts) >= g.n:
-        return False
-    nbrs = itemgetter(*verts)(g._adj)
-    for a, b in zip(offsets, offsets[1:]):
-        if not all(map(contains, nbrs[a:b - 1], verts[a + 1:b])):
-            return False
-    # a row's free ancillas are its empty slots, less one if the data
-    # slot is empty; on disjoint simple paths no vertex holds more than
-    # 2w halves, w = 2 for a swap
-    if len(set(verts)) == len(verts):
-        most = 4 if "swap" in rnd.kinds else 2
-        if min(map(list.count, itemgetter(*verts)(slots),
-                   repeat(None))) - 1 >= most:
-            return True
-    loads = rnd.loads()
-    rows = itemgetter(*loads)(slots)
-    free = map(sub, map(list.count, rows, repeat(None)),
-               map(is_, map(_data, rows), repeat(None)))
-    return all(map(ge, free, loads.values()))
-
-
-def _apply_lone_round(state: TokenState, rnd: TeleRound, t: int):
-    """Apply a round that :func:`_round_fits` accepted, then check that
-    its endpoints' data slots hold the tokens they held before.  Its
-    free ancillas are checked already, so none is left to check."""
-    rows = [state.slots[v] for v in _round_ends(rnd)]
-    before = _data_tokens(rows)
-    _apply_tele_round(state, rnd, t, {})
-    if _data_tokens(rows) != before:
         raise ScheduleError(f"timestep {t}: tokens not conserved")
 
 
@@ -571,7 +516,7 @@ def _batches(rounds: list):
 # A schedule whose rounds hold at most this many path vertices per graph
 # vertex is stepped: there the array check's fixed cost, some fifty
 # numpy calls and a pass over the neighbour lists it reads, is more than
-# what stepping spends on the rounds (:func:`_round_fits`).
+# what stepping spends on the rounds, one primitive at a time.
 _ROUNDS_STEPPED_PER_VERTEX = 2
 
 

@@ -21,6 +21,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, count, product, repeat
+from operator import index
 
 import numpy as np
 
@@ -103,8 +104,10 @@ class ArchGraph:
     n : int
         Number of vertices.
     edges : tuple of (int, int)
-        Undirected edges, normalized to ``u < v``, sorted.  A tuple of
-        int pairs already in that form is kept as given.
+        Undirected edges, normalized to ``u < v``, sorted, with each
+        endpoint an exact int (a bool or numpy int is converted by
+        :func:`operator.index`; anything else raises ValueError).  A
+        tuple of int pairs already in that form is kept as given.
     ancilla_budget : int
         Ancilla slots available at every vertex.
     labels : tuple or None
@@ -143,6 +146,11 @@ class ArchGraph:
             norm = []
             seen = set()
             for u, v in self.edges:
+                try:
+                    u, v = index(u), index(v)
+                except TypeError:
+                    raise ValueError(f"edge ({u!r},{v!r}) endpoint is not an "
+                                     f"integer") from None
                 if u == v:
                     raise ValueError(f"self-loop at vertex {u}")
                 if not (0 <= u < self.n and 0 <= v < self.n):
@@ -865,21 +873,17 @@ def _label_to_json(lab):
 
 def graph_to_json(g: ArchGraph) -> str:
     """Canonical JSON: {"n", "edges" (sorted, u < v), "ancilla_budget",
-    "labels" (optional)}.  Int edges are formatted by one ``%`` over
-    the flattened pairs, to the text ``json.dumps`` gives them; a
-    family graph's edges are ints by construction, so only a graph
-    without a family has its entries' types scanned."""
+    "labels" (optional)}.  Every edge endpoint is an int (the
+    constructor makes it one), so the edges are formatted by one ``%``
+    over the flattened pairs, to the text ``json.dumps`` gives them."""
     doc = {"n": g.n}
     if g.labels is not None:
         doc["labels"] = [_label_to_json(l) for l in g.labels]
     if g.family is not None:
         doc["family"] = g.family
         doc["params"] = {k: v for k, v in g.params}
-    flat = tuple(chain.from_iterable(g.edges))
-    if g.family is not None or set(map(type, flat)) <= {int}:
-        edges = "[%s]" % ", ".join(("[%d, %d]",) * len(g.edges)) % flat
-    else:
-        edges = json.dumps([[u, v] for u, v in g.edges])
+    edges = ("[%s]" % ", ".join(("[%d, %d]",) * len(g.edges))
+             % tuple(chain.from_iterable(g.edges)))
     # the prefix writes the two keys that sort first; a new key in doc
     # must sort after them, or the text is no longer canonical
     assert min(doc) > "edges", f"{min(doc)!r} sorts before 'edges'"

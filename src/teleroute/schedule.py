@@ -3,8 +3,10 @@
 A schedule is a list of timesteps; each timestep is a set of primitives
 that act simultaneously, held as a list of primitive objects or, when
 it holds edge swaps only, as a :class:`SwapLayer` (two lists of
-endpoints, which yields ``SwapEdge`` objects on demand).  Three
-primitives exist:
+endpoints, which yields ``SwapEdge`` objects on demand).  Every router
+emits its edge swaps as layers, as ``from_json`` reads them; a list
+holding ``SwapEdge`` objects comes only from a hand-built step or a
+JSON step that mixes kinds.  Three primitives exist:
 
 * ``SwapEdge(u, v)`` — exchange the data tokens of adjacent vertices.
 * ``SwapLocal(v, s1, s2)`` — exchange two slots at one vertex (slot 0 is

@@ -26,7 +26,7 @@ from .graphs import (
     next_hop,
     spanning_tree,
 )
-from .schedule import Schedule, SwapEdge, SwapLayer, SwapLocal
+from .schedule import Schedule, SwapLayer, SwapLocal
 from .swap_routing import route_tree
 
 __all__ = ["Train", "advance_train", "sparse_route"]
@@ -52,7 +52,10 @@ class Train:
 def _advance_plan(g: ArchGraph, state: TokenState, train: Train,
                   nxt: int) -> list[list]:
     """Validate and build the five timesteps that advance ``train`` one
-    vertex onto ``nxt`` without touching the state."""
+    vertex onto ``nxt`` without touching the state.  Steps 0, 2 and 4
+    are lists of :class:`SwapLocal`; steps 1 and 3, the edge swaps, are
+    ``[us, vs]``, their endpoint lists, which the callers join into one
+    :class:`SwapLayer` per step."""
     p = list(train.vertices) + [nxt]
     l = len(train.vertices)
     if state.data(nxt) is not None:
@@ -60,44 +63,39 @@ def _advance_plan(g: ArchGraph, state: TokenState, train: Train,
             f"advance_train: head blocked, vertex {nxt} already holds a "
             f"token in its data slot")
     slot: dict[int, int] = {}
-    for j in range(1, l + 1, 2):
-        if j == l and l % 2 == 0:
-            continue
+    for j in range(1, l + 1, 2):   # odd positions, the new head too if odd
         s = state.free_slot(p[j])
         if s is None:
             raise ValueError(
                 f"advance_train: no free ancilla slot at vertex {p[j]} "
                 f"(budget {g.ancilla_budget} exhausted)")
         slot[j] = s
-    steps: list[list] = [[], [], [], [], []]
-    for j in range(1, l, 2):  # park tokens at odd train positions
-        steps[0].append(SwapLocal(p[j], 0, slot[j]))
-    for i in range(0, l, 2):  # even positions step forward
-        steps[1].append(SwapEdge(p[i], p[i + 1]))
-        steps[2].append(SwapLocal(p[i + 1], 0, slot[i + 1]))
-    for i in range(1, l, 2):  # odd positions step forward
-        steps[3].append(SwapEdge(p[i], p[i + 1]))
-    for j in range(1, l + 1, 2):  # unpark
-        if j == l and l % 2 == 0:
-            continue
-        steps[4].append(SwapLocal(p[j], 0, slot[j]))
-    return steps
+    park = [SwapLocal(p[j], 0, slot[j]) for j in range(1, l, 2)]
+    # even positions step forward, then odd ones
+    evens = [p[0:l:2], p[1:l + 1:2]]
+    lands = [SwapLocal(p[i + 1], 0, slot[i + 1]) for i in range(0, l, 2)]
+    odds = [p[1:l:2], p[2:l + 1:2]]
+    unpark = [SwapLocal(p[j], 0, slot[j]) for j in range(1, l + 1, 2)]
+    return [park, evens, lands, odds, unpark]
 
 
 def advance_train(g: ArchGraph, state: TokenState,
-                  train: Train) -> tuple[list[list], Train]:
+                  train: Train) -> tuple[list[list | SwapLayer], Train]:
     """Advance ``train`` one vertex toward its target, mutating
     ``state``.  The head moves to its :func:`next_hop`, the
     smallest-index neighbor one step closer to the target, so a train
     follows the lexicographically smallest shortest path.  Always
     returns exactly five timesteps (some possibly empty) plus the
     shifted train.  Raises without touching the state if the vertex
-    ahead is occupied or a needed ancilla slot is missing."""
+    ahead is occupied or a needed ancilla slot is missing.  Steps 1 and
+    3 are :class:`SwapLayer` edge swaps, the others lists of
+    :class:`SwapLocal`."""
     head = train.head
     if head == train.target:
         raise ValueError("advance_train: train is already at its target")
     nxt = next_hop(g, bfs_distances(g, train.target), head)
     steps = _advance_plan(g, state, train, nxt)
+    steps[1], steps[3] = SwapLayer(*steps[1]), SwapLayer(*steps[3])
     for ops in steps:
         apply_timestep(g, state, ops)
     return steps, Train(train.vertices[1:] + (nxt,), train.target)
@@ -152,7 +150,8 @@ def _regroup(g: ArchGraph, trains: list[Train], r: int,
 
 def _step_clusters(g: ArchGraph, state: TokenState,
                    clusters: list[tuple[Train, ...]], dist: list[int]
-                   ) -> tuple[list[list], list[tuple[Train, ...]]]:
+                   ) -> tuple[list[list | SwapLayer],
+                              list[tuple[Train, ...]]]:
     """One gathering round toward the centre r, given ``dist``, the BFS
     distances to r (``bfs_distances(g, r)``; r is where it is 0).  In
     every cluster the train with head closest to r advances one vertex
@@ -161,9 +160,10 @@ def _step_clusters(g: ArchGraph, state: TokenState,
     clusters win vertex conflicts.  A head moves to its
     :func:`next_hop` over ``dist``, so trains follow lexicographically
     smallest shortest paths to r.  Applies the five timesteps to
-    ``state`` and returns them with the regrouped clusters."""
+    ``state`` and returns them, edge swaps as one :class:`SwapLayer`
+    per step, with the regrouped clusters."""
     r = dist.index(0)
-    batch: list[list] = [[], [], [], [], []]
+    batch: list = [[], [[], []], [], [[], []], []]
     claimed: set[int] = set()
     new_trains: list[Train] = []
     for cluster in clusters:
@@ -185,10 +185,14 @@ def _step_clusters(g: ArchGraph, state: TokenState,
         train, nxt, footprint = chosen
         claimed |= footprint
         plan = _advance_plan(g, state, train, nxt)
-        for t in range(5):
-            batch[t].extend(plan[t])
+        for t in (0, 2, 4):
+            batch[t] += plan[t]
+        for t in (1, 3):
+            batch[t][0] += plan[t][0]
+            batch[t][1] += plan[t][1]
         new_trains.append(Train(train.vertices[1:] + (nxt,), r))
         new_trains.extend(t for t in cluster if t is not train)
+    batch[1], batch[3] = SwapLayer(*batch[1]), SwapLayer(*batch[3])
     for ops in batch:
         apply_timestep(g, state, ops)
     return batch, _regroup(g, new_trains, r, dist)
@@ -211,7 +215,7 @@ def sparse_route(g: ArchGraph, pi: Permutation) -> Schedule:
     state = TokenState(g)
 
     # phase 1: hide every fixed token, then gather the movers
-    forward: list[list] = []
+    forward: list[list | SwapLayer] = []
     hide = []
     for v in range(g.n):
         if v not in support:
@@ -257,7 +261,7 @@ def sparse_route(g: ArchGraph, pi: Permutation) -> Schedule:
 
     # phase 3: the hide/gather timesteps are involutions; replaying
     # them in reverse carries each token from its gathered slot home
-    backward: list[list] = []
+    backward: list[list | SwapLayer] = []
     for ops in reversed(forward):
         apply_timestep(g, state, ops)
         backward.append(ops)

@@ -45,7 +45,7 @@ from .graphs import (
 from .schedule import (
     DepthModel,
     Schedule,
-    SwapEdge,
+    SwapLayer,
     SwapLocal,
     TeleRound,
 )
@@ -562,9 +562,9 @@ def simulate_round_with_swaps(g: ArchGraph, rnd: TeleRound) -> Schedule:
             short_cycles.append(cyc)
 
     state = TokenState(g)
-    steps: list[list] = []
+    steps: list[list | SwapLayer] = []
 
-    def emit(ops: list) -> None:
+    def emit(ops: list | SwapLayer) -> None:
         if ops:
             apply_timestep(g, state, ops)
             steps.append(ops)
@@ -582,7 +582,7 @@ def simulate_round_with_swaps(g: ArchGraph, rnd: TeleRound) -> Schedule:
         for u in long_support:
             image[u] = moves[u][0]
         for ops in sparse_route(g, Permutation(tuple(image))).timesteps:
-            emit(list(ops))
+            emit(ops)
 
     short = [moves[u][1] for cyc in short_cycles for u in cyc]
     if short:
@@ -623,8 +623,9 @@ def simulate_round_with_swaps(g: ArchGraph, rnd: TeleRound) -> Schedule:
             emit(pre)
             # ride all corridors in lockstep over empty data slots
             for j in range(max(len(p) - 1 for p in paths)):
-                emit([SwapEdge(p[j], p[j + 1])
-                      for p in paths if j < len(p) - 1])
+                riders = [p for p in paths if j < len(p) - 1]
+                emit(SwapLayer([p[j] for p in riders],
+                               [p[j + 1] for p in riders]))
             # whatever this class displaced goes back into data slots
             emit([SwapLocal(v, 0, s) for v, s in parked
                   if state.get(v, s) is not None])

@@ -227,17 +227,20 @@ def test_edge_input_forms_build_one_graph(kind, params):
         assert graph_to_json(h) == _reference_json(h), name
 
 
-def test_non_int_edges_keep_their_old_outcome():
-    # numpy ints and bools are normalized, not kept: the JSON of numpy
-    # edges fails as json.dumps does, and a bool edge writes true
-    g = ArchGraph(2, ((np.int64(0), np.int64(1)),))
-    assert g._adj == ((1,), (0,))
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        graph_to_json(g)
-    text = graph_to_json(ArchGraph(2, ((False, True),)))
-    assert '"edges": [[false, true]]' in text
-    with pytest.raises(TypeError, match="list indices must be integers"):
-        ArchGraph(2, ((0, 1.0),))
+def test_non_int_edges_become_ints():
+    # bools and numpy ints are turned into exact ints, so their JSON is
+    # the int graph's and reloads equal; any other endpoint is refused
+    for edges in (((False, True), (1, 2)),
+                  ((np.int64(0), np.int64(1)), (np.int32(1), 2))):
+        g = ArchGraph(3, edges)
+        assert {type(x) for e in g.edges for x in e} == {int}
+        assert g._adj == ((1,), (0, 2), (1,))
+        text = graph_to_json(g)
+        assert '"edges": [[0, 1], [1, 2]]' in text
+        assert graph_from_json(text) == g == ArchGraph(3, ((0, 1), (1, 2)))
+    for bad in (1.0, "1", None):
+        with pytest.raises(ValueError, match="endpoint is not an integer"):
+            ArchGraph(3, ((0, bad), (1, 2)))
 
 
 # sha256 of graph_to_json for each family at its benchmark size (complete
