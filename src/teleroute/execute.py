@@ -626,7 +626,22 @@ def apply_schedule(g: ArchGraph, schedule: Schedule) -> TokenState:
 def achieved_permutation(g: ArchGraph, state: TokenState) -> Permutation:
     """The permutation realized by a final state: token i sits in the
     data slot of vertex image[i].  Requires every ancilla empty and
-    every data slot occupied."""
+    every data slot occupied.
+
+    Each row is read whole: its ancillas are compared with an empty row
+    of B slots once, and its data slot is collected.  Only when some row
+    fails are the slots scanned one by one, so the error names the
+    stranded token first in (vertex, slot) order or, with none, the
+    first empty data slot."""
+    empty = [None] * g.ancilla_budget
+    rows = state.slots
+    if len(rows) == g.n and all(row[1:] == empty for row in rows):
+        data = list(map(_data, rows))
+        if None not in data:
+            image = [None] * g.n
+            for v, tok in enumerate(data):
+                image[tok] = v
+            return Permutation(tuple(image))
     for v in range(g.n):
         for s in range(1, g.ancilla_budget + 1):
             if state.slots[v][s] is not None:

@@ -105,26 +105,37 @@ def _regroup(g: ArchGraph, trains: list[Train], r: int,
              dist: list[int]) -> list[tuple[Train, ...]]:
     """Concatenate head-to-tail trains, then group trains into clusters
     (tuples of trains whose tokens span a connected set of vertices) by
-    token adjacency."""
+    token adjacency.
+
+    Train i joins train j (i's head then j's tail) when j's tail is a
+    neighbour of i's head one step closer to ``r``, so train bodies stay
+    monotone in distance; of several such j, the lowest index wins.  The
+    joins are one pass over the trains with an index from tail vertex to
+    train, re-checking a train after each join since its head moved.  A
+    join changes only train i's head and removes train j's tail, so no
+    earlier train gains a join, and the pass ends where repeatedly
+    taking the first (i, j) in index order would.  The clusters come
+    from one union over each train vertex's neighbours, through an index
+    from vertex to train.  Both cost the degrees of the train heads and
+    vertices, whatever the number of trains."""
     adj = g._adj  # train vertices are vertices of g
-    trains = list(trains)
-    changed = True
-    while changed:
-        changed = False
-        for i, t1 in enumerate(trains):
-            for j, t2 in enumerate(trains):
-                if i == j:
-                    continue
-                # only join when t2 continues t1 toward the target, so
-                # train bodies stay monotone in distance
-                if (t2.tail in adj[t1.head]
-                        and dist[t2.tail] == dist[t1.head] - 1):
-                    trains[i] = Train(t1.vertices + t2.vertices, r)
-                    del trains[j]
-                    changed = True
-                    break
-            if changed:
+    # deleted trains leave None, so a train's position is its index
+    # order among the live ones
+    trains: list[Train | None] = list(trains)
+    tail_at = {t.tail: j for j, t in enumerate(trains)}
+    for i, t1 in enumerate(trains):
+        while t1 is not None:
+            step, own = dist[t1.head] - 1, t1.tail
+            j = min((tail_at[w] for w in adj[t1.head]
+                     if w in tail_at and w != own and dist[w] == step),
+                    default=None)
+            if j is None:
                 break
+            t2 = trains[j]
+            t1 = trains[i] = Train(t1.vertices + t2.vertices, r)
+            trains[j] = None
+            del tail_at[t2.tail]
+    trains = [t for t in trains if t is not None]
 
     labels = list(range(len(trains)))
 
@@ -134,14 +145,17 @@ def _regroup(g: ArchGraph, trains: list[Train], r: int,
             a = labels[a]
         return a
 
-    for i, t1 in enumerate(trains):
-        for j in range(i + 1, len(trains)):
-            t2 = trains[j]
-            if any(v in adj[u] or u == v
-                   for u in t1.vertices for v in t2.vertices):
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    labels[max(ra, rb)] = min(ra, rb)
+    # trains are vertex-disjoint (a vertex holds one token), and each
+    # component is rooted at its lowest index, whatever the union order
+    owner = {u: i for i, t in enumerate(trains) for u in t.vertices}
+    for i, t in enumerate(trains):
+        for u in t.vertices:
+            for v in adj[u]:
+                j = owner.get(v)
+                if j is not None and j > i:   # each pair once
+                    ra, rb = find(i), find(j)
+                    if ra != rb:
+                        labels[max(ra, rb)] = min(ra, rb)
     groups: dict[int, list[Train]] = {}
     for i in range(len(trains)):
         groups.setdefault(find(i), []).append(trains[i])
@@ -260,9 +274,12 @@ def sparse_route(g: ArchGraph, pi: Permutation) -> Schedule:
         middle.append(layer)
 
     # phase 3: the hide/gather timesteps are involutions; replaying
-    # them in reverse carries each token from its gathered slot home
+    # them in reverse carries each token from its gathered slot home.
+    # Each replay is its own copy, so no two timesteps share an object.
     backward: list[list | SwapLayer] = []
     for ops in reversed(forward):
+        ops = (SwapLayer(ops.us, ops.vs) if isinstance(ops, SwapLayer)
+               else list(ops))
         apply_timestep(g, state, ops)
         backward.append(ops)
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teleroute import graphs
 from teleroute.graphs import (
     FAMILY_PARAMS,
     PERMUTATION_PARAMS,
@@ -270,6 +271,35 @@ def test_graph_json_golden(kind, params, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert g.ref_hash() == digest[:16]
     assert text == json.dumps(json.loads(text), sort_keys=True)
+
+
+# graph_to_json writes a graph with more than graphs._DENSE_DEGREE edges
+# per vertex a vertex at a time; these sit on both sides of that rule
+DENSE_RULE_SAMPLES = (
+    [("ladder", {"n": n}) for n in range(1, 10)]
+    + [("complete", {"n": n}) for n in range(1, 41)]
+    + [("path", {"n": 64}), ("wheel", {"n": 63}), ("hypercube", {"d": 7}),
+       ("butterfly", {"r": 4}), ("grid", {"n": 6, "d": 3})])
+
+
+def test_graph_json_on_both_sides_of_the_dense_rule():
+    sides = set()
+    for kind, params in DENSE_RULE_SAMPLES:
+        g = generate_graph(kind, **params)
+        assert graph_to_json(g) == _reference_json(g), (kind, params)
+        sides.add(len(g.edges) > graphs._DENSE_DEGREE * g.n)
+        # the same edges through the constructor, with labels
+        h = ArchGraph(g.n, list(g.edges), 3, tuple(range(g.n)))
+        assert graph_to_json(h) == _reference_json(h), (kind, params)
+    assert sides == {False, True}
+
+
+@pytest.mark.parametrize("kind,params,ref", [
+    ("ladder", {"n": 8}, "c85091887f856ed9"),
+    ("complete", {"n": 40}, "6066530d2be9326b"),
+])
+def test_dense_ref_hash_is_pinned(kind, params, ref):
+    assert generate_graph(kind, **params).ref_hash() == ref
 
 
 def test_family_is_set_only_by_generate_graph():

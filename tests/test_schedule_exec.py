@@ -505,6 +505,26 @@ def test_achieved_permutation_rejects_stranded_tokens():
         achieved_permutation(g, final)
 
 
+def test_achieved_permutation_names_the_first_fault():
+    # tokens 1 and 3 stranded, so data slots 1 and 3 are empty too: the
+    # first stranded (vertex, slot) is named, before any empty data slot
+    g = generate_graph("path", n=5, ancilla_budget=2)
+    final = apply_schedule(g, Schedule([[SwapLocal(3, 0, 1),
+                                         SwapLocal(1, 0, 2)]]))
+    with pytest.raises(ScheduleError, match=r"^token 1 stranded in "
+                       r"ancilla slot 2 of vertex 1$"):
+        achieved_permutation(g, final)
+    final.slots[3][1] = None
+    final.slots[1][0], final.slots[1][2] = 3, None
+    final.slots[4][0] = None
+    # ancillas empty, data slots 3 and 4 empty: the first is named
+    with pytest.raises(ScheduleError,
+                       match=r"^data slot of vertex 3 is empty$"):
+        achieved_permutation(g, final)
+    final.slots[3][0], final.slots[4][0] = 1, 4
+    assert achieved_permutation(g, final).image == (0, 3, 2, 1, 4)
+
+
 def test_verify_schedule():
     g = generate_graph("path", n=3)
     sched = Schedule([[SwapEdge(0, 1)], [SwapEdge(1, 2)]])

@@ -1,7 +1,9 @@
 """Pinned schedule bytes: sha256 of ``Schedule.to_json`` for the sparse
 router and the generic swap router on fixed instances (spanning-tree
 fallbacks, grid and hypercube products, paths, and random trees, up to
-the 258,559 swaps of path 1024 random).
+the 258,559 swaps of path 1024 random), and for the sparse router on
+the benchmark's seed-1 sparse instances, whose gathers run hundreds of
+train join and cluster merge rounds.
 
 The routers are deterministic, so a change that means to keep every
 schedule (a faster traversal, a shared helper) must leave these digests
@@ -33,6 +35,19 @@ SPARSE_GRAPHS = {
 }
 
 SPARSE_PERMS = ("k2", "k8", "k32", "diam")
+
+# the benchmark's sparse workload at seed 1: hundreds of join and merge
+# rounds of the gather, each instance with the kinds it routes there
+BENCH_SPARSE_GRAPHS = {
+    "path-1024": ("path", {"n": 1024}, ("k8",)),
+    "path-256": ("path", {"n": 256}, ("k2", "k32", "diam")),
+    "grid-32x32": ("grid", {"n": 32, "d": 2}, ("k8",)),
+    "hypercube-10": ("hypercube", {"d": 10}, ("k8",)),
+    "butterfly-7": ("butterfly", {"r": 7}, ("k8",)),
+    "wheel-1023": ("wheel", {"n": 1023}, ("k8", "diam")),
+    "wheel-255": ("wheel", {"n": 255}, ("k32",)),
+    "ladder-8": ("ladder", {"n": 8}, ("k2", "k32", "diam")),
+}
 
 GENERIC_GRAPHS = {
     "butterfly-3": ("butterfly", {"r": 3}),
@@ -112,6 +127,32 @@ GOLDEN = {
         "af06b35a4acd727fa96489790348283c05fb3d9d38c23cc63ab4beffec1d42c1",
     "sparse/wheel-63/diam":
         "c686b1ebf64be0335f0d5f41328b0b1fcb8f853d5401837cbd32a4a4dd078fff",
+    "sparse-bench/path-1024/k8":
+        "d05ab40fb2eabdfb0d3a23c19d23c3469b9a3401518f8202ea596ecdde24f4ce",
+    "sparse-bench/path-256/k2":
+        "6593c7ad006888df58bb26c95efdabd472c08f053cc7a1c2c81e6a8c8ab1cd36",
+    "sparse-bench/path-256/k32":
+        "698ff2d83406aca7bdccccd72e95effd8d7452b5d1b6cad047066ab9e3149de1",
+    "sparse-bench/path-256/diam":
+        "d4cb0b513ce76cf1c025e2a504cbbdf196a67c56d120d9f2bed106cf8a515687",
+    "sparse-bench/grid-32x32/k8":
+        "6ca1b3b3ffa96314fb55c12d0d7e741b6b06a6b21b5f3bb8fa1f2c5b33573d84",
+    "sparse-bench/hypercube-10/k8":
+        "97ea4fe26e8a3efdb5ed3716108347678f59fbaf6ec86774d40ff02c2c7c5f1c",
+    "sparse-bench/butterfly-7/k8":
+        "02b65bd30c009c80382b9b0c0fc044f45a67f6423aaf898a027681dba8b1692b",
+    "sparse-bench/wheel-1023/k8":
+        "5828655ab7b845d61acc199faa118cd475155581e47afeacb55eaa01bc0e8d3d",
+    "sparse-bench/wheel-1023/diam":
+        "ba87854028c6ffcde5a60b15eca3c2ad1bd9e416fb284af328ac57dd09f594bc",
+    "sparse-bench/wheel-255/k32":
+        "9e4bb4401b0996f263c968d52678250d62b9fcde0e9aa95c8f6f274c845d4647",
+    "sparse-bench/ladder-8/k2":
+        "72fb4248c248524a27dca0851d860e2d13ba7960ebbe0a6d7d319426d493f5d0",
+    "sparse-bench/ladder-8/k32":
+        "22b249b743babdb654e046ba75f71a1e1778f4b3628185a6789eecd6033c90ae",
+    "sparse-bench/ladder-8/diam":
+        "5b3bd99585ea8ad64de8bebb870a70cac1f42d3ee109c830097ba13aff0a5636",
     "generic/butterfly-3/random":
         "1ab39f22b9826c6d95100bf5406466316b494be5bb9e4f389c85283ba276931d",
     "generic/butterfly-3/reflection":
@@ -199,6 +240,14 @@ def sparse_perm(g: ArchGraph, kind: str) -> Permutation:
     return generate_permutation("random", g, seed=k, k=k)
 
 
+def bench_sparse_digest(name: str, kind: str) -> str:
+    family, params, _ = BENCH_SPARSE_GRAPHS[name]
+    g = generate_graph(family, **params)
+    pi = (generate_permutation("diam", g) if kind == "diam" else
+          generate_permutation("random", g, seed=1, k=int(kind[1:])))
+    return sha(sparse_route(g, pi).to_json())
+
+
 def generic_perm(g: ArchGraph, kind: str) -> Permutation:
     if kind == "reflection":
         return generate_permutation("reflection", g)
@@ -249,6 +298,14 @@ def trees_digest() -> str:
 @pytest.mark.parametrize("kind", SPARSE_PERMS)
 def test_sparse_route_bytes(name, kind):
     assert sparse_digest(name, kind) == GOLDEN[f"sparse/{name}/{kind}"]
+
+
+@pytest.mark.parametrize("name, kind", [
+    (name, kind) for name, (_, _, kinds) in BENCH_SPARSE_GRAPHS.items()
+    for kind in kinds])
+def test_sparse_route_bench_bytes(name, kind):
+    assert (bench_sparse_digest(name, kind)
+            == GOLDEN[f"sparse-bench/{name}/{kind}"])
 
 
 @pytest.mark.parametrize("name", sorted(GENERIC_GRAPHS))

@@ -159,3 +159,53 @@ def test_round_replay_bytes_are_pinned():
         seen[name] = (hashlib.sha256(sched.to_json().encode()).hexdigest(),
                       sched.num_timesteps())
     assert seen == REPLAY_GOLDEN
+
+
+def _step_lists(sched):
+    """Every list a schedule's timesteps hold: each step list, and each
+    layer's endpoint lists."""
+    for step in sched.timesteps:
+        if type(step) is SwapLayer:
+            yield step.us
+            yield step.vs
+        else:
+            yield step
+
+
+def assert_unshared(sched):
+    """No two timesteps are one object or share a list, and emptying
+    each step in turn leaves every other step as it was."""
+    steps = sched.timesteps
+    assert len({*map(id, steps)}) == len(steps)
+    lists = list(_step_lists(sched))
+    assert len({*map(id, lists)}) == len(lists)
+    for t, step in enumerate(steps):
+        before = [list(s) for s in steps]
+        if type(step) is SwapLayer:
+            step.us.clear()
+            step.vs.clear()
+        else:
+            step.clear()
+        assert [list(s) for s in steps[:t] + steps[t + 1:]] == (
+            before[:t] + before[t + 1:])
+
+
+def test_sparse_mirrored_steps_are_separate_objects():
+    # the backward half replays the forward steps in reverse: the hide
+    # step comes first and last, and clearing one keeps the other
+    g = generate_graph("path", n=16)
+    sched = sparse_route(g, generate_permutation("random", g, seed=1, k=4))
+    first, last = sched.timesteps[0], sched.timesteps[-1]
+    assert first == last and first
+    assert sched.timesteps[4] == sched.timesteps[-5]
+    assert type(sched.timesteps[-5]) is SwapLayer
+    assert_unshared(sched)
+    for kind, params in FAMILIES:
+        g = generate_graph(kind, **params)
+        assert_unshared(sparse_route(g, generate_permutation(
+            "random", g, seed=8, k=8)))
+
+
+def test_round_replay_steps_are_separate_objects():
+    for _, g, rnd in _fixed_rounds():
+        assert_unshared(simulate_round_with_swaps(g, rnd))
