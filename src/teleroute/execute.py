@@ -629,30 +629,21 @@ def achieved_permutation(g: ArchGraph, state: TokenState) -> Permutation:
     every data slot occupied.
 
     Each row is read whole: its ancillas are compared with an empty row
-    of B slots once, and its data slot is collected.  Only when some row
-    fails are the slots scanned one by one, so the error names the
+    of B slots, and its data slot is collected.  A fault names the
     stranded token first in (vertex, slot) order or, with none, the
     first empty data slot."""
     empty = [None] * g.ancilla_budget
-    rows = state.slots
-    if len(rows) == g.n and all(row[1:] == empty for row in rows):
-        data = list(map(_data, rows))
-        if None not in data:
-            image = [None] * g.n
-            for v, tok in enumerate(data):
-                image[tok] = v
-            return Permutation(tuple(image))
-    for v in range(g.n):
-        for s in range(1, g.ancilla_budget + 1):
-            if state.slots[v][s] is not None:
-                raise ScheduleError(
-                    f"token {state.slots[v][s]} stranded in ancilla "
-                    f"slot {s} of vertex {v}")
+    for v, row in enumerate(state.slots):
+        if row[1:] != empty:
+            s = next(s for s in range(1, len(row)) if row[s] is not None)
+            raise ScheduleError(
+                f"token {row[s]} stranded in ancilla slot {s} of vertex {v}")
+    data = list(map(_data, state.slots))
+    if None in data:
+        raise ScheduleError(
+            f"data slot of vertex {data.index(None)} is empty")
     image = [None] * g.n
-    for v in range(g.n):
-        tok = state.data(v)
-        if tok is None:
-            raise ScheduleError(f"data slot of vertex {v} is empty")
+    for v, tok in enumerate(data):
         image[tok] = v
     return Permutation(tuple(image))
 

@@ -884,11 +884,16 @@ def graph_to_json(g: ArchGraph) -> str:
     ``%`` over the flattened pairs.  A dense one, above
     ``_DENSE_DEGREE`` edges per vertex, joins each vertex's larger
     neighbours (its sorted neighbour list past itself) from texts of
-    the vertices made once, as ``[u, v1], [u, v2], ...``.  Measured,
-    the joins take about a third of the time of one ``%`` on ladder n=8
-    (85 edges per vertex) and half on complete n=40 (19.5), tie near 5
-    edges per vertex (ladder n=4, hypercube d=10), and take four times
-    as long on path 1024 (1 per vertex)."""
+    the vertices made once, as ``[u, v1], [u, v2], ...``.  That order
+    is the order of ``edges`` only because every graph's neighbour
+    lists are sorted and match its edges, as the constructor and the
+    family builders make them.  Measured, the joins take about a third
+    of the time of one ``%`` on ladder n=8 (85 edges per vertex) and
+    half on complete n=40 (19.5), and four times as long on path 1024
+    (1 per vertex).  They tie at 5 to 6 edges per vertex (ladder n=4,
+    hypercube d=10, complete n=11 and n=13, a random 512-vertex graph)
+    and win by 8-16 % at 8 (complete n=17, random 512-vertex), so the
+    rule switches there."""
     doc = {"n": g.n}
     if g.labels is not None:
         doc["labels"] = [_label_to_json(l) for l in g.labels]
